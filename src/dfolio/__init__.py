@@ -20,7 +20,6 @@ from .solvers import (
     project_simplex,
     solve_fee,
     solve_fee_l2,
-    solve_lp,
     solve_max_return,
     solve_max_sharpe,
 )

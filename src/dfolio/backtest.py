@@ -12,8 +12,6 @@ every rebalance, uniformly across strategies.
 from __future__ import annotations
 
 import calendar
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date
 
@@ -400,7 +398,12 @@ def accrue(
     ledger.live_weights = w
 
 
-def _run_strategy(strategy, rebs, data, config):
+def _run_strategy(strategy, rebs, data, config) -> BacktestLedger:
+    """One strategy's ledger over the rebalance dates.
+
+    A failure is isolated to this strategy: the returned ledger carries only
+    the error, located by rebalance date and stage (decide or accrue).
+    """
     frame = data.frame
     n = frame.n_assets
     i0 = frame.index_of(rebs[0])
@@ -412,16 +415,24 @@ def _run_strategy(strategy, rebs, data, config):
     )
     boundaries = [frame.index_of(t) for t in rebs] + [frame.n_dates]
     for k, t in enumerate(rebs):
-        target, diag = run_window(strategy, t, data, config, w_prev=Portfolio(ledger.live_weights))
-        it, it_end = boundaries[k], boundaries[k + 1]
-        accrue(
-            ledger,
-            target,
-            frame.dates[it:it_end],
-            data.panel.simple_returns[it - 1 : it_end - 1],
-            config.fee_rate,
-            diagnostics=diag,
-        )
+        stage = "decide"
+        try:
+            target, diag = run_window(strategy, t, data, config, w_prev=Portfolio(ledger.live_weights))
+            stage = "accrue"
+            it, it_end = boundaries[k], boundaries[k + 1]
+            accrue(
+                ledger,
+                target,
+                frame.dates[it:it_end],
+                data.panel.simple_returns[it - 1 : it_end - 1],
+                config.fee_rate,
+                diagnostics=diag,
+            )
+        except Exception as exc:  # noqa: BLE001 - isolation contract
+            return BacktestLedger(
+                strategy=strategy.name,
+                error=f"rebalance {t} ({stage}): {type(exc).__name__}: {exc}",
+            )
     return ledger
 
 
@@ -433,9 +444,8 @@ def run_backtest(
     """Run every strategy over identical rebalance dates and fee regime.
 
     Per-strategy failures are isolated: the failing ledger carries the error
-    message and the remaining strategies still complete. Set DFOLIO_THREADS>1
-    to run strategies concurrently (results are order- and value-deterministic
-    either way).
+    message, located by rebalance date and stage, and the remaining strategies
+    still complete.
     """
     if config is None:
         raise ValueError("config is required")
@@ -447,17 +457,4 @@ def run_backtest(
     frame.check_usable()
     data = prepare_data(frame, config)
     rebs = rebalance_dates(frame, config)
-
-    def one(strategy: StrategySpec) -> BacktestLedger:
-        try:
-            return _run_strategy(strategy, rebs, data, config)
-        except Exception as exc:  # noqa: BLE001 - isolation contract
-            return BacktestLedger(strategy=strategy.name, error=f"{type(exc).__name__}: {exc}")
-
-    workers = int(os.environ.get("DFOLIO_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ledgers = list(pool.map(one, roster))
-    else:
-        ledgers = [one(s) for s in roster]
-    return {s.name: led for s, led in zip(roster, ledgers)}
+    return {s.name: _run_strategy(s, rebs, data, config) for s in roster}

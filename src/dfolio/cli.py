@@ -7,7 +7,6 @@ Commands:
   dfolio synth    --out DIR [--assets N] [--days N] [--seed N]
 
 The backtest config is a single JSON document; see README for the schema.
-Worker count for strategy-level parallelism is capped by DFOLIO_THREADS.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -167,6 +168,11 @@ def _parse_bar(path, line_no: int, row: list[str]) -> AssetBar:
         values = [float(v) for v in row[1:]]
     except ValueError as exc:
         raise IngestionError(path, line_no, str(exc)) from None
+    # One test per row: the sum is non-finite iff a cell is (or finite cells overflow).
+    if not math.isfinite(sum(values)):
+        for name, cell, value in zip(CSV_HEADER[1:], row[1:], values):
+            if not math.isfinite(value):
+                raise IngestionError(path, line_no, f"{name} must be finite, got {cell!r}")
     bar = AssetBar(day, *values)
     try:
         bar.validate()

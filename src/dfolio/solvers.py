@@ -1,11 +1,13 @@
 """Portfolio decision solvers over the long-only full-investment simplex.
 
 Every oracle or baseline decision used anywhere in the project lives here:
-vertex argmax, fee-penalized LP (epigraph + dense simplex), L2-regularized QP
-(lifted Frank-Wolfe with away steps), mean-variance max-Sharpe (projected
-gradient multi-start), the Euclidean simplex projection, and exact closed-form
-batch oracles used by the training loops. All solvers are pure, deterministic,
-and tie-break by lowest asset index.
+vertex argmax, the exact closed-form oracles for the fee-penalized LP (sorted
+segment fill) and the fee+ridge QP (breakpoint root, certified by a
+closed-form duality gap), mean-variance max-Sharpe (projected gradient
+multi-start), the Euclidean simplex projection, and covariance estimation.
+The fee and fee+ridge oracles are batched over coefficient rows for the
+training loops; the single-decision solvers wrap them. All solvers are pure,
+deterministic, and tie-break by lowest asset index.
 """
 
 from __future__ import annotations
@@ -23,18 +25,6 @@ PROBLEM_KINDS = (MAX_RETURN, MAX_RETURN_FEE, MAX_RETURN_FEE_L2)
 
 
 class SolverError(RuntimeError):
-    pass
-
-
-class InfeasibleError(SolverError):
-    pass
-
-
-class UnboundedError(SolverError):
-    pass
-
-
-class ConvergenceError(SolverError):
     pass
 
 
@@ -173,277 +163,59 @@ def solve_max_return(coeff: np.ndarray) -> Portfolio:
 
 
 # ---------------------------------------------------------------------------
-# Dense tableau primal simplex with Bland's anti-cycling rule.
+# Fee-penalized and fee+ridge decisions: thin wrappers over the exact batch
+# oracles below, the fee+ridge one certified by a closed-form duality gap.
 # ---------------------------------------------------------------------------
 
-_LP_TOL = 1e-9
-_LP_MAX_PIVOTS = 200_000
-
-
-def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.outer(factors, tab[row])
-    basis[row] = col
-
-
-def solve_lp(
-    objective: np.ndarray,
-    a_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    a_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-    maximize: bool = True,
-):
-    """Solve max/min objective . x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
-
-    Two-phase dense tableau primal simplex with Bland's rule; returns
-    (solution, objective value) at an optimal basic solution.
-    """
-    c = np.asarray(objective, dtype=float).reshape(-1)
-    n = c.size
-    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
-    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-    mu, me = a_ub.shape[0], a_eq.shape[0]
-    m = mu + me
-
-    cost = -c if maximize else c.copy()
-
-    # Columns: structural | slack (one per <= row) | artificial (added as needed).
-    a = np.zeros((m, n + mu))
-    a[:mu, :n] = a_ub
-    a[:mu, n : n + mu] = np.eye(mu)
-    a[mu:, :n] = a_eq
-    b = np.concatenate([b_ub, b_eq])
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    basis = np.full(m, -1, dtype=int)
-    for i in range(mu):
-        if not flip[i]:
-            basis[i] = n + i
-    need_art = np.nonzero(basis < 0)[0]
-    n_art = need_art.size
-    tab = np.zeros((m, n + mu + n_art + 1))
-    tab[:, : n + mu] = a
-    tab[:, -1] = b
-    for k, i in enumerate(need_art):
-        tab[i, n + mu + k] = 1.0
-        basis[i] = n + mu + k
-
-    def reduced_costs(cost_full: np.ndarray) -> np.ndarray:
-        cb = cost_full[basis]
-        return cost_full - tab[:, :-1].T @ cb
-
-    if n_art:
-        phase1 = np.zeros(n + mu + n_art)
-        phase1[n + mu :] = 1.0
-        red = reduced_costs(phase1)
-        _run_simplex(tab, basis, red)
-        if phase1[basis] @ tab[:, -1] > 1e-7:
-            raise InfeasibleError("LP is infeasible")
-        # Pivot any degenerate artificials out of the basis; drop redundant rows.
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= n + mu:
-                cols = np.nonzero(np.abs(tab[i, : n + mu]) > _LP_TOL)[0]
-                if cols.size:
-                    _pivot(tab, basis, i, int(cols[0]))
-                else:
-                    keep[i] = False
-        tab = tab[keep]
-        basis = basis[keep]
-        m = tab.shape[0]
-        tab = np.delete(tab, np.s_[n + mu : n + mu + n_art], axis=1)
-
-    cost_full = np.zeros(tab.shape[1] - 1)
-    cost_full[:n] = cost
-    red = cost_full - tab[:, :-1].T @ cost_full[basis]
-    _run_simplex(tab, basis, red)
-
-    x = np.zeros(tab.shape[1] - 1)
-    x[basis] = tab[:, -1]
-    x = x[:n]
-    value = float(c @ x)
-    return x, value
-
-
-def _run_simplex(tab: np.ndarray, basis: np.ndarray, red: np.ndarray) -> None:
-    m = tab.shape[0]
-    for _ in range(_LP_MAX_PIVOTS):
-        neg = np.nonzero(red < -_LP_TOL)[0]
-        if neg.size == 0:
-            return
-        col = int(neg[0])
-        column = tab[:, col]
-        pos = column > _LP_TOL
-        if not np.any(pos):
-            raise UnboundedError("LP is unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = tab[pos, -1] / column[pos]
-        best = ratios.min()
-        candidates = np.nonzero(ratios <= best + _LP_TOL)[0]
-        row = int(candidates[np.argmin(basis[candidates])])
-        mult = red[col]
-        _pivot(tab, basis, row, col)
-        red -= mult * tab[row, :-1]
-        red[basis[row]] = 0.0
-    raise SolverError("simplex pivot limit exceeded")
-
-
-# ---------------------------------------------------------------------------
-# Fee-penalized oracle: epigraph LP over (w, u).
-# ---------------------------------------------------------------------------
-
-
-def _fee_polytope(n: int, w_prev: np.ndarray, cap_u: bool):
-    """Inequality/equality system for {w in simplex, |w - w_prev| <= u (<= 1)}."""
-    rows = 2 * n + (n if cap_u else 0)
-    a_ub = np.zeros((rows, 2 * n))
-    b_ub = np.zeros(rows)
-    eye = np.eye(n)
-    a_ub[:n, :n] = eye
-    a_ub[:n, n:] = -eye
-    b_ub[:n] = w_prev
-    a_ub[n : 2 * n, :n] = -eye
-    a_ub[n : 2 * n, n:] = -eye
-    b_ub[n : 2 * n] = -w_prev
-    if cap_u:
-        a_ub[2 * n :, n:] = eye
-        b_ub[2 * n :] = 1.0
-    a_eq = np.zeros((1, 2 * n))
-    a_eq[0, :n] = 1.0
-    b_eq = np.array([1.0])
-    return a_ub, b_ub, a_eq, b_eq
+# A certified fee+ridge decision is within this much of the optimal objective.
+_GAP_TOL = 1e-9
 
 
 def solve_fee(r_hat: np.ndarray, prob: DecisionProblem) -> Portfolio:
-    """Maximize r_hat . w - gamma * ||w - w_prev||_1 over the simplex.
-
-    Epigraph reformulation (aux u >= |w - w_prev|) solved as an LP.
-    """
+    """Maximize r_hat . w - gamma * ||w - w_prev||_1 over the simplex (exact, sort-based)."""
     if prob.kind != MAX_RETURN_FEE:
         raise ValueError(f"solve_fee requires kind={MAX_RETURN_FEE}, got {prob.kind}")
     r_hat = np.asarray(r_hat, dtype=float).reshape(-1)
-    n = r_hat.size
-    a_ub, b_ub, a_eq, b_eq = _fee_polytope(n, prob.w_prev.weights, cap_u=False)
-    c = np.concatenate([r_hat, -prob.gamma * np.ones(n)])
-    x, _ = solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=True)
-    return Portfolio(x[:n])
+    return Portfolio(_fee_argmax_batch(r_hat[None, :], prob.gamma, prob.w_prev.weights)[0])
 
 
-# ---------------------------------------------------------------------------
-# L2-regularized oracle: lifted Frank-Wolfe with away steps, LP oracle.
-# ---------------------------------------------------------------------------
-
-
-def solve_fee_l2(
-    r_hat: np.ndarray,
-    prob: DecisionProblem,
-    tol: float = 1e-7,
-    max_iter: int = 10_000,
-    full_output: bool = False,
-    warm_start: bool = True,
-):
+def solve_fee_l2(r_hat: np.ndarray, prob: DecisionProblem, full_output: bool = False):
     """Maximize r_hat . w - gamma * ||w - w_prev||_1 - lam * ||w||_2^2 over the simplex.
 
-    Runs Frank-Wolfe with away steps on the lifted polytope
-    {w in simplex, |w - w_prev| <= u <= 1}; the linear-minimization oracle is
-    solve_lp. Stops when the FW duality gap certifies suboptimality <= tol.
-    By default the iterate starts at the closed-form KKT point, which the first
-    gap evaluation certifies (or refutes, falling back to genuine FW steps).
+    Solved exactly by the breakpoint-root oracle, then certified: raises
+    SolverError if the duality gap (fee_l2_gap) exceeds 1e-9. With
+    full_output=True also returns {"gap", "objective"}.
     """
     if prob.kind != MAX_RETURN_FEE_L2:
         raise ValueError(f"solve_fee_l2 requires kind={MAX_RETURN_FEE_L2}, got {prob.kind}")
     r_hat = np.asarray(r_hat, dtype=float).reshape(-1)
-    n = r_hat.size
-    lam, gamma = prob.lam, prob.gamma
-    a_ub, b_ub, a_eq, b_eq = _fee_polytope(n, prob.w_prev.weights, cap_u=True)
-
-    def grad(x):
-        g = np.empty(2 * n)
-        g[:n] = -r_hat + 2.0 * lam * x[:n]
-        g[n:] = gamma
-        return g
-
-    def lmo(direction):
-        s, _ = solve_lp(-direction, a_ub, b_ub, a_eq, b_eq, maximize=True)
-        return s
-
-    if warm_start:
-        w0 = _fee_l2_argmax_batch(r_hat[None, :], gamma, lam, prob.w_prev.weights)[0]
-        x = np.concatenate([w0, np.abs(w0 - prob.w_prev.weights)])
-    else:
-        x = lmo(grad(np.concatenate([prob.w_prev.weights, np.zeros(n)])))
-    atoms = [x.copy()]
-    alphas = [1.0]
-    gap = np.inf
-    for it in range(max_iter):
-        g = grad(x)
-        s = lmo(g)
-        fw_dir = s - x
-        gap = float(-g @ fw_dir)
-        if gap <= tol:
-            break
-        scores = [g @ a for a in atoms]
-        v_idx = int(np.argmax(scores))
-        away_dir = x - atoms[v_idx]
-        away_gap = float(g @ atoms[v_idx]) - float(g @ x)
-        if gap >= away_gap or len(atoms) == 1:
-            d, step_max, mode = fw_dir, 1.0, "fw"
-        else:
-            alpha_v = alphas[v_idx]
-            d, step_max, mode = away_dir, alpha_v / (1.0 - alpha_v) if alpha_v < 1.0 else np.inf, "away"
-        dw = d[:n]
-        curv = 2.0 * lam * float(dw @ dw)
-        lin = float(g @ d)
-        if curv <= 0:
-            step = step_max if lin < 0 else 0.0
-        else:
-            step = min(max(-lin / curv, 0.0), step_max)
-        if not np.isfinite(step):
-            step = 1.0
-        x = x + step * d
-        if mode == "fw":
-            alphas = [a * (1.0 - step) for a in alphas]
-            matched = _find_atom(atoms, s)
-            if matched is None:
-                atoms.append(s.copy())
-                alphas.append(step)
-            else:
-                alphas[matched] += step
-        else:
-            alphas = [a * (1.0 + step) for a in alphas]
-            alphas[v_idx] -= step
-        atoms, alphas = _prune_atoms(atoms, alphas)
-    else:
-        raise ConvergenceError(
-            f"Frank-Wolfe did not reach gap {tol:g} in {max_iter} iterations (gap={gap:.3g})"
-        )
-    w = np.clip(x[:n], 0.0, None)
-    w = w / w.sum()
+    w = _fee_l2_argmax_batch(r_hat[None, :], prob.gamma, prob.lam, prob.w_prev.weights)[0]
+    gap = fee_l2_gap(r_hat, prob, w)
+    if not gap <= _GAP_TOL:
+        raise SolverError(f"fee+ridge decision not certified: duality gap {gap:.3g} > {_GAP_TOL:g}")
     port = Portfolio(w)
     if full_output:
-        obj = float(r_hat @ w) + prob.penalty(w)
-        return port, {"gap": gap, "iterations": it, "objective": obj}
+        obj = float(r_hat @ port.weights) + prob.penalty(port.weights)
+        return port, {"gap": gap, "objective": obj}
     return port
 
 
-def _find_atom(atoms, cand):
-    for i, a in enumerate(atoms):
-        if np.allclose(a, cand, atol=1e-11, rtol=0.0):
-            return i
-    return None
+def fee_l2_gap(r_hat: np.ndarray, prob: DecisionProblem, w: np.ndarray) -> float:
+    """Frank-Wolfe duality gap of w for the fee+ridge problem: a bound on its suboptimality.
 
+    The objective is concave, so it lies below its model at w,
+    v . x - gamma * ||x - w_prev||_1 (plus a constant) with v = r_hat - 2 lam w,
+    whose maximizer s over the simplex is the fee oracle's answer for v. The
+    gap is the model's value at s minus its value at w.
+    """
+    p = prob.w_prev.weights
+    v = np.asarray(r_hat, dtype=float).reshape(-1) - 2.0 * prob.lam * np.asarray(w, dtype=float)
+    s = _fee_argmax_batch(v[None, :], prob.gamma, p)[0]
 
-def _prune_atoms(atoms, alphas):
-    # x stays the source of truth; dropped mass is below fp resolution.
-    keep = [i for i, a in enumerate(alphas) if a > 1e-15]
-    return [atoms[i] for i in keep], [max(alphas[i], 0.0) for i in keep]
+    def model(x):
+        return float(v @ x) - prob.gamma * float(np.abs(x - p).sum())
+
+    return model(s) - model(w)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +288,12 @@ def solve_max_sharpe(est: CovarianceEstimate) -> Portfolio:
 
 
 # ---------------------------------------------------------------------------
-# Exact closed-form batch oracles (training hot path).
+# Exact closed-form batch oracles, vectorized across coefficient rows.
 #
-# These solve the same three decision problems as the public solvers above but
-# vectorized across many coefficient rows. The fee problem is a separable
-# piecewise-linear minimization over the simplex (greedy segment fill); the
-# fee+ridge problem has a one-dimensional dual root solved by bisection plus an
-# exact polish. Tests pin them to solve_max_return / solve_fee / solve_fee_l2.
+# The fee problem is a separable piecewise-linear minimization over the simplex
+# (greedy segment fill); the fee+ridge problem has a one-dimensional dual root
+# on a piecewise-linear curve, found exactly from its sorted breakpoints. Tests
+# pin them to a dense-simplex LP reference and to brute-force grids.
 # ---------------------------------------------------------------------------
 
 
@@ -573,54 +344,38 @@ def _fee_l2_argmax_batch(v: np.ndarray, gamma: float, lam: float, p: np.ndarray)
     """Exact maximizer of v.w - gamma*||w - p||_1 - lam*||w||^2 over the simplex.
 
     Coordinatewise KKT gives w_i(mu) as a clipped soft shift around the kink at
-    p_i, nondecreasing in the simplex multiplier mu; the root of
-    sum_i w_i(mu) = 1 is bracketed, bisected, then polished exactly on the
-    final linear piece.
+    p_i, where mu is the simplex multiplier. Each w_i(mu) is piecewise linear
+    and nondecreasing, with breakpoints -v_i - gamma (leaves 0),
+    2 lam p_i - v_i - gamma (reaches p_i) and 2 lam p_i - v_i + gamma (leaves
+    p_i), where its slope changes by +1, -1 and +1 times 1/(2 lam). Sorting the
+    3n breakpoints and accumulating those changes gives sum_i w_i at every
+    breakpoint; the root of sum_i w_i(mu) = 1 is interpolated on its piece.
     """
     b, n = v.shape
     half_gap = gamma / (2.0 * lam)
     inv = 1.0 / (2.0 * lam)
-    p_rows_all = np.broadcast_to(p, v.shape)
-
-    def w_of(mu):
-        z = (v + mu[:, None]) * inv
-        lo = z - half_gap
-        hi = z + half_gap
-        w = np.where(lo > p, lo, np.where(hi < p, hi, p_rows_all))
-        return np.maximum(w, 0.0)
-
-    # ~48 halvings narrow the bracket below fp resolution of the polish below.
-    mu_lo = -v.max(axis=1) - gamma - 2.0 * lam * (1.0 + np.abs(p).max())
-    mu_hi = -v.min(axis=1) + gamma + 2.0 * lam * (1.0 + np.abs(p).max())
-    for _ in range(48):
-        mid = 0.5 * (mu_lo + mu_hi)
-        too_low = w_of(mid).sum(axis=1) < 1.0
-        mu_lo = np.where(too_low, mid, mu_lo)
-        mu_hi = np.where(too_low, mu_hi, mid)
-    mu = 0.5 * (mu_lo + mu_hi)
-
-    # Exact polish: on the identified piece, linear coordinates move with
-    # slope 1/(2 lam) while kink/zero coordinates are constant.
+    kink = 2.0 * lam * p - v
+    points = np.concatenate([-v - gamma, kink - gamma, kink + gamma], axis=1)
+    order = np.argsort(points, axis=1)
+    points = np.take_along_axis(points, order, axis=1)
+    step = np.repeat([1.0, -1.0, 1.0], n)[order]
+    # Between breakpoints k and k+1, sum_i w_i(mu) = (slope_k * mu - offset_k) / (2 lam).
+    slope = np.cumsum(step, axis=1)
+    offset = np.cumsum(step * points, axis=1)
+    total = (slope * points - offset) * inv
+    # The root lies on the piece after the last breakpoint with total <= 1, so
+    # the interpolation weight stays in [0, 1) even where round-off makes a
+    # flat piece (every coordinate at its kink or at 0) wobble around 1. Past
+    # the last breakpoint every coordinate is linear: slope n / (2 lam).
+    rows = np.arange(b)
+    k = 3 * n - 1 - np.argmax(total[:, ::-1] <= 1.0, axis=1)
+    k1 = np.minimum(k + 1, 3 * n - 1)
+    inner = k1 > k
+    rise = np.where(inner, total[rows, k1] - total[rows, k], n * inv)
+    run = np.where(inner, points[rows, k1] - points[rows, k], 1.0)
+    mu = points[rows, k] + (1.0 - total[rows, k]) * run / rise
     z = (v + mu[:, None]) * inv
-    lo, hi = z - half_gap, z + half_gap
-    p_rows = p_rows_all
-    on_lo = lo > p_rows
-    below = (~on_lo) & (hi < p_rows)
-    on_hi = below & (hi > 0)
-    at_kink = ~on_lo & ~below  # w = p_i (includes p_i = 0)
-    linear = on_lo | on_hi
-    k = linear.sum(axis=1)
-    fixed = np.where(at_kink, p_rows, 0.0).sum(axis=1)
-    shift = np.where(on_lo, -gamma, np.where(on_hi, gamma, 0.0))
-    lin_base = np.where(linear, v + shift, 0.0).sum(axis=1)
-    mu_exact = (2.0 * lam * (1.0 - fixed) - lin_base) / np.maximum(k, 1)
-    mu = np.where(k > 0, mu_exact, mu)
-    w = w_of(mu)
-    # Guard: if polish left tiny drift (piece misidentified at boundary), fall
-    # back to the bisection midpoint and renormalize the residual.
-    total = w.sum(axis=1)
-    bad = np.abs(total - 1.0) > 1e-9
-    if np.any(bad):
-        w[bad] = w_of(0.5 * (mu_lo + mu_hi))[bad]
-        w[bad] /= w[bad].sum(axis=1, keepdims=True)
-    return w
+    lo = z - half_gap
+    hi = z + half_gap
+    w = np.where(lo > p, lo, np.where(hi < p, hi, p))
+    return np.maximum(w, 0.0)

@@ -1,9 +1,11 @@
-"""Independent brute-force oracles used to verify the solvers and the SPO+ bound.
+"""Independent reference oracles used to verify the solvers and the SPO+ bound.
 
 These deliberately avoid the production algorithms: decision problems are
 checked against exhaustive evaluation over simplex grids (augmented with the
 kink values implied by the prior weights, so piecewise-linear optima land on
-the grid), and one-asset-wins problems against direct vertex enumeration.
+the grid), one-asset-wins problems against direct vertex enumeration, and the
+fee-penalized problems at any size against a dense two-phase simplex LP over
+the epigraph polytope.
 """
 
 from __future__ import annotations
@@ -168,3 +170,184 @@ def sharpe_grid_best(mean: np.ndarray, sigma: np.ndarray, step: float = 2e-3) ->
     W2 = local_grid(W[best], radius=2 * step, step=step / 100)
     vals2 = (W2 @ mean) / np.sqrt(np.einsum("bi,ij,bj->b", W2, sigma, W2))
     return float(max(vals.max(), vals2.max()))
+
+
+# ---------------------------------------------------------------------------
+# Dense tableau primal simplex with Bland's anti-cycling rule (LP reference).
+# ---------------------------------------------------------------------------
+
+_LP_TOL = 1e-9
+_LP_MAX_PIVOTS = 200_000
+
+
+class InfeasibleError(RuntimeError):
+    pass
+
+
+class UnboundedError(RuntimeError):
+    pass
+
+
+def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, tab[row])
+    basis[row] = col
+
+
+def solve_lp(
+    objective: np.ndarray,
+    a_ub: np.ndarray | None = None,
+    b_ub: np.ndarray | None = None,
+    a_eq: np.ndarray | None = None,
+    b_eq: np.ndarray | None = None,
+    maximize: bool = True,
+):
+    """Solve max/min objective . x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
+
+    Two-phase dense tableau primal simplex with Bland's rule; returns
+    (solution, objective value) at an optimal basic solution.
+    """
+    c = np.asarray(objective, dtype=float).reshape(-1)
+    n = c.size
+    a_ub = np.zeros((0, n)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).reshape(-1)
+    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(np.asarray(a_eq, dtype=float))
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
+    mu, me = a_ub.shape[0], a_eq.shape[0]
+    m = mu + me
+
+    cost = -c if maximize else c.copy()
+
+    # Columns: structural | slack (one per <= row) | artificial (added as needed).
+    a = np.zeros((m, n + mu))
+    a[:mu, :n] = a_ub
+    a[:mu, n : n + mu] = np.eye(mu)
+    a[mu:, :n] = a_eq
+    b = np.concatenate([b_ub, b_eq])
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+
+    basis = np.full(m, -1, dtype=int)
+    for i in range(mu):
+        if not flip[i]:
+            basis[i] = n + i
+    need_art = np.nonzero(basis < 0)[0]
+    n_art = need_art.size
+    tab = np.zeros((m, n + mu + n_art + 1))
+    tab[:, : n + mu] = a
+    tab[:, -1] = b
+    for k, i in enumerate(need_art):
+        tab[i, n + mu + k] = 1.0
+        basis[i] = n + mu + k
+
+    if n_art:
+        phase1 = np.zeros(n + mu + n_art)
+        phase1[n + mu :] = 1.0
+        red = phase1 - tab[:, :-1].T @ phase1[basis]
+        _run_simplex(tab, basis, red)
+        if phase1[basis] @ tab[:, -1] > 1e-7:
+            raise InfeasibleError("LP is infeasible")
+        # Pivot any degenerate artificials out of the basis; drop redundant rows.
+        keep = np.ones(m, dtype=bool)
+        for i in range(m):
+            if basis[i] >= n + mu:
+                cols = np.nonzero(np.abs(tab[i, : n + mu]) > _LP_TOL)[0]
+                if cols.size:
+                    _pivot(tab, basis, i, int(cols[0]))
+                else:
+                    keep[i] = False
+        tab = tab[keep]
+        basis = basis[keep]
+        tab = np.delete(tab, np.s_[n + mu : n + mu + n_art], axis=1)
+
+    cost_full = np.zeros(tab.shape[1] - 1)
+    cost_full[:n] = cost
+    red = cost_full - tab[:, :-1].T @ cost_full[basis]
+    _run_simplex(tab, basis, red)
+
+    x = np.zeros(tab.shape[1] - 1)
+    x[basis] = tab[:, -1]
+    x = x[:n]
+    return x, float(c @ x)
+
+
+def _run_simplex(tab: np.ndarray, basis: np.ndarray, red: np.ndarray) -> None:
+    m = tab.shape[0]
+    for _ in range(_LP_MAX_PIVOTS):
+        neg = np.nonzero(red < -_LP_TOL)[0]
+        if neg.size == 0:
+            return
+        col = int(neg[0])
+        column = tab[:, col]
+        pos = column > _LP_TOL
+        if not np.any(pos):
+            raise UnboundedError("LP is unbounded")
+        ratios = np.full(m, np.inf)
+        ratios[pos] = tab[pos, -1] / column[pos]
+        best = ratios.min()
+        candidates = np.nonzero(ratios <= best + _LP_TOL)[0]
+        row = int(candidates[np.argmin(basis[candidates])])
+        mult = red[col]
+        _pivot(tab, basis, row, col)
+        red -= mult * tab[row, :-1]
+        red[basis[row]] = 0.0
+    raise RuntimeError("simplex pivot limit exceeded")
+
+
+def _fee_polytope(n: int, w_prev: np.ndarray, cap_u: bool):
+    """Inequality/equality system for {w in simplex, |w - w_prev| <= u (<= 1)} over (w, u)."""
+    rows = 2 * n + (n if cap_u else 0)
+    a_ub = np.zeros((rows, 2 * n))
+    b_ub = np.zeros(rows)
+    eye = np.eye(n)
+    a_ub[:n, :n] = eye
+    a_ub[:n, n:] = -eye
+    b_ub[:n] = w_prev
+    a_ub[n : 2 * n, :n] = -eye
+    a_ub[n : 2 * n, n:] = -eye
+    b_ub[n : 2 * n] = -w_prev
+    if cap_u:
+        a_ub[2 * n :, n:] = eye
+        b_ub[2 * n :] = 1.0
+    a_eq = np.zeros((1, 2 * n))
+    a_eq[0, :n] = 1.0
+    b_eq = np.array([1.0])
+    return a_ub, b_ub, a_eq, b_eq
+
+
+def lp_fee_argmax(coeff: np.ndarray, prob: DecisionProblem):
+    """(w, value) maximizing coeff.w - gamma*||w - w_prev||_1, by the epigraph LP."""
+    coeff = np.asarray(coeff, dtype=float)
+    n = coeff.size
+    c = np.concatenate([coeff, -prob.gamma * np.ones(n)])
+    x, value = solve_lp(c, *_fee_polytope(n, prob.w_prev.weights, cap_u=False), maximize=True)
+    return x[:n], value
+
+
+def lp_fee_l2_gap(r_hat: np.ndarray, prob: DecisionProblem, w: np.ndarray) -> float:
+    """Frank-Wolfe duality gap of w for the fee+ridge problem, with the LP as the oracle.
+
+    The linear model of the objective at w over the lifted polytope
+    {w in simplex, |w - w_prev| <= u <= 1} has gradient (r_hat - 2 lam w, -gamma);
+    the gap is the model's LP maximum minus its value at (w, |w - w_prev|).
+    """
+    n = r_hat.size
+    p = prob.w_prev.weights
+    grad = np.concatenate([r_hat - 2.0 * prob.lam * w, -prob.gamma * np.ones(n)])
+    _, best = solve_lp(grad, *_fee_polytope(n, p, cap_u=True), maximize=True)
+    return best - float(grad @ np.concatenate([w, np.abs(w - p)]))
+
+
+def lp_fee_min_turnover(coeff: np.ndarray, prob: DecisionProblem, value: float, slack: float = 1e-9) -> float:
+    """Least ||w - w_prev||_1 over decisions whose fee objective is within slack of value."""
+    coeff = np.asarray(coeff, dtype=float)
+    n = coeff.size
+    a_ub, b_ub, a_eq, b_eq = _fee_polytope(n, prob.w_prev.weights, cap_u=False)
+    floor = np.concatenate([-coeff, prob.gamma * np.ones(n)])
+    a_ub = np.vstack([a_ub, floor])
+    b_ub = np.append(b_ub, slack - value)
+    _, turnover = solve_lp(np.concatenate([np.zeros(n), np.ones(n)]), a_ub, b_ub, a_eq, b_eq, maximize=False)
+    return turnover

@@ -248,20 +248,32 @@ class TestRunBacktest:
         cfg = fast_config(frame)
 
         original = bt.run_window
+        original_accrue = bt.accrue
+        rebs = bt.rebalance_dates(frame, cfg)
 
         def sabotage(strategy, t, data, config, w_prev):
-            if strategy.name == "broken":
+            if strategy.name == "broken" and t == rebs[1]:
                 raise RuntimeError("synthetic failure")
             return original(strategy, t, data, config, w_prev)
 
+        def sabotage_accrue(ledger, target, day_dates, *args, **kwargs):
+            if ledger.strategy == "unpaid":
+                raise RuntimeError("synthetic accrual failure")
+            return original_accrue(ledger, target, day_dates, *args, **kwargs)
+
         monkeypatch.setattr(bt, "run_window", sabotage)
+        monkeypatch.setattr(bt, "accrue", sabotage_accrue)
         roster = (
             StrategySpec("broken", "spo_plus"),
+            StrategySpec("unpaid", "max_sharpe"),
             StrategySpec("max_sharpe", "max_sharpe"),
         )
         ledgers = bt.run_backtest(frame, roster, cfg)
         assert ledgers["broken"].error is not None
         assert "synthetic failure" in ledgers["broken"].error
+        assert f"rebalance {rebs[1]} (decide)" in ledgers["broken"].error
+        assert "synthetic accrual failure" in ledgers["unpaid"].error
+        assert f"rebalance {rebs[0]} (accrue)" in ledgers["unpaid"].error
         assert ledgers["max_sharpe"].error is None
         assert len(ledgers["max_sharpe"].nav) > 1
 
@@ -303,19 +315,6 @@ class TestRunBacktest:
         roster = (StrategySpec("a", "spo_plus"), StrategySpec("a", "max_sharpe"))
         with pytest.raises(ValueError, match="duplicate"):
             run_backtest(frame, roster, cfg)
-
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        frame = synthetic_frame()
-        cfg = fast_config(frame, seed=4)
-        roster = (
-            StrategySpec("spo_plus", "spo_plus"),
-            StrategySpec("max_sharpe", "max_sharpe"),
-        )
-        serial = run_backtest(frame, roster, cfg)
-        monkeypatch.setenv("DFOLIO_THREADS", "2")
-        threaded = run_backtest(frame, roster, cfg)
-        for name in serial:
-            assert np.array(serial[name].nav).tobytes() == np.array(threaded[name].nav).tobytes()
 
     def test_default_roster_has_nine(self):
         roster = default_roster()

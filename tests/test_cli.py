@@ -82,6 +82,25 @@ class TestSynthAndIngest:
         assert code == 1
         assert "XX.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "backtest"])
+    @pytest.mark.parametrize("column,cell", [("adj_close", "nan"), ("volume", "inf")])
+    def test_non_finite_cell_cites_file_and_line(self, synth_dir, tmp_path, capsys, command, column, cell):
+        path = synth_dir / "SYN01.csv"
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        fields = lines[9].split(",")
+        fields[header.index(column)] = cell
+        lines[9] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        if command == "ingest":
+            argv = ["ingest", "--data", str(synth_dir), "--out", str(tmp_path / "o")]
+        else:
+            argv = ["backtest", "--config", str(write_config(tmp_path, synth_dir, tmp_path / "o"))]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert f"SYN01.csv:10: {column} must be finite" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestBacktestCommand:
     def test_single_strategy_run(self, synth_dir, tmp_path, capsys):

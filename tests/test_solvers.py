@@ -10,21 +10,30 @@ from dfolio.solvers import (
     MAX_RETURN_FEE_L2,
     CovarianceEstimate,
     DecisionProblem,
-    InfeasibleError,
     Portfolio,
     SolverError,
-    UnboundedError,
     argmax_batch,
     estimate_covariance,
+    fee_l2_gap,
     project_simplex,
     solve_fee,
     solve_fee_l2,
-    solve_lp,
     solve_max_return,
     solve_max_sharpe,
 )
 
-from oracles import grid_argmax, objective_values, sharpe_grid_best
+import dfolio.solvers as solvers
+from oracles import (
+    InfeasibleError,
+    UnboundedError,
+    grid_argmax,
+    lp_fee_argmax,
+    lp_fee_l2_gap,
+    lp_fee_min_turnover,
+    objective_values,
+    sharpe_grid_best,
+    solve_lp,
+)
 
 
 def fee_problem(p, gamma):
@@ -33,6 +42,25 @@ def fee_problem(p, gamma):
 
 def l2_problem(p, gamma, lam):
     return DecisionProblem(kind=MAX_RETURN_FEE_L2, gamma=gamma, lam=lam, w_prev=Portfolio(p))
+
+
+def tie_heavy(rng, n, units=1000):
+    """Predictions, prior and fee on a 1/units lattice, so kinks and slopes tie.
+
+    With units = 1000 the ties are exact only before float rounding; with a
+    power of two the oracles' float arithmetic is exact and so are the ties.
+    """
+    r = rng.integers(-20, 21, n) / units
+    p = rng.multinomial(units, rng.dirichlet(np.ones(n))) / units
+    gamma = int(rng.integers(0, 11)) / units
+    return r, p, gamma
+
+
+def vertex_prior(rng, n):
+    """A prior with zero weights: a vertex, or a few assets held."""
+    if rng.random() < 0.5:
+        return np.eye(n)[int(rng.integers(n))]
+    return rng.multinomial(3, np.ones(n) / n) / 3
 
 
 class TestPortfolio:
@@ -160,11 +188,47 @@ class TestSolveFee:
             n = int(rng.integers(2, 8))
             r = rng.normal(0, 0.05, n)
             prob = fee_problem(rng.dirichlet(np.ones(n)), gamma=float(rng.uniform(0, 0.05)))
-            w_lp = solve_fee(r, prob).weights
+            _, v_lp = lp_fee_argmax(r, prob)
             w_fast = argmax_batch(r[None, :], prob)[0]
-            v_lp = objective_values(w_lp[None, :], r, prob)[0]
+            np.testing.assert_array_equal(solve_fee(r, prob).weights, w_fast)
             v_fast = objective_values(w_fast[None, :], r, prob)[0]
             assert abs(v_lp - v_fast) <= 1e-9
+
+    def test_tie_heavy_inputs_match_lp(self):
+        # Ties between keeping one asset and buying another leave several
+        # optima. Every decision must reach the LP optimum; where the ties are
+        # exact in floating point, the oracle keeps the prior (below-kink side
+        # first), so it trades no more than any optimal decision does.
+        rng = np.random.default_rng(14)
+        for units in (1000, 1024):
+            for _ in range(100):
+                n = int(rng.integers(2, 8))
+                r, p, gamma = tie_heavy(rng, n, units)
+                prob = fee_problem(p, gamma)
+                w = solve_fee(r, prob).weights
+                _, v_lp = lp_fee_argmax(r, prob)
+                assert abs(objective_values(w[None, :], r, prob)[0] - v_lp) <= 1e-9
+                if units == 1024:
+                    assert np.abs(w - p).sum() <= lp_fee_min_turnover(r, prob, v_lp) + 1e-5
+
+    def test_vertex_priors_match_lp(self):
+        rng = np.random.default_rng(15)
+        for _ in range(100):
+            n = int(rng.integers(2, 8))
+            r = rng.normal(0, 0.02, n) if rng.random() < 0.5 else tie_heavy(rng, n)[0]
+            prob = fee_problem(vertex_prior(rng, n), gamma=float(rng.choice([0.0, 0.005, 0.02])))
+            w = solve_fee(r, prob).weights
+            _, v_lp = lp_fee_argmax(r, prob)
+            assert abs(objective_values(w[None, :], r, prob)[0] - v_lp) <= 1e-9
+
+    def test_wide_universe_matches_lp(self):
+        rng = np.random.default_rng(16)
+        for gamma in (0.001, 0.005, 0.05):
+            r = rng.normal(0, 0.02, 200)
+            prob = fee_problem(rng.dirichlet(np.ones(200)), gamma=gamma)
+            w = solve_fee(r, prob).weights
+            _, v_lp = lp_fee_argmax(r, prob)
+            assert abs(objective_values(w[None, :], r, prob)[0] - v_lp) <= 1e-9
 
 
 class TestSolveFeeL2:
@@ -194,18 +258,6 @@ class TestSolveFeeL2:
                 assert grid_val - obj <= info["gap"] + 1e-9
                 assert abs(grid_val - obj) <= 1e-5
 
-    def test_cold_start_converges(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            n = int(rng.integers(2, 5))
-            r = rng.normal(0, 0.05, n)
-            prob = l2_problem(rng.dirichlet(np.ones(n)), gamma=float(rng.uniform(0, 0.05)),
-                              lam=float(rng.uniform(0.05, 1.0)))
-            warm, info_w = solve_fee_l2(r, prob, full_output=True)
-            cold, info_c = solve_fee_l2(r, prob, full_output=True, warm_start=False)
-            assert info_c["gap"] <= 1e-7
-            assert abs(info_w["objective"] - info_c["objective"]) <= 1e-6
-
     def test_batch_oracle_agrees(self):
         rng = np.random.default_rng(8)
         for _ in range(60):
@@ -213,11 +265,48 @@ class TestSolveFeeL2:
             r = rng.normal(0, 0.05, n)
             prob = l2_problem(rng.dirichlet(np.ones(n)), gamma=float(rng.uniform(0, 0.05)),
                               lam=float(rng.uniform(0.001, 1.0)))
-            port, info = solve_fee_l2(r, prob, tol=1e-10, full_output=True)
             w_fast = argmax_batch(r[None, :], prob)[0]
-            v_fw = objective_values(port.weights[None, :], r, prob)[0]
-            v_fast = objective_values(w_fast[None, :], r, prob)[0]
-            assert abs(v_fw - v_fast) <= 1e-9
+            port, info = solve_fee_l2(r, prob, full_output=True)
+            np.testing.assert_array_equal(port.weights, w_fast)
+            lp_gap = lp_fee_l2_gap(r, prob, w_fast)
+            assert lp_gap <= 1e-9
+            assert abs(info["gap"] - lp_gap) <= 1e-9
+
+    def test_tie_heavy_and_vertex_priors(self):
+        rng = np.random.default_rng(17)
+        for k in range(120):
+            n = 3 if k < 40 else int(rng.integers(2, 9))
+            r, p, gamma = tie_heavy(rng, n)
+            if k % 2:
+                p = vertex_prior(rng, n)
+            prob = l2_problem(p, gamma, lam=float(rng.choice([0.05, 0.42, 1.0])))
+            port, info = solve_fee_l2(r, prob, full_output=True)
+            assert lp_fee_l2_gap(r, prob, port.weights) <= 1e-9
+            if n == 3:
+                _, grid_val = grid_argmax(r, prob, refine=True)
+                assert grid_val - info["objective"] <= 1e-9
+
+    def test_gap_certifies_suboptimal_point(self):
+        # At the prior (no trade) the gap must be positive and bound the
+        # suboptimality that the grid measures.
+        rng = np.random.default_rng(18)
+        for n in (2, 3):
+            for _ in range(10):
+                r = rng.normal(0, 0.05, n)
+                p = rng.dirichlet(np.ones(n))
+                prob = l2_problem(p, gamma=0.001, lam=float(rng.uniform(0.05, 0.5)))
+                _, grid_val = grid_argmax(r, prob, refine=True)
+                subopt = grid_val - objective_values(p[None, :], r, prob)[0]
+                gap = fee_l2_gap(r, prob, p)
+                assert subopt > 0
+                assert gap >= subopt
+                assert gap == pytest.approx(lp_fee_l2_gap(r, prob, p), abs=1e-12)
+
+    def test_uncertified_decision_raises(self, monkeypatch):
+        prob = l2_problem(np.array([0.5, 0.5]), gamma=0.001, lam=0.1)
+        monkeypatch.setattr(solvers, "_fee_l2_argmax_batch", lambda v, gamma, lam, p: p[None, :].copy())
+        with pytest.raises(SolverError, match="duality gap"):
+            solve_fee_l2(np.array([0.2, 0.0]), prob)
 
     def test_requires_positive_lam(self):
         with pytest.raises(ValueError):
