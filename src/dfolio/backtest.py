@@ -1,8 +1,8 @@
 """Rolling-window, monthly-rebalanced backtest over a roster of strategies.
 
-Protocol per rebalance date t: train on [t - 12m, t - 3m), tune on the
-time-ordered validation span [t - 3m, t), retrain the chosen config on the
-train span, and trade at t using only features dated strictly before t. The
+Protocol per rebalance date t: train each search trial on [t - 12m, t - 3m),
+score it on the time-ordered validation span [t - 3m, t), keep the winning
+trial's model, and trade at t using only features dated strictly before t. The
 trade is priced before day t's return accrues, so every decision is a pure
 function of data strictly before t. A proportional fee of fee_rate * turnover
 (turnover = l1 distance from the drifted pre-trade weights) is charged at
@@ -39,12 +39,12 @@ from .training import (
     SPO_PLUS,
     SearchSpace,
     TrainConfig,
-    TrialResult,
     hyperparameter_search,
     predict,
     train,
+    validation_score,
 )
-from .util import derived_rng, span_indices, stable_seed
+from .util import span_indices, stable_seed
 
 STRAT_SPO_PLUS = "spo_plus"
 STRAT_SPO_FEE = "spo_plus_fee"
@@ -284,37 +284,51 @@ def run_window(
         seed=stable_seed(config.seed, strategy.name, t, "search"),
     )
 
-    if strategy.kind in (STRAT_SOFTMAX_RETURN, STRAT_SOFTMAX_SHARPE):
+    softmax = strategy.kind in (STRAT_SOFTMAX_RETURN, STRAT_SOFTMAX_SHARPE)
+    if softmax:
         dfl_kind = MAX_RETURN_LOSS if strategy.kind == STRAT_SOFTMAX_RETURN else MAX_SHARPE_LOSS
-        model, trial = _search_softmax(strategy, dfl_kind, x_train, y_train, x_val, y_val, space, config)
-        diag = replace(diag, learning_rate=trial.learning_rate, epochs=trial.epochs, score=trial.score)
-        return allocate(model, decision_slice), diag
+        est = estimate_covariance(y_train) if dfl_kind == MAX_SHARPE_LOSS else None
+        dfl_seed = stable_seed(space.seed, "softmax-train")
 
-    problem = _strategy_problem(strategy, w_prev)
-    base = TrainConfig(
-        loss_kind=_loss_kind(strategy),
-        batch_size=config.batch_size,
-        seed=stable_seed(config.seed, strategy.name, t, "train"),
-        problem=problem,
-        robust=(
-            RobustConfig(
-                rho=strategy.rho,
-                n_samples=strategy.robust_samples,
-                seed=stable_seed(config.seed, strategy.name, t, "robust"),
-            )
-            if strategy.kind == STRAT_ROBUST
-            else None
-        ),
-    )
-    result = hyperparameter_search(x_train, y_train, x_val, y_val, space, base)
-    model, _ = train(x_train, y_train, result.best)
-    r_hat = predict(model, decision_slice)
-    diag = replace(
-        diag,
-        learning_rate=result.best.learning_rate,
-        epochs=result.best.epochs,
-        score=result.best_score,
-    )
+        def fit(lr, epochs):
+            cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=config.batch_size, seed=dfl_seed)
+            return train_dfl(x_train, y_train, dfl_kind, cfg, hidden=strategy.hidden, est=est)
+
+        def score(model):
+            # realized validation return of the allocator's weights
+            *_, w_rows = _forward(model, x_val)
+            return float((y_val * w_rows).sum(axis=1).mean())
+
+    else:
+        problem = _strategy_problem(strategy, w_prev)
+        base = TrainConfig(
+            loss_kind=_loss_kind(strategy),
+            batch_size=config.batch_size,
+            seed=stable_seed(config.seed, strategy.name, t, "train"),
+            problem=problem,
+            robust=(
+                RobustConfig(
+                    rho=strategy.rho,
+                    n_samples=strategy.robust_samples,
+                    seed=stable_seed(config.seed, strategy.name, t, "robust"),
+                )
+                if strategy.kind == STRAT_ROBUST
+                else None
+            ),
+        )
+
+        def fit(lr, epochs):
+            return train(x_train, y_train, replace(base, learning_rate=lr, epochs=epochs))
+
+        def score(model):
+            return validation_score(model, x_val, y_val, base)
+
+    result = hyperparameter_search(space, fit, score)
+    best = result.best
+    diag = replace(diag, learning_rate=best.learning_rate, epochs=best.epochs, score=best.score)
+    if softmax:
+        return allocate(result.model, decision_slice), diag
+    r_hat = predict(result.model, decision_slice)
     if strategy.kind == STRAT_SPO_FEE:
         return solve_fee(r_hat, problem), diag
     if strategy.kind == STRAT_SPO_FEE_L2:
@@ -328,30 +342,6 @@ def _loss_kind(strategy: StrategySpec) -> str:
     if strategy.kind == STRAT_ROBUST:
         return ROBUST_SPO
     return SPO_PLUS
-
-
-def _search_softmax(strategy, dfl_kind, x_train, y_train, x_val, y_val, space, config):
-    """Random search for the softmax allocator, scored by realized validation return."""
-    rng = derived_rng(space.seed, "hparam-search")
-    lrs = np.exp(rng.uniform(np.log(space.lr_min), np.log(space.lr_max), space.n_trials))
-    epoch_draws = rng.integers(space.epochs_min, space.epochs_max + 1, space.n_trials)
-    est = estimate_covariance(y_train) if dfl_kind == MAX_SHARPE_LOSS else None
-    best = None
-    best_model = None
-    for lr, ep in zip(lrs, epoch_draws):
-        cfg = TrainConfig(
-            learning_rate=float(lr),
-            epochs=int(ep),
-            batch_size=config.batch_size,
-            seed=stable_seed(space.seed, "softmax-train"),
-        )
-        model, _ = train_dfl(x_train, y_train, dfl_kind, cfg, hidden=strategy.hidden, est=est)
-        *_, w_rows = _forward(model, np.asarray(x_val))
-        score = float((np.asarray(y_val) * w_rows).sum(axis=1).mean())
-        trial = TrialResult(learning_rate=float(lr), epochs=int(ep), score=score)
-        if best is None or trial.score > best.score:
-            best, best_model = trial, model
-    return best_model, best
 
 
 def accrue(

@@ -227,26 +227,6 @@ def write_plotdata(
     return written
 
 
-def write_train_trace_csv(traces, path) -> Path:
-    """Audit dump of per-trial epoch losses: `trial,epoch,loss`."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "epoch", "loss"])
-        for trial, trace in enumerate(traces):
-            for epoch, loss in enumerate(trace):
-                w.writerow([trial, epoch, fmt(loss)])
-    return path
-
-
-def read_train_trace_csv(path) -> list[list[float]]:
-    out: dict[int, list[float]] = {}
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault(int(row["trial"]), []).append(float(row["loss"]))
-    return [out[k] for k in sorted(out)]
-
-
 def read_plotdata_csv(path) -> dict[str, tuple[list[date], list[float]]]:
     """Inverse of one write_plotdata file: wide date x strategy NAV curves."""
     out: dict[str, tuple[list[date], list[float]]] = {}

@@ -1,4 +1,5 @@
-"""Linear predictor training (MSE / SPO+ / robust SPO+), Adam, and random search.
+"""Linear predictor training (MSE / SPO+ / robust SPO+), Adam, and the random search
+shared by both model families.
 
 The predictor is a single coefficient vector shared across assets: for one
 day's feature slice x (assets x features), predictions are x @ theta + b.
@@ -188,10 +189,10 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class SearchResult:
-    best: TrainConfig
-    best_score: float
+    best: TrialResult
+    model: object  # the winning trial's trained model
     trials: tuple[TrialResult, ...]
-    traces: tuple[tuple[float, ...], ...] = ()  # per-trial epoch loss traces
+    traces: tuple[tuple[float, ...], ...]  # per-trial epoch loss traces
 
 
 def decision_value(y_rows: np.ndarray, w_rows: np.ndarray, prob: DecisionProblem) -> np.ndarray:
@@ -212,36 +213,25 @@ def validation_score(model: LinearPredictor, x_val, y_val, config: TrainConfig) 
     return float(decision_value(np.asarray(y_val), w_rows, config.problem).mean())
 
 
-def hyperparameter_search(
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    x_val: np.ndarray,
-    y_val: np.ndarray,
-    space: SearchSpace,
-    base_config: TrainConfig,
-) -> SearchResult:
-    """Seeded random search over (learning rate, epochs), scored on the validation span.
+def hyperparameter_search(space: SearchSpace, fit, score) -> SearchResult:
+    """Seeded random search over (learning rate, epochs) that keeps the winning model.
 
-    Callers are responsible for the validation span lying strictly after the
-    training span; the backtest enforces that ordering by construction.
+    fit(learning_rate, epochs) trains one trial and returns (model, per-epoch
+    loss trace); score(model) rates it on the validation span, higher is
+    better. The earliest trial wins ties. Callers are responsible for the
+    validation span lying strictly after the training span; the backtest
+    enforces that ordering by construction.
     """
     rng = derived_rng(space.seed, "hparam-search")
     lrs = np.exp(rng.uniform(np.log(space.lr_min), np.log(space.lr_max), space.n_trials))
     epoch_draws = rng.integers(space.epochs_min, space.epochs_max + 1, space.n_trials)
     trials = []
-    configs = []
+    models = []
     traces = []
     for lr, ep in zip(lrs, epoch_draws):
-        cfg = replace(base_config, learning_rate=float(lr), epochs=int(ep))
-        model, trace = train(x_train, y_train, cfg)
-        score = validation_score(model, x_val, y_val, cfg)
-        trials.append(TrialResult(learning_rate=float(lr), epochs=int(ep), score=score))
-        configs.append(cfg)
+        model, trace = fit(float(lr), int(ep))
+        trials.append(TrialResult(learning_rate=float(lr), epochs=int(ep), score=score(model)))
+        models.append(model)
         traces.append(tuple(trace))
     best = int(np.argmax([t.score for t in trials]))
-    return SearchResult(
-        best=configs[best],
-        best_score=trials[best].score,
-        trials=tuple(trials),
-        traces=tuple(traces),
-    )
+    return SearchResult(best=trials[best], model=models[best], trials=tuple(trials), traces=tuple(traces))

@@ -277,6 +277,20 @@ class TestRunBacktest:
         assert ledgers["max_sharpe"].error is None
         assert len(ledgers["max_sharpe"].nav) > 1
 
+    def test_train_span_shorter_than_batch_is_located(self):
+        frame = synthetic_frame()
+        cfg = fast_config(frame, batch_size=400)
+        roster = (
+            StrategySpec("spo_plus", "spo_plus"),
+            StrategySpec("softmax_max_sharpe", "softmax_max_sharpe"),
+            StrategySpec("max_sharpe", "max_sharpe"),
+        )
+        ledgers = run_backtest(frame, roster, cfg)
+        for name in ("spo_plus", "softmax_max_sharpe"):
+            assert ledgers[name].error == "rebalance 2016-02-01 (decide): ValueError: 182 samples < batch size 400"
+        assert ledgers["max_sharpe"].error is None
+        assert len(ledgers["max_sharpe"].nav) > 1
+
     def test_prior_weights_chain(self):
         frame = synthetic_frame()
         cfg = fast_config(frame, fee_rate=0.0)

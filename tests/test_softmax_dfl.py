@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfolio.solvers import CovarianceEstimate, Portfolio
+from dfolio.solvers import CovarianceEstimate, Portfolio, estimate_covariance
 from dfolio.softmax_dfl import (
     MAX_RETURN_LOSS,
     MAX_SHARPE_LOSS,
@@ -12,7 +12,7 @@ from dfolio.softmax_dfl import (
     init_allocator,
     train_dfl,
 )
-from dfolio.training import TrainConfig
+from dfolio.training import SearchSpace, TrainConfig, hyperparameter_search
 
 
 def zero_head_allocator(n=3, d=2, hidden=8):
@@ -211,3 +211,29 @@ class TestTrainDfl:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             train_dfl(np.zeros((70, 2, 2)), np.zeros((70, 2)), "nope", TrainConfig(batch_size=63))
+
+    @pytest.mark.parametrize("kind", [MAX_RETURN_LOSS, MAX_SHARPE_LOSS])
+    def test_search_keeps_model_equal_to_retrained_winner(self, kind):
+        # the backtest decides from the search's winning allocator without
+        # training it again, which is sound only because a retrain is bit-identical
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(130, 4, 3))
+        y = rng.normal(0.0005, 0.01, size=(130, 4))
+        xtr, ytr, xv, yv = x[:90], y[:90], x[90:], y[90:]
+        est = estimate_covariance(ytr) if kind == MAX_SHARPE_LOSS else None
+
+        def config(lr, epochs):
+            return TrainConfig(learning_rate=lr, epochs=epochs, batch_size=63, seed=11)
+
+        def score(model):
+            *_, w_rows = _forward(model, xv)
+            return float((yv * w_rows).sum(axis=1).mean())
+
+        space = SearchSpace(n_trials=3, seed=8, epochs_min=2, epochs_max=4)
+        res = hyperparameter_search(
+            space, lambda lr, epochs: train_dfl(xtr, ytr, kind, config(lr, epochs), hidden=8, est=est), score
+        )
+        model, trace = train_dfl(xtr, ytr, kind, config(res.best.learning_rate, res.best.epochs), hidden=8, est=est)
+        kept, again = flatten_params(res.model), flatten_params(model)
+        assert {k: v.tobytes() for k, v in kept.items()} == {k: v.tobytes() for k, v in again.items()}
+        assert res.traces[res.trials.index(res.best)] == tuple(trace)

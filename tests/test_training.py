@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dfolio.market_data import SyntheticSpec, compute_returns, generate_synthetic
-from dfolio.solvers import DecisionProblem, Portfolio, MAX_RETURN_FEE
+from dfolio.solvers import DecisionProblem, Portfolio, MAX_RETURN_FEE, MAX_RETURN_FEE_L2
 from dfolio.spo import RobustConfig
 from dfolio.training import (
     MSE,
@@ -28,6 +30,15 @@ def planted_data(seed=3, n_assets=5, n_days=400, beta=(0.02, -0.01, 0.005), nois
     frame, tensor, _ = generate_synthetic(spec)
     rets = compute_returns(frame).simple_returns
     return tensor.features[:-1], rets
+
+
+def linear_search(xtr, ytr, xv, yv, space, base):
+    """The search as the backtest runs it for a linear strategy."""
+    return hyperparameter_search(
+        space,
+        lambda lr, epochs: train(xtr, ytr, replace(base, learning_rate=lr, epochs=epochs)),
+        lambda model: validation_score(model, xv, yv, base),
+    )
 
 
 class TestPredict:
@@ -201,33 +212,32 @@ class TestSearch:
         xtr, ytr, xv, yv = self._data()
         space = SearchSpace(n_trials=1, seed=0, epochs_min=2, epochs_max=3)
         base = TrainConfig(loss_kind=MSE, batch_size=63)
-        res = hyperparameter_search(xtr, ytr, xv, yv, space, base)
+        res = linear_search(xtr, ytr, xv, yv, space, base)
         assert len(res.trials) == 1
-        assert res.best.epochs == res.trials[0].epochs
-        assert res.best.learning_rate == res.trials[0].learning_rate
+        assert res.best == res.trials[0]
 
     def test_best_is_max_score(self):
         xtr, ytr, xv, yv = self._data()
         space = SearchSpace(n_trials=6, seed=1, epochs_min=2, epochs_max=5)
         base = TrainConfig(loss_kind=SPO_PLUS, batch_size=63)
-        res = hyperparameter_search(xtr, ytr, xv, yv, space, base)
+        res = linear_search(xtr, ytr, xv, yv, space, base)
         scores = [t.score for t in res.trials]
-        assert res.best_score == max(scores)
-        assert res.best_score >= float(np.median(scores))
+        assert res.best.score == max(scores)
+        assert res.best.score >= float(np.median(scores))
 
     def test_same_seed_same_choice(self):
         xtr, ytr, xv, yv = self._data()
         space = SearchSpace(n_trials=4, seed=7, epochs_min=2, epochs_max=4)
         base = TrainConfig(loss_kind=MSE, batch_size=63)
-        r1 = hyperparameter_search(xtr, ytr, xv, yv, space, base)
-        r2 = hyperparameter_search(xtr, ytr, xv, yv, space, base)
+        r1 = linear_search(xtr, ytr, xv, yv, space, base)
+        r2 = linear_search(xtr, ytr, xv, yv, space, base)
         assert r1.best == r2.best
         assert r1.trials == r2.trials
 
     def test_draws_respect_ranges(self):
         xtr, ytr, xv, yv = self._data()
         space = SearchSpace(lr_min=1e-4, lr_max=5e-2, epochs_min=2, epochs_max=6, n_trials=8, seed=3)
-        res = hyperparameter_search(xtr, ytr, xv, yv, space, TrainConfig(loss_kind=MSE, batch_size=63))
+        res = linear_search(xtr, ytr, xv, yv, space, TrainConfig(loss_kind=MSE, batch_size=63))
         for t in res.trials:
             assert 1e-4 <= t.learning_rate <= 5e-2
             assert 2 <= t.epochs <= 6
@@ -251,25 +261,64 @@ class TestSearch:
         # moves fully to asset 0: value r[0] - gamma * 2 each day
         assert score == pytest.approx(np.mean([0.05 - 0.02, 0.03 - 0.02]), abs=1e-12)
 
-    def test_trace_dump_round_trips(self, tmp_path):
-        from dfolio.reports import read_train_trace_csv, write_train_trace_csv
-
+    def test_trace_dump_round_trips(self):
         xtr, ytr, xv, yv = self._data()
         space = SearchSpace(n_trials=3, seed=2, epochs_min=2, epochs_max=4)
-        res = hyperparameter_search(xtr, ytr, xv, yv, space, TrainConfig(loss_kind=MSE, batch_size=63))
+        res = linear_search(xtr, ytr, xv, yv, space, TrainConfig(loss_kind=MSE, batch_size=63))
         assert len(res.traces) == 3
         assert all(len(tr) == t.epochs for tr, t in zip(res.traces, res.trials))
-        path = write_train_trace_csv(res.traces, tmp_path / "train_trace.csv")
-        back = read_train_trace_csv(path)
-        assert [tuple(t) for t in back] == [tuple(t) for t in res.traces]
+
+    def test_earliest_trial_wins_ties(self):
+        space = SearchSpace(n_trials=5, seed=4, epochs_min=2, epochs_max=6)
+        fitted = []
+
+        def fit(lr, epochs):
+            model = object()
+            fitted.append(model)
+            return model, [0.0] * epochs
+
+        res = hyperparameter_search(space, fit, lambda model: 0.25)
+        assert len(fitted) == 5
+        assert res.best == res.trials[0]
+        assert res.model is fitted[0]
+
+    @pytest.mark.parametrize("loss", ["mse", "spo_plus", "spo_plus_fee", "spo_plus_fee_l2", "robust_spo"])
+    def test_kept_model_equals_retrained_winner(self, loss):
+        # the search keeps the winning trial's model instead of training it again,
+        # which is sound only because a retrain reproduces it bit for bit
+        xtr, ytr, xv, yv = self._data()
+        prior = Portfolio(np.full(ytr.shape[1], 1.0 / ytr.shape[1]))
+        base = {
+            "mse": TrainConfig(loss_kind=MSE, batch_size=63),
+            "spo_plus": TrainConfig(loss_kind=SPO_PLUS, batch_size=63),
+            "spo_plus_fee": TrainConfig(
+                loss_kind=SPO_PLUS, batch_size=63,
+                problem=DecisionProblem(kind=MAX_RETURN_FEE, gamma=0.005, w_prev=prior),
+            ),
+            "spo_plus_fee_l2": TrainConfig(
+                loss_kind=SPO_PLUS, batch_size=63,
+                problem=DecisionProblem(kind=MAX_RETURN_FEE_L2, gamma=0.005, lam=0.42, w_prev=prior),
+            ),
+            "robust_spo": TrainConfig(
+                loss_kind=ROBUST_SPO, batch_size=63, seed=9,
+                robust=RobustConfig(rho=0.1, n_samples=4, seed=3),
+            ),
+        }[loss]
+        space = SearchSpace(n_trials=3, seed=6, epochs_min=2, epochs_max=4)
+        res = linear_search(xtr, ytr, xv, yv, space, base)
+        winner = replace(base, learning_rate=res.best.learning_rate, epochs=res.best.epochs)
+        model, trace = train(xtr, ytr, winner)
+        assert res.model.theta.tobytes() == model.theta.tobytes()
+        assert res.model.intercept == model.intercept
+        assert res.traces[res.trials.index(res.best)] == tuple(trace)
 
     def test_validation_unaffected_by_training_poison(self):
         # the trained model is a pure function of the train split
         xtr, ytr, xv, yv = self._data()
         base = TrainConfig(loss_kind=MSE, batch_size=63)
         space = SearchSpace(n_trials=2, seed=5, epochs_min=2, epochs_max=3)
-        res1 = hyperparameter_search(xtr, ytr, xv, yv, space, base)
-        res2 = hyperparameter_search(xtr, ytr, xv * 100.0, yv * 100.0, space, base)
+        res1 = linear_search(xtr, ytr, xv, yv, space, base)
+        res2 = linear_search(xtr, ytr, xv * 100.0, yv * 100.0, space, base)
         # same configs drawn; scores differ, but train-side artifacts identical
         assert [
             (t.learning_rate, t.epochs) for t in res1.trials
