@@ -17,7 +17,6 @@ from .solvers import (
     DecisionProblem,
     Portfolio,
     estimate_covariance,
-    project_simplex,
     solve_fee,
     solve_fee_l2,
     solve_max_return,

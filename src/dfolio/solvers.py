@@ -3,8 +3,8 @@
 Every oracle or baseline decision used anywhere in the project lives here:
 vertex argmax, the exact closed-form oracles for the fee-penalized LP (sorted
 segment fill) and the fee+ridge QP (breakpoint root, certified by a
-closed-form duality gap), mean-variance max-Sharpe (projected gradient
-multi-start), the Euclidean simplex projection, and covariance estimation.
+closed-form duality gap), mean-variance max-Sharpe (one nonnegative QP,
+solved exactly by an active set), and covariance estimation.
 The fee and fee+ridge oracles are batched over coefficient rows for the
 training loops; the single-decision solvers wrap them. All solvers are pure,
 deterministic, and tie-break by lowest asset index.
@@ -139,21 +139,6 @@ def estimate_covariance(returns: np.ndarray, ridge: float | None = None) -> Cova
     return CovarianceEstimate(mean=mean, sigma=sigma, ridge=float(ridge))
 
 
-def project_simplex(v: np.ndarray) -> Portfolio:
-    """Euclidean projection onto {w >= 0, sum w = 1} via sort-and-threshold."""
-    return Portfolio(_project_simplex_raw(np.asarray(v, dtype=float).reshape(-1)))
-
-
-def _project_simplex_raw(v: np.ndarray) -> np.ndarray:
-    s = np.sort(v)[::-1]
-    csum = np.cumsum(s)
-    k = np.arange(1, v.size + 1)
-    cond = s - (csum - 1.0) / k > 0
-    rho = np.nonzero(cond)[0][-1]
-    tau = (csum[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
 def solve_max_return(coeff: np.ndarray) -> Portfolio:
     """Vertex argmax of a linear objective; ties go to the lowest index."""
     coeff = np.asarray(coeff, dtype=float).reshape(-1)
@@ -219,72 +204,56 @@ def fee_l2_gap(r_hat: np.ndarray, prob: DecisionProblem, w: np.ndarray) -> float
 
 
 # ---------------------------------------------------------------------------
-# Max-Sharpe baseline: projected gradient ascent with multi-starts.
+# Max-Sharpe baseline: one nonnegative QP, solved exactly by an active set.
 # ---------------------------------------------------------------------------
-
-_PGA_STARTS = 8
-_PGA_SEED = 1729
-
-
-def _pga_maximize(objective, gradient, w0: np.ndarray, iters: int = 600) -> np.ndarray:
-    w = w0.copy()
-    f = objective(w)
-    step = 1.0
-    for _ in range(iters):
-        g = gradient(w)
-        improved = False
-        trial = step
-        for _ in range(40):
-            cand = _project_simplex_raw(w + trial * g)
-            fc = objective(cand)
-            if fc > f + 1e-14:
-                w, f = cand, fc
-                step = trial * 1.5
-                improved = True
-                break
-            trial *= 0.5
-        if not improved:
-            break
-    return w
 
 
 def solve_max_sharpe(est: CovarianceEstimate) -> Portfolio:
-    """Maximize mean/sqrt(variance) over the simplex (projected gradient, 8 starts).
+    """Maximize mean/sqrt(variance) over the simplex, exactly.
 
-    Falls back to the minimum-variance portfolio when no simplex point has a
-    positive expected return.
+    The maximizer is y / sum(y) for y = argmin 1/2 y'Sy - c'y over y >= 0, with
+    S the loaded covariance and c the mean. When no mean is positive, c = 1
+    gives the minimum-variance portfolio instead.
     """
-    mean = est.mean
-    sigma = est.loaded
-    n = mean.size
+    c = est.mean if est.mean.max() > 0.0 else np.ones(est.mean.size)
+    y = _nonneg_qp(est.loaded, c)
+    return Portfolio(y / y.sum())
 
-    if mean.max() <= 0.0:
-        def obj(w):
-            return -float(w @ sigma @ w)
 
-        def grad(w):
-            return -2.0 * (sigma @ w)
-    else:
-        def obj(w):
-            var = float(w @ sigma @ w)
-            return float(mean @ w) / np.sqrt(var)
+def _nonneg_qp(q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """argmin 1/2 y'Qy - c'y over y >= 0 for positive-definite Q (Lawson-Hanson active set).
 
-        def grad(w):
-            var = float(w @ sigma @ w)
-            a = float(mean @ w)
-            return mean / np.sqrt(var) - a * (sigma @ w) / var**1.5
-
-    rng = np.random.Generator(np.random.PCG64(_PGA_SEED))
-    starts = [np.full(n, 1.0 / n), np.eye(n)[int(np.argmax(mean))]]
-    while len(starts) < _PGA_STARTS:
-        starts.append(rng.dirichlet(np.ones(n)))
-    best_w, best_f = None, -np.inf
-    for w0 in starts:
-        w = _pga_maximize(obj, grad, w0)
-        f = obj(w)
-        if f > best_f + 1e-15:
-            best_w, best_f = w, f
-    return Portfolio(best_w)
+    Each pass frees the bound coordinate with the largest descent c - Qy and
+    solves the free block exactly, stepping back to the boundary when a free
+    coordinate would go non-positive. It stops once every bound coordinate has
+    descent <= 1e-12 * max|c| (the KKT certificate) and raises SolverError if
+    that takes more than 3n + 3 passes.
+    """
+    n = c.size
+    tol = 1e-12 * np.abs(c).max()
+    y = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    for _ in range(3 * n + 3):
+        descent = np.where(free, -np.inf, c - q @ y)
+        j = int(np.argmax(descent))
+        if descent[j] <= tol:
+            return y
+        free[j] = True
+        while True:
+            idx = np.flatnonzero(free)
+            z = np.linalg.solve(q[np.ix_(idx, idx)], c[idx])
+            if np.all(z > 0.0):
+                y[idx] = z
+                break
+            yf = y[idx]
+            cut = z <= 0.0
+            step = yf[cut] / (yf[cut] - z[cut])
+            k = int(np.argmin(step))
+            y[idx] = yf + step[k] * (z - yf)
+            y[idx[np.flatnonzero(cut)[k]]] = 0.0
+            free &= y > 0.0
+            y[~free] = 0.0
+    raise SolverError(f"nonnegative QP not solved in {3 * n + 3} active-set passes")
 
 
 # ---------------------------------------------------------------------------

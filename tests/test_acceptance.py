@@ -30,7 +30,6 @@ from dfolio.solvers import (
     DecisionProblem,
     Portfolio,
     argmax_batch,
-    project_simplex,
     solve_fee,
     solve_fee_l2,
     solve_max_sharpe,
@@ -260,23 +259,11 @@ def test_criterion_3_solver_oracles():
         assert deficit <= 1e-4
         done += 1
 
-    for _ in range(10000):
-        n = int(rng.integers(1, 12))
-        v = rng.normal(0, 10.0, n)
-        w = project_simplex(v).weights
-        assert abs(w.sum() - 1.0) <= 1e-9
-        assert np.all(w >= 0)
-        active = w > 1e-12
-        tau = (v[active] - w[active]).mean()
-        assert np.all(np.abs((v[active] - w[active]) - tau) <= 1e-9)
-        assert np.all(v[~active] <= tau + 1e-9)
-
     _report(
         3,
         True,
         f"fee-vs-grid worst {worst_fee:.2e} (<=1e-5); FW worst gap {worst_gap:.2e} (<=1e-7), "
-        f"grid worst {worst_l2:.2e} (<=1e-5); sharpe worst deficit {worst_sharpe:.2e} (<=1e-4); "
-        f"10k projection KKT checks",
+        f"grid worst {worst_l2:.2e} (<=1e-5); sharpe worst deficit {worst_sharpe:.2e} (<=1e-4)",
     )
 
 

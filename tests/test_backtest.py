@@ -291,6 +291,42 @@ class TestRunBacktest:
         assert ledgers["max_sharpe"].error is None
         assert len(ledgers["max_sharpe"].nav) > 1
 
+    def test_universe_wider_than_lookback_is_located(self):
+        frame = synthetic_frame(n_assets=50, n_days=400, seed=3)
+        cfg = BacktestConfig(
+            start=date(2015, 6, 1), end=frame.dates[-1], train_months=1, validation_months=1,
+            batch_size=10, n_trials=1, epochs_min=1, epochs_max=1,
+        )
+        roster = (
+            StrategySpec("max_sharpe", "max_sharpe"),
+            StrategySpec("softmax_max_sharpe", "softmax_max_sharpe"),
+            StrategySpec("spo_plus", "spo_plus"),
+        )
+        ledgers = run_backtest(frame, roster, cfg)
+        for name, rows in (("max_sharpe", 43), ("softmax_max_sharpe", 22)):
+            assert ledgers[name].error == (
+                f"rebalance 2015-06-01 (decide): ValueError: covariance window of {rows} rows "
+                "too short for 50 assets (need >= 52)"
+            )
+        assert ledgers["spo_plus"].error is None
+        assert len(ledgers["spo_plus"].nav) > 1
+
+    def test_flat_price_zero_volume_ticker(self):
+        frame = synthetic_frame()
+        prices = frame.adj_close.copy()
+        volume = frame.volume.copy()
+        prices[:, 0] = 40.0
+        volume[:, 0] = 0.0
+        frame = MarketFrame(dates=frame.dates, tickers=frame.tickers, adj_close=prices, volume=volume)
+        ledgers = run_backtest(frame, default_roster(), fast_config(frame))
+        assert len(ledgers) == 9
+        for led in ledgers.values():
+            assert led.error is None, led.error
+            assert led.rebalances
+            for rec in led.rebalances:
+                assert np.all(rec.target >= 0)
+                assert abs(rec.target.sum() - 1.0) <= 1e-9
+
     def test_prior_weights_chain(self):
         frame = synthetic_frame()
         cfg = fast_config(frame, fee_rate=0.0)

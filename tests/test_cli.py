@@ -101,6 +101,13 @@ class TestSynthAndIngest:
         assert f"SYN01.csv:10: {column} must be finite" in err
         assert not (tmp_path / "o").exists()
 
+    def test_single_asset_universe(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, synth_dir, tmp_path / "o", universe=["SYN01"])
+        assert run_cli(["backtest", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: universe has 1 assets / 480 dates; need >= 2 assets and >= 252 dates\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestBacktestCommand:
     def test_single_strategy_run(self, synth_dir, tmp_path, capsys):

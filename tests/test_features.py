@@ -39,6 +39,20 @@ class TestIndicators:
             col = feature_index(tensor, name)
             np.testing.assert_allclose(tensor.features[..., col], 0.0, atol=1e-12)
 
+    def test_flat_price_zero_volume_ticker(self):
+        frame, _, _ = generate_synthetic(SyntheticSpec(n_assets=3, n_days=300, seed=4))
+        prices = frame.adj_close.copy()
+        volume = frame.volume.copy()
+        prices[:, 0] = 40.0
+        volume[:, 0] = 0.0
+        tensor = compute_indicators(make_frame(prices, volume))
+        assert np.all(np.isfinite(tensor.features))
+        col = feature_index(tensor, "vol_ratio")
+        assert np.all(tensor.features[:, 0, col] == -1.0)  # 0 / the 1e-12 floor, minus one
+        out = standardize(tensor, tensor.dates[0], tensor.dates[200])
+        assert np.all(np.isfinite(out.features))
+        assert np.all(out.features[:, 0, col] == 0.0)  # zero spread: the std_floor path
+
     def test_sma_ratio_on_linear_ramp(self):
         # prices 1..30; SMA(5) on day 30 = mean(26..30) = 28
         prices = np.arange(1.0, 31.0)[:, None]

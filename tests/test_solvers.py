@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from dfolio.solvers import (
     MAX_RETURN,
@@ -15,7 +12,6 @@ from dfolio.solvers import (
     argmax_batch,
     estimate_covariance,
     fee_l2_gap,
-    project_simplex,
     solve_fee,
     solve_fee_l2,
     solve_max_return,
@@ -313,32 +309,6 @@ class TestSolveFeeL2:
             solve_fee_l2(np.array([0.1, 0.0]), fee_problem(np.array([1.0, 0.0]), 0.01))
 
 
-class TestProjectSimplex:
-    def test_already_feasible(self):
-        np.testing.assert_allclose(project_simplex([0.2, 0.8]).weights, [0.2, 0.8], atol=1e-12)
-
-    def test_threshold_case(self):
-        np.testing.assert_allclose(project_simplex([1.0, 0.5]).weights, [0.75, 0.25], atol=1e-12)
-
-    def test_all_negative(self):
-        np.testing.assert_allclose(project_simplex([-5.0, -7.0]).weights, [1.0, 0.0], atol=1e-12)
-
-    @given(
-        arrays(np.float64, st.integers(1, 12),
-               elements=st.floats(min_value=-50, max_value=50, allow_nan=False))
-    )
-    @settings(deadline=None, max_examples=200)
-    def test_kkt(self, v):
-        w = project_simplex(v).weights
-        assert abs(w.sum() - 1.0) <= 1e-9
-        assert np.all(w >= 0)
-        active = w > 1e-12
-        if active.any():
-            tau = (v[active] - w[active]).mean()
-            np.testing.assert_allclose(v[active] - w[active], tau, atol=1e-9)
-            assert np.all(v[~active] <= tau + 1e-9)
-
-
 class TestMaxSharpe:
     def test_symmetric(self):
         est = CovarianceEstimate(mean=np.array([0.1, 0.1]), sigma=np.eye(2))
@@ -365,6 +335,58 @@ class TestMaxSharpe:
                 w = solve_max_sharpe(est).weights
                 val = mean @ w / np.sqrt(w @ sigma @ w)
                 assert sharpe_grid_best(mean, sigma) - val <= 1e-4
+
+    @staticmethod
+    def assert_kkt(est, w, rtol=1e-9):
+        """w is y / sum(y) for y >= 0 with Sy = c on the support and Sy >= c off it."""
+        c = est.mean if est.mean.max() > 0 else np.ones(est.mean.size)
+        assert np.all(w >= 0)
+        support = w > 0
+        s = est.loaded
+        # scale w back to y: c'y = y'Sy at the optimum
+        y = w * float(c @ w) / float(w @ s @ w)
+        slack = s @ y - c
+        scale = np.abs(c).max()
+        assert np.all(np.abs(slack[support]) <= rtol * scale)
+        assert np.all(slack[~support] >= -rtol * scale)
+
+    def test_kkt_random(self):
+        rng = np.random.default_rng(14)
+        negative = 0
+        for case in range(120):
+            n = int(rng.integers(1, 41))
+            t = n + 2 + int(rng.integers(0, 3 * n))
+            x = rng.normal(rng.normal(0.0, 0.001, n), rng.uniform(0.005, 0.03, n), (t, n))
+            if case % 4 == 0:
+                x = -np.abs(x)  # every mean negative: the minimum-variance portfolio
+            est = estimate_covariance(x)
+            negative += est.mean.max() <= 0
+            self.assert_kkt(est, solve_max_sharpe(est).weights)
+        assert negative >= 30
+
+    def test_scale_invariant(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            n = int(rng.integers(2, 20))
+            est = estimate_covariance(rng.normal(0.001, 0.02, (3 * n, n)))
+            scaled = CovarianceEstimate(mean=est.mean * 37.0, sigma=est.sigma, ridge=est.ridge)
+            np.testing.assert_allclose(
+                solve_max_sharpe(scaled).weights, solve_max_sharpe(est).weights, rtol=0, atol=1e-12
+            )
+
+    def test_wide_universe(self):
+        rng = np.random.default_rng(16)
+        n = 200
+        x = rng.normal(rng.normal(0.0003, 0.001, n), rng.uniform(0.005, 0.03, n), (260, n))
+        est = estimate_covariance(x)
+        w = solve_max_sharpe(est).weights
+        assert 1 < np.count_nonzero(w) < n
+        self.assert_kkt(est, w)
+
+    def test_pass_cap_raises(self):
+        # a negative-definite Q makes every freed coordinate step straight back
+        with pytest.raises(SolverError, match="active-set passes"):
+            solvers._nonneg_qp(-np.eye(3), np.ones(3))
 
     def test_non_psd_rejected(self):
         with pytest.raises(SolverError):
@@ -418,7 +440,6 @@ class TestSolverInvariants:
                 solve_max_return(r),
                 solve_fee(r, fee_problem(p, 0.01)),
                 solve_fee_l2(r, l2_problem(p, 0.01, 0.3)),
-                project_simplex(rng.normal(size=n)),
             ):
                 assert np.all(w.weights >= 0)
                 assert abs(w.weights.sum() - 1.0) <= 1e-8
