@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .market_data import MarketFrame, _frozen
-from .util import fmt, span_indices
+from .util import span_indices
 
 
 class WarmupError(ValueError):
@@ -210,29 +211,14 @@ def standardize(
 
 
 def write_features_csv(tensor: FeatureTensor, path) -> Path:
-    """Audit dump: one row per (date, ticker)."""
+    """Audit dump: one row per (date, ticker), written one date block at a time.
+
+    csv writes each Python float as its shortest round-trip repr.
+    """
     path = Path(path)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["date", "ticker", *tensor.feature_names])
-        for i, d in enumerate(tensor.dates):
-            for j, t in enumerate(tensor.tickers):
-                w.writerow([d.isoformat(), t, *(fmt(v) for v in tensor.features[i, j])])
+        for d, block in zip(tensor.dates, tensor.features):
+            w.writerows(zip(repeat(d.isoformat()), tensor.tickers, *block.T.tolist()))
     return path
-
-
-def read_features_csv(path) -> FeatureTensor:
-    """Inverse of write_features_csv."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        names = tuple(header[2:])
-        cells: dict[date, dict[str, list[float]]] = {}
-        for row in reader:
-            d = date.fromisoformat(row[0])
-            cells.setdefault(d, {})[row[1]] = [float(v) for v in row[2:]]
-    dates = tuple(sorted(cells))
-    tickers = tuple(sorted(cells[dates[0]]))
-    feats = np.array([[cells[d][t] for t in tickers] for d in dates])
-    return FeatureTensor(dates=dates, tickers=tickers, features=feats, feature_names=names)

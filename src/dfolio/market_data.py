@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +39,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class AssetBar:
+class AssetBar(NamedTuple):
     """One daily OHLCV bar for a single asset."""
 
     day: date
@@ -49,16 +49,6 @@ class AssetBar:
     close: float
     adj_close: float
     volume: float
-
-    def validate(self) -> None:
-        if self.adj_close <= 0:
-            raise ValueError("adj_close must be > 0")
-        body_low = min(self.open, self.close)
-        body_high = max(self.open, self.close)
-        if not (self.low <= body_low and body_high <= self.high):
-            raise ValueError("low <= min(open, close) <= max(open, close) <= high violated")
-        if self.volume < 0:
-            raise ValueError("volume must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,8 @@ def compute_returns(frame: MarketFrame) -> ReturnPanel:
     )
 
 
-def _parse_bar(path, line_no: int, row: list[str]) -> AssetBar:
+def _check_row(path, line_no: int, row: list[str], prev_day: date | None) -> date:
+    """Every check on one data row, in the order that picks the reported fault."""
     if len(row) != len(CSV_HEADER):
         raise IngestionError(path, line_no, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
     try:
@@ -168,21 +159,53 @@ def _parse_bar(path, line_no: int, row: list[str]) -> AssetBar:
         values = [float(v) for v in row[1:]]
     except ValueError as exc:
         raise IngestionError(path, line_no, str(exc)) from None
-    # One test per row: the sum is non-finite iff a cell is (or finite cells overflow).
-    if not math.isfinite(sum(values)):
-        for name, cell, value in zip(CSV_HEADER[1:], row[1:], values):
-            if not math.isfinite(value):
-                raise IngestionError(path, line_no, f"{name} must be finite, got {cell!r}")
-    bar = AssetBar(day, *values)
-    try:
-        bar.validate()
-    except ValueError as exc:
-        raise IngestionError(path, line_no, str(exc)) from None
-    return bar
+    for name, cell, value in zip(CSV_HEADER[1:], row[1:], values):
+        if not math.isfinite(value):
+            raise IngestionError(path, line_no, f"{name} must be finite, got {cell!r}")
+    open_, high, low, close, adj_close, volume = values
+    if adj_close <= 0:
+        raise IngestionError(path, line_no, "adj_close must be > 0")
+    if not (low <= min(open_, close) and max(open_, close) <= high):
+        raise IngestionError(path, line_no, "low <= min(open, close) <= max(open, close) <= high violated")
+    if volume < 0:
+        raise IngestionError(path, line_no, "volume must be >= 0")
+    if prev_day is not None and day <= prev_day:
+        raise IngestionError(path, line_no, f"dates not strictly increasing at {day}")
+    return day
+
+
+def _parse_columns(rows: list[list[str]]) -> tuple[list[date], np.ndarray]:
+    """All rows at once: one numeric conversion, then the bar checks as masks.
+
+    Returns the dates and the (6, n_rows) array of open, high, low, close,
+    adj_close and volume. Raises ValueError, without a location, when any row
+    fails any check.
+    """
+    if set(map(len, rows)) != {len(CSV_HEADER)}:
+        raise ValueError("field count")
+    cells = list(zip(*rows))
+    days = list(map(date.fromisoformat, cells[0]))
+    values = np.array(cells[1:], dtype=float)
+    open_, high, low, close, adj_close, volume = values
+    ok = (
+        np.isfinite(values).all()
+        and (adj_close > 0).all()
+        and (low <= np.minimum(open_, close)).all()
+        and (np.maximum(open_, close) <= high).all()
+        and (volume >= 0).all()
+        and all(map(operator.lt, days, days[1:]))
+    )
+    if not ok:
+        raise ValueError("bar check")
+    return days, values
 
 
 def read_ticker_csv(path) -> list[AssetBar]:
-    """Parse one per-ticker OHLCV file, validating header and every bar."""
+    """Parse one per-ticker OHLCV file, validating header and every bar.
+
+    The rows are converted and checked column by column; when that fails,
+    `_check_row` scans them in file order to name the first bad line.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -192,17 +215,20 @@ def read_ticker_csv(path) -> list[AssetBar]:
             raise IngestionError(path, 1, "empty file") from None
         if tuple(h.strip() for h in header) != CSV_HEADER:
             raise IngestionError(path, 1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-        bars = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            bar = _parse_bar(path, line_no, row)
-            if bars and bar.day <= bars[-1].day:
-                raise IngestionError(path, line_no, f"dates not strictly increasing at {bar.day}")
-            bars.append(bar)
-    if not bars:
+        rows = list(reader)
+    data = rows if all(rows) else [row for row in rows if row]
+    if not data:
         raise IngestionError(path, 2, "no data rows")
-    return bars
+    try:
+        days, values = _parse_columns(data)
+    except ValueError:
+        prev_day = None
+        for line_no, row in enumerate(rows, start=2):
+            if row:
+                prev_day = _check_row(path, line_no, row, prev_day)
+        raise  # not reached: the scan raises on every row the columns reject
+    del rows, data  # free the cell strings before the records are built
+    return list(map(AssetBar._make, zip(days, *values.tolist())))
 
 
 def load_series(path) -> dict[str, list[AssetBar]]:
@@ -218,21 +244,21 @@ def align_series(series: dict[str, list[AssetBar]]) -> MarketFrame:
     """Restrict all tickers to their common trading dates, sorted ascending."""
     if not series:
         raise UniverseError("no ticker series to align")
+    day_of, adj_close_of, volume_of = map(operator.attrgetter, ("day", "adj_close", "volume"))
     tickers = sorted(series)
-    common = set(b.day for b in series[tickers[0]])
-    for t in tickers[1:]:
-        common &= set(b.day for b in series[t])
+    days = {t: list(map(day_of, series[t])) for t in tickers}
+    common = set.intersection(*map(set, days.values()))
     if not common:
         raise UniverseError("empty date intersection across tickers")
     dates = tuple(sorted(common))
     adj_close = np.empty((len(dates), len(tickers)))
     volume = np.empty_like(adj_close)
     for j, t in enumerate(tickers):
-        by_day = {b.day: b for b in series[t]}
-        for i, d in enumerate(dates):
-            bar = by_day[d]
-            adj_close[i, j] = bar.adj_close
-            volume[i, j] = bar.volume
+        n = len(days[t])
+        row_of = dict(zip(days[t], range(n)))
+        rows = list(map(row_of.__getitem__, dates))
+        adj_close[:, j] = np.fromiter(map(adj_close_of, series[t]), float, n)[rows]
+        volume[:, j] = np.fromiter(map(volume_of, series[t]), float, n)[rows]
     return MarketFrame(dates=dates, tickers=tuple(tickers), adj_close=adj_close, volume=volume)
 
 
@@ -249,15 +275,15 @@ def write_csv_dir(frame: MarketFrame, out_dir) -> list[Path]:
     """Write one OHLCV CSV per ticker (flat bars: open=high=low=close=adj_close)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    days = [d.isoformat() for d in frame.dates]
     written = []
     for j, t in enumerate(frame.tickers):
         p = out_dir / f"{t}.csv"
+        px, vol = frame.adj_close[:, j].tolist(), frame.volume[:, j].tolist()
         with p.open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_HEADER)
-            for i, d in enumerate(frame.dates):
-                px = repr(float(frame.adj_close[i, j]))
-                w.writerow([d.isoformat(), px, px, px, px, px, repr(float(frame.volume[i, j]))])
+            w.writerows(zip(days, px, px, px, px, px, vol))
         written.append(p)
     return written
 

@@ -1,6 +1,6 @@
-"""Writers and readers for every emitted artifact.
+"""Writers for every emitted artifact, and readers for the backtest ones.
 
-Each CSV written here round-trips through the reader next to it; floats are
+Each backtest artifact round-trips through the reader next to it; floats are
 serialized with shortest round-trip repr so identical runs produce identical
 bytes.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -245,25 +246,11 @@ def read_plotdata_csv(path) -> dict[str, tuple[list[date], list[float]]]:
 
 
 def write_panel_csv(frame: MarketFrame, path) -> Path:
-    """Aligned long-format cache of the ingested universe."""
+    """Aligned long-format cache of the ingested universe, one date block at a time."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["date", "ticker", "adj_close", "volume"])
-        for i, d in enumerate(frame.dates):
-            for j, t in enumerate(frame.tickers):
-                w.writerow([d.isoformat(), t, fmt(frame.adj_close[i, j]), fmt(frame.volume[i, j])])
+        for d, adj, vol in zip(frame.dates, frame.adj_close, frame.volume):
+            w.writerows(zip(repeat(d.isoformat()), frame.tickers, adj.tolist(), vol.tolist()))
     return path
-
-
-def read_panel_csv(path) -> MarketFrame:
-    cells: dict[date, dict[str, tuple[float, float]]] = {}
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            d = date.fromisoformat(row["date"])
-            cells.setdefault(d, {})[row["ticker"]] = (float(row["adj_close"]), float(row["volume"]))
-    dates = tuple(sorted(cells))
-    tickers = tuple(sorted(cells[dates[0]]))
-    adj = np.array([[cells[d][t][0] for t in tickers] for d in dates])
-    vol = np.array([[cells[d][t][1] for t in tickers] for d in dates])
-    return MarketFrame(dates=dates, tickers=tickers, adj_close=adj, volume=vol)

@@ -5,15 +5,21 @@ checked against exhaustive evaluation over simplex grids (augmented with the
 kink values implied by the prior weights, so piecewise-linear optima land on
 the grid), one-asset-wins problems against direct vertex enumeration, and the
 fee-penalized problems at any size against a dense two-phase simplex LP over
-the epigraph polytope.
+the epigraph polytope. The CSV readers at the end parse `panel.csv` and
+`features.csv` back, cell by cell, for round-trip tests of their writers.
 """
 
 from __future__ import annotations
 
+import csv
+from datetime import date
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
+from dfolio.features import FeatureTensor
+from dfolio.market_data import MarketFrame
 from dfolio.solvers import MAX_RETURN, DecisionProblem
 
 
@@ -351,3 +357,34 @@ def lp_fee_min_turnover(coeff: np.ndarray, prob: DecisionProblem, value: float, 
     b_ub = np.append(b_ub, slack - value)
     _, turnover = solve_lp(np.concatenate([np.zeros(n), np.ones(n)]), a_ub, b_ub, a_eq, b_eq, maximize=False)
     return turnover
+
+
+def read_features_csv(path) -> FeatureTensor:
+    """Inverse of features.write_features_csv."""
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        names = tuple(header[2:])
+        cells: dict[date, dict[str, list[float]]] = {}
+        for row in reader:
+            d = date.fromisoformat(row[0])
+            cells.setdefault(d, {})[row[1]] = [float(v) for v in row[2:]]
+    dates = tuple(sorted(cells))
+    tickers = tuple(sorted(cells[dates[0]]))
+    feats = np.array([[cells[d][t] for t in tickers] for d in dates])
+    return FeatureTensor(dates=dates, tickers=tickers, features=feats, feature_names=names)
+
+
+def read_panel_csv(path) -> MarketFrame:
+    """Inverse of reports.write_panel_csv."""
+    cells: dict[date, dict[str, tuple[float, float]]] = {}
+    with Path(path).open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            d = date.fromisoformat(row["date"])
+            cells.setdefault(d, {})[row["ticker"]] = (float(row["adj_close"]), float(row["volume"]))
+    dates = tuple(sorted(cells))
+    tickers = tuple(sorted(cells[dates[0]]))
+    adj = np.array([[cells[d][t][0] for t in tickers] for d in dates])
+    vol = np.array([[cells[d][t][1] for t in tickers] for d in dates])
+    return MarketFrame(dates=dates, tickers=tickers, adj_close=adj, volume=vol)

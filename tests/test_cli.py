@@ -10,10 +10,11 @@ from dfolio.reports import (
     read_metrics_csv,
     read_metrics_json,
     read_nav_csv,
-    read_panel_csv,
     read_plotdata_csv,
     read_weights_csv,
 )
+
+from oracles import read_panel_csv
 
 
 def run_cli(args):

@@ -10,13 +10,13 @@ from dfolio.features import (
     IndicatorConfig,
     WarmupError,
     compute_indicators,
-    read_features_csv,
     standardize,
     write_features_csv,
 )
 from dfolio.market_data import generate_synthetic, SyntheticSpec
 
 from conftest import make_frame
+from oracles import read_features_csv
 
 SMALL = IndicatorConfig(sma_short=3, sma_long=5, rsi_period=4, macd_fast=3,
                         macd_slow=5, macd_signal=2, boll_window=5, vol_window=5)

@@ -1,5 +1,6 @@
+import csv
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfolio.market_data import (
+    AssetBar,
     IngestionError,
+    _check_row,
     SyntheticSpec,
     UniverseError,
     align_series,
@@ -93,12 +96,186 @@ class TestIngest:
         assert again.adj_close.tobytes() == frame.adj_close.tobytes()
         assert again.volume.tobytes() == frame.volume.tobytes()
 
+    def test_alignment_takes_each_cell_from_its_own_date(self, tmp_csv_dir):
+        days = weekdays(date(2020, 1, 6), 14)
+        a = [(d, 100.0 + i, 100.0 + i, 100.0 + i, 100.0 + i, 100.0 + i, 10.0 * i) for i, d in enumerate(days)]
+        b = [(d, 50.0 + i, 50.0 + i, 50.0 + i, 50.0 + i, 50.0 + i, 20.0 * i) for i, d in enumerate(days)]
+        write_ticker_csv(tmp_csv_dir / "A.csv", a[:5] + a[6:11])
+        write_ticker_csv(tmp_csv_dir / "B.csv", b[2:8] + b[9:])
+        series = load_series(tmp_csv_dir)
+        kept = [2, 3, 4, 6, 7, 9, 10]
+        for frame in (align_series(series), align_series({t: bars[::-1] for t, bars in series.items()})):
+            assert frame.dates == tuple(days[i] for i in kept)
+            np.testing.assert_array_equal(frame.adj_close, [[100.0 + i, 50.0 + i] for i in kept])
+            np.testing.assert_array_equal(frame.volume, [[10.0 * i, 20.0 * i] for i in kept])
+
     def test_align_series_direct(self, tmp_csv_dir):
         days = weekdays(date(2020, 1, 6), 6)
         write_ticker_csv(tmp_csv_dir / "A.csv", flat_bars(days))
         series = load_series(tmp_csv_dir)
         frame = align_series(series)
         assert frame.n_assets == 1 and frame.n_dates == 6
+
+
+HEADER = "date,open,high,low,close,adj_close,volume"
+GOOD = "2020-01-06,100.0,101.0,99.0,100.5,100.5,1000.0"
+OHLC = "low <= min(open, close) <= max(open, close) <= high violated"
+
+
+def row(day="2020-01-07", o="100.5", h="102.0", l="100.0", c="101.0", a="101.0", v="1200.0"):
+    return ",".join([day, o, h, l, c, a, v])
+
+
+def line_3(line, message, id):
+    """Case: a file whose data line after one good bar is `line`; the fault is on line 3."""
+    return pytest.param([HEADER, GOOD, line], f"3: {message}", id=id)
+
+
+NON_FINITE = [
+    line_3(row(**{key: cell}), f"{name} must be finite, got {cell!r}", id=f"{name}-{cell}")
+    for name, key in {"open": "o", "high": "h", "low": "l", "close": "c", "adj_close": "a", "volume": "v"}.items()
+    for cell in ("nan", "inf", "-inf", "1e400")
+]
+
+# Each case: the file's lines and the exact "<line>: <message>" after "X.csv:".
+PARSE_ERRORS = [
+    line_3(row()[: row().rindex(",")], "expected 7 fields, got 6", id="too-few-fields"),
+    line_3(row() + ",7", "expected 7 fields, got 8", id="too-many-fields"),
+    line_3(row(day="2020-13-07"), "bad date '2020-13-07': month must be in 1..12", id="bad-month"),
+    line_3(
+        row(day="Jan 7 2020"), "bad date 'Jan 7 2020': Invalid isoformat string: 'Jan 7 2020'", id="bad-date-text"
+    ),
+    line_3(row(h="oops"), "could not convert string to float: 'oops'", id="non-numeric"),
+    line_3(row(v=""), "could not convert string to float: ''", id="empty-cell"),
+    *NON_FINITE,
+    line_3(row(a="0.0"), "adj_close must be > 0", id="adj-close-zero"),
+    line_3(row(a="-3.5"), "adj_close must be > 0", id="adj-close-negative"),
+    line_3(row(h="100.9"), OHLC, id="high-below-close"),
+    line_3(row(l="100.6"), OHLC, id="low-above-open"),
+    line_3(row(v="-1.0"), "volume must be >= 0", id="negative-volume"),
+    line_3(row(day="2020-01-06"), "dates not strictly increasing at 2020-01-06", id="repeated-date"),
+    pytest.param(
+        [HEADER, GOOD, row(), row(day="2020-01-06")],
+        "4: dates not strictly increasing at 2020-01-06",
+        id="decreasing-date",
+    ),
+    pytest.param([], "1: empty file", id="empty-file"),
+    pytest.param([HEADER], "2: no data rows", id="header-only"),
+    pytest.param([HEADER, "", ""], "2: no data rows", id="header-and-blank-lines"),
+    pytest.param(
+        ["date,open,close", "2020-01-06,1,1"],
+        "1: bad header ['date', 'open', 'close'], expected date,open,high,low,close,adj_close,volume",
+        id="bad-header",
+    ),
+    # Two bad lines: the earlier one is reported; blank lines count as lines.
+    pytest.param(
+        [HEADER, GOOD, row(v="-1.0"), row(day="2020-01-08", a="nan")],
+        "3: volume must be >= 0",
+        id="earlier-line-wins",
+    ),
+    pytest.param([HEADER, GOOD, "", "", row(v="-1.0")], "5: volume must be >= 0", id="after-blank-lines"),
+    # Two faults on one line: the check order decides.
+    line_3("2020-13-07,1", "expected 7 fields, got 2", id="count-before-date"),
+    line_3(
+        row(day="2020-02-30", o="oops"), "bad date '2020-02-30': day is out of range for month", id="date-before-number"
+    ),
+    line_3(row(o="nan", h="oops"), "could not convert string to float: 'oops'", id="number-before-finite"),
+    line_3(row(h="inf", c="nan"), "high must be finite, got 'inf'", id="first-non-finite-column"),
+    line_3(row(a="0.0", v="inf"), "volume must be finite, got 'inf'", id="finite-before-adj-close"),
+    line_3(row(h="1.0", a="0.0"), "adj_close must be > 0", id="adj-close-before-ohlc"),
+    line_3(row(h="1.0", v="-1.0"), OHLC, id="ohlc-before-volume"),
+    line_3(row(day="2020-01-06", v="-1.0"), "volume must be >= 0", id="volume-before-date-order"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("lines, expected", PARSE_ERRORS)
+    def test_exact_message_and_line(self, tmp_csv_dir, lines, expected):
+        path = tmp_csv_dir / "X.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(IngestionError) as err:
+            read_ticker_csv(path)
+        assert str(err.value) == f"{path}:{expected}"
+        assert err.value.line == int(expected.split(":")[0])
+        assert err.value.path == str(path)
+
+    def test_crlf_quotes_and_blank_lines_accepted(self, tmp_csv_dir):
+        path = tmp_csv_dir / "X.csv"
+        quoted = '"2020-01-07","100.5"," 102.0 ",100.0,"101.0",101.0,"1_200"'
+        path.write_bytes(f"{HEADER}\r\n\r\n{GOOD}\r\n\r\n{quoted}\r\n\r\n".encode())
+        assert read_ticker_csv(path) == [
+            AssetBar(date(2020, 1, 6), 100.0, 101.0, 99.0, 100.5, 100.5, 1000.0),
+            AssetBar(date(2020, 1, 7), 100.5, 102.0, 100.0, 101.0, 101.0, 1200.0),
+        ]
+
+    def test_crlf_fault_line(self, tmp_csv_dir):
+        path = tmp_csv_dir / "X.csv"
+        path.write_bytes(f"{HEADER}\r\n{GOOD}\r\n\r\n{row(a='0')}\r\n".encode())
+        with pytest.raises(IngestionError, match=r"X\.csv:4: adj_close must be > 0$"):
+            read_ticker_csv(path)
+
+    def test_records_hold_parsed_floats(self, tmp_csv_dir):
+        path = tmp_csv_dir / "X.csv"
+        path.write_text(f"{HEADER}\n{GOOD}\n{row(l='-0.0', v='0')}\n")
+        bars = read_ticker_csv(path)
+        assert [type(v) for v in bars[1][1:]] == [float] * 6
+        assert bars[1].day == date(2020, 1, 7) and bars[1].volume == 0.0
+        assert math.copysign(1.0, bars[1].low) == -1.0
+
+
+def scalar_read(path):
+    """Row-by-row reference reader: `_check_row` on every line, in file order."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    bars, day = [], None
+    for line_no, cells in enumerate(rows, start=2):
+        if cells:
+            day = _check_row(path, line_no, cells, day)
+            bars.append(AssetBar(day, *map(float, cells[1:])))
+    if not bars:
+        raise IngestionError(path, 2, "no data rows")
+    return bars
+
+
+# (column, cell) edits of a good row: one per check, then edits that stay valid.
+EDITS = [
+    (6, "-1"), (5, "0"), (5, "-0.0"), (2, "98"), (3, "102"), (1, "nan"), (4, "inf"), (6, "1e400"), (1, "oops"), (6, ""),
+    (6, "0"), (6, "1_000"), (1, "１００"), (4, " 100.5 "), (3, "-0.0"),
+]
+
+
+@st.composite
+def ticker_lines(draw):
+    lines = [HEADER]
+    day = date(2020, 1, 6)
+    for _ in range(draw(st.integers(0, 6))):
+        # Each kind of fault is rare, so that a file often holds only one.
+        day += timedelta(days=draw(st.sampled_from([1] * 10 + [0, -1])))
+        iso = day.isoformat() if draw(st.integers(0, 19)) else "2020-02-30"
+        cells = [iso, "100.0", "101.0", "99.0", "100.5", "100.5", "1000"]
+        if draw(st.booleans()):
+            column, cell = draw(st.sampled_from(EDITS))
+            cells[column] = cell
+        if not draw(st.integers(0, 19)):
+            cells = (cells + ["7"])[: draw(st.integers(1, 8))]
+        lines.append(",".join(cells) if draw(st.integers(0, 9)) else "")
+    return lines
+
+
+class TestColumnarMatchesScalar:
+    @given(ticker_lines())
+    @settings(deadline=None, max_examples=500)
+    def test_same_bars_or_same_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "X.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        try:
+            expected = scalar_read(path)
+        except IngestionError as exc:
+            with pytest.raises(IngestionError) as err:
+                read_ticker_csv(path)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        else:
+            assert read_ticker_csv(path) == expected
 
 
 class TestReturns:

@@ -2,22 +2,30 @@
 
 It wraps names in dfolio's module namespaces, such as dfolio.backtest.train and
 dfolio.backtest.train_dfl; a refactor that drops one breaks every traced run.
-Installing rewrites module attributes, so it runs in a fresh interpreter.
+Its ingest counts read what `load_series` returns: a dict from ticker to a
+sized sequence of records with `.day`. Installing rewrites module attributes,
+so it runs in a fresh interpreter.
 """
 
+import json
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
+
+from conftest import flat_bars, weekdays, write_ticker_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
 ATTACH = """
+import json
 import sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import dfolio
 import dfolio.cli
 import tracing
-tracing.Tracer().install(dfolio)
+tracer = tracing.Tracer()
+tracer.install(dfolio)
 """
 
 
@@ -25,3 +33,28 @@ def test_tracer_installs_on_dfolio():
     code = ATTACH.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_INGEST = ATTACH + """
+assert dfolio.cli.main(["ingest", "--data", {data!r}, "--out", {out!r}]) == 0
+metrics = tracing.layer_metrics(tracer.spans)
+print(json.dumps({{k: metrics[k] for k in {keys!r}}}))
+"""
+
+
+def test_traced_ingest_counts(tmp_path):
+    days = weekdays(date(2020, 1, 6), 60)
+    data = tmp_path / "data"
+    data.mkdir()
+    write_ticker_csv(data / "A.csv", flat_bars(days[:10] + days[12:]))
+    write_ticker_csv(data / "B.csv", flat_bars(days[:30] + days[31:], price=50.0))
+    write_ticker_csv(data / "C.csv", flat_bars(days, price=20.0))
+    keys = ["market_data.load_series.rows", "market_data.align_series.dropped_dates"]
+    code = TRACED_INGEST.format(
+        src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"),
+        data=str(data), out=str(tmp_path / "out"), keys=keys,
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics == {keys[0]: 58 + 59 + 60, keys[1]: 3}
