@@ -9,7 +9,6 @@ from .market_data import (
     UniverseError,
     compute_returns,
     generate_synthetic,
-    ingest_csv_dir,
 )
 from .features import FeatureTensor, IndicatorConfig, WarmupError, compute_indicators, standardize
 from .solvers import (
@@ -22,9 +21,9 @@ from .solvers import (
     solve_max_return,
     solve_max_sharpe,
 )
-from .spo import RobustConfig, SpoEvaluation, SpoInstance, robust_spo_loss, spo_plus
+from .spo import RobustConfig
 from .training import LinearPredictor, SearchSpace, TrainConfig, hyperparameter_search, predict, train
-from .softmax_dfl import SoftmaxAllocator, allocate, dfl_loss, train_dfl
+from .softmax_dfl import SoftmaxAllocator, allocate, train_dfl
 from .backtest import BacktestConfig, BacktestLedger, StrategySpec, default_roster, run_backtest
 from .metrics import MetricsRow, compute_metrics, subperiod_report
 

@@ -121,30 +121,23 @@ class MarketFrame:
 
 @dataclass(frozen=True)
 class ReturnPanel:
-    """Daily simple and log returns; dates drop the first frame date."""
+    """Daily simple returns; dates drop the first frame date."""
 
     dates: tuple[date, ...]
     simple_returns: np.ndarray
-    log_returns: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "simple_returns", _frozen(self.simple_returns))
-        object.__setattr__(self, "log_returns", _frozen(self.log_returns))
 
 
 def compute_returns(frame: MarketFrame) -> ReturnPanel:
-    """Simple and log return panels from adjusted closes.
+    """Simple return panel from adjusted closes.
 
     Row t corresponds to the move into frame.dates[t + 1].
     """
     if frame.n_dates < 2:
         raise ValueError("need at least 2 dates to compute returns")
-    ratio = frame.adj_close[1:] / frame.adj_close[:-1]
-    return ReturnPanel(
-        dates=frame.dates[1:],
-        simple_returns=ratio - 1.0,
-        log_returns=np.log(ratio),
-    )
+    return ReturnPanel(dates=frame.dates[1:], simple_returns=frame.adj_close[1:] / frame.adj_close[:-1] - 1.0)
 
 
 def _check_row(path, line_no: int, row: list[str], prev_day: date | None) -> date:
@@ -211,11 +204,13 @@ def read_ticker_csv(path) -> list[AssetBar]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if tuple(h.strip() for h in header) != CSV_HEADER:
+                raise IngestionError(path, 1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+            rows = list(reader)
         except StopIteration:
             raise IngestionError(path, 1, "empty file") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise IngestionError(path, 1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-        rows = list(reader)
+        except csv.Error as exc:  # e.g. a cell over the field size limit
+            raise IngestionError(path, reader.line_num, str(exc)) from None
     data = rows if all(rows) else [row for row in rows if row]
     if not data:
         raise IngestionError(path, 2, "no data rows")
@@ -260,15 +255,6 @@ def align_series(series: dict[str, list[AssetBar]]) -> MarketFrame:
         adj_close[:, j] = np.fromiter(map(adj_close_of, series[t]), float, n)[rows]
         volume[:, j] = np.fromiter(map(volume_of, series[t]), float, n)[rows]
     return MarketFrame(dates=dates, tickers=tuple(tickers), adj_close=adj_close, volume=volume)
-
-
-def ingest_csv_dir(path) -> MarketFrame:
-    """Ingest a directory of per-ticker CSVs into a calendar-aligned frame.
-
-    The frame is restricted to the intersection of all assets' trading dates,
-    sorted ascending; tickers are sorted lexicographically.
-    """
-    return align_series(load_series(path))
 
 
 def write_csv_dir(frame: MarketFrame, out_dir) -> list[Path]:

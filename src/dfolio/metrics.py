@@ -41,13 +41,11 @@ def compute_metrics(
     nav: Sequence[float],
     start: date | None = None,
     end: date | None = None,
-    downside_count: str = "full",
 ) -> MetricsRow:
     """Metrics over the NAV points with start <= date <= end (inclusive span).
 
-    downside_count chooses the Sortino denominator convention: "full" divides
-    the downside sum of squares by all observations, "downside" by the number
-    of negative days only.
+    The Sortino denominator divides the downside sum of squares by all
+    observations, not only the negative days.
     """
     dates = list(dates)
     values = np.asarray(nav, dtype=float)
@@ -71,10 +69,9 @@ def compute_metrics(
 
     downside = np.minimum(rets, 0.0)
     n_down = int((rets < 0).sum())
-    denom = t if downside_count == "full" else max(n_down, 0)
     sortino = None
-    if n_down > 0 and denom > 0:
-        dstd = np.sqrt((downside * downside).sum() / denom)
+    if n_down > 0:
+        dstd = np.sqrt((downside * downside).sum() / t)
         if dstd > 0:
             sortino = float(rets.mean() / dstd * np.sqrt(TRADING_DAYS))
 

@@ -1,8 +1,7 @@
-"""Writers for every emitted artifact, and readers for the backtest ones.
+"""Writers for every emitted artifact, and the metrics.json reader.
 
-Each backtest artifact round-trips through the reader next to it; floats are
-serialized with shortest round-trip repr so identical runs produce identical
-bytes.
+Floats reach csv as Python floats, which it writes in shortest round-trip
+repr, so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from .backtest import BacktestLedger
 from .market_data import MarketFrame
 from .metrics import MetricsRow
-from .util import fmt
 
 
 def _ok(ledgers: dict[str, BacktestLedger]) -> dict[str, BacktestLedger]:
@@ -36,23 +34,8 @@ def write_nav_csv(ledgers: dict[str, BacktestLedger], path) -> Path:
         w.writerow(["date", "strategy", "nav"])
         for name, led in _ok(ledgers).items():
             for d, v in zip(led.nav_dates, led.nav):
-                w.writerow([d.isoformat(), name, fmt(v)])
+                w.writerow([d.isoformat(), name, float(v)])
     return path
-
-
-def read_nav_csv(path) -> dict[str, tuple[list[date], list[float]]]:
-    out: dict[str, tuple[list[date], list[float]]] = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["date", "strategy", "nav"]:
-            raise ValueError(f"unexpected nav.csv header {header}")
-        for row in reader:
-            d, name, v = date.fromisoformat(row[0]), row[1], float(row[2])
-            out.setdefault(name, ([], []))
-            out[name][0].append(d)
-            out[name][1].append(v)
-    return out
 
 
 def write_weights_csv(ledgers: dict[str, BacktestLedger], tickers, path) -> Path:
@@ -62,36 +45,10 @@ def write_weights_csv(ledgers: dict[str, BacktestLedger], tickers, path) -> Path
         w.writerow(["rebalance_date", "strategy", "ticker", "weight", "turnover", "fee"])
         for name, led in _ok(ledgers).items():
             for rec in led.rebalances:
-                for j, ticker in enumerate(tickers):
-                    w.writerow(
-                        [
-                            rec.day.isoformat(),
-                            name,
-                            ticker,
-                            fmt(rec.target[j]),
-                            fmt(rec.turnover),
-                            fmt(rec.fee),
-                        ]
-                    )
+                day, turnover, fee = rec.day.isoformat(), float(rec.turnover), float(rec.fee)
+                for ticker, weight in zip(tickers, rec.target.tolist()):
+                    w.writerow([day, name, ticker, weight, turnover, fee])
     return path
-
-
-def read_weights_csv(path) -> list[dict]:
-    rows = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(
-                {
-                    "rebalance_date": date.fromisoformat(row["rebalance_date"]),
-                    "strategy": row["strategy"],
-                    "ticker": row["ticker"],
-                    "weight": float(row["weight"]),
-                    "turnover": float(row["turnover"]),
-                    "fee": float(row["fee"]),
-                }
-            )
-    return rows
 
 
 def write_hparams_csv(ledgers: dict[str, BacktestLedger], path) -> Path:
@@ -105,25 +62,9 @@ def write_hparams_csv(ledgers: dict[str, BacktestLedger], path) -> Path:
                 if diag is None or diag.learning_rate is None:
                     continue
                 w.writerow(
-                    [rec.day.isoformat(), name, fmt(diag.learning_rate), diag.epochs, fmt(diag.score)]
+                    [rec.day.isoformat(), name, float(diag.learning_rate), diag.epochs, float(diag.score)]
                 )
     return path
-
-
-def read_hparams_csv(path) -> list[dict]:
-    rows = []
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "rebalance_date": date.fromisoformat(row["rebalance_date"]),
-                    "strategy": row["strategy"],
-                    "lr": float(row["lr"]),
-                    "epochs": int(row["epochs"]),
-                    "score": float(row["score"]),
-                }
-            )
-    return rows
 
 
 def write_metrics_json(report: dict[str, dict[str, MetricsRow]], path) -> Path:
@@ -168,28 +109,14 @@ def write_metrics_csv(report: dict[str, dict[str, MetricsRow]], path) -> Path:
                     [
                         strategy,
                         span,
-                        fmt(row.annualized_return),
-                        fmt(row.annualized_volatility),
-                        "" if row.sharpe is None else fmt(row.sharpe),
-                        "" if row.sortino is None else fmt(row.sortino),
-                        fmt(row.max_drawdown),
+                        float(row.annualized_return),
+                        float(row.annualized_volatility),
+                        "" if row.sharpe is None else float(row.sharpe),
+                        "" if row.sortino is None else float(row.sortino),
+                        float(row.max_drawdown),
                     ]
                 )
     return path
-
-
-def read_metrics_csv(path) -> dict[str, dict[str, MetricsRow]]:
-    out: dict[str, dict[str, MetricsRow]] = {}
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault(row["strategy"], {})[row["span"]] = MetricsRow(
-                annualized_return=float(row["annualized_return"]),
-                annualized_volatility=float(row["annualized_volatility"]),
-                sharpe=float(row["sharpe"]) if row["sharpe"] else None,
-                sortino=float(row["sortino"]) if row["sortino"] else None,
-                max_drawdown=float(row["max_drawdown"]),
-            )
-    return out
 
 
 def write_plotdata(
@@ -211,8 +138,8 @@ def write_plotdata(
         with p.open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["date", *strategies])
-            for i, d in enumerate(dates):
-                w.writerow([d.isoformat(), *(fmt(series[s][1][i]) for s in strategies)])
+            columns = [series[s][1].tolist() for s in strategies]
+            w.writerows([d.isoformat(), *cells] for d, *cells in zip(dates, *columns))
         written.append(p)
 
     if nav_by_strategy:
@@ -226,23 +153,6 @@ def write_plotdata(
                 sliced[s] = (sd, sv)
             write_wide(span_name, sliced)
     return written
-
-
-def read_plotdata_csv(path) -> dict[str, tuple[list[date], list[float]]]:
-    """Inverse of one write_plotdata file: wide date x strategy NAV curves."""
-    out: dict[str, tuple[list[date], list[float]]] = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        strategies = header[1:]
-        for name in strategies:
-            out[name] = ([], [])
-        for row in reader:
-            d = date.fromisoformat(row[0])
-            for name, cell in zip(strategies, row[1:]):
-                out[name][0].append(d)
-                out[name][1].append(float(cell))
-    return out
 
 
 def write_panel_csv(frame: MarketFrame, path) -> Path:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solvers import CovarianceEstimate, Portfolio, estimate_covariance
-from .training import AdamState, LinearPredictor, TrainConfig, TrainingError, adam_step, predict
+from .training import LinearPredictor, TrainConfig, check_samples, fit_adam, predict
 from .util import derived_rng
 
 MAX_RETURN_LOSS = "max_return"
@@ -74,29 +74,6 @@ def allocate(model: SoftmaxAllocator, features: np.ndarray) -> Portfolio:
     return Portfolio(w[0])
 
 
-def dfl_loss(
-    weights,
-    realized: np.ndarray,
-    kind: str = MAX_RETURN_LOSS,
-    est: CovarianceEstimate | None = None,
-) -> float:
-    """Negative realized return, or the negative Sharpe surrogate given Sigma."""
-    w = weights.weights if isinstance(weights, Portfolio) else np.asarray(weights, dtype=float)
-    r = np.asarray(realized, dtype=float)
-    if w.shape != r.shape:
-        raise ValueError("weights and realized returns must have matching shape")
-    if kind == MAX_RETURN_LOSS:
-        return -float(r @ w)
-    if kind != MAX_SHARPE_LOSS:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    if est is None:
-        raise ValueError("max_sharpe loss requires a covariance estimate")
-    var = float(w @ est.loaded @ w)
-    if var <= 0:
-        raise ValueError("zero portfolio variance: degenerate covariance")
-    return -float(r @ w) / np.sqrt(var)
-
-
 def _loss_and_weight_grad(z: np.ndarray, y: np.ndarray, kind: str, sigma: np.ndarray | None):
     """Per-sample loss and dLoss/dWeights for a batch of softmax outputs."""
     if kind == MAX_RETURN_LOSS:
@@ -114,7 +91,7 @@ def _loss_and_weight_grad(z: np.ndarray, y: np.ndarray, kind: str, sigma: np.nda
 
 
 def batch_gradients(model: SoftmaxAllocator, xb: np.ndarray, yb: np.ndarray, kind: str, sigma):
-    """Mean loss over the batch and gradients for every parameter group."""
+    """Per-sample losses over the batch and the batch-mean gradient of every parameter group."""
     r_hat, pre1, h, _, z = _forward(model, xb)
     losses, dz = _loss_and_weight_grad(z, yb, kind, sigma)
     b = xb.shape[0]
@@ -131,7 +108,13 @@ def batch_gradients(model: SoftmaxAllocator, xb: np.ndarray, yb: np.ndarray, kin
     dr_hat = dpre1 @ model.w1
     grads["theta"] = np.einsum("bi,bid->d", dr_hat, xb) / b
     grads["intercept"] = np.array([dr_hat.sum(axis=1).mean()])
-    return float(losses.mean()), float(losses.sum()), grads
+    return losses, grads
+
+
+def _allocator(params: dict) -> SoftmaxAllocator:
+    """The allocator whose parameters are the given arrays (no copies)."""
+    inferencer = LinearPredictor(theta=params["theta"], intercept=float(params["intercept"][0]))
+    return SoftmaxAllocator(inferencer, params["w1"], params["b1"], params["w2"], params["b2"])
 
 
 def train_dfl(
@@ -149,18 +132,16 @@ def train_dfl(
     """
     if kind not in DFL_LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(returns, dtype=float)
-    if x.ndim != 3 or x.shape[:2] != y.shape:
-        raise ValueError(f"misaligned features {x.shape} / returns {y.shape}")
+    x, y = check_samples(features, returns, config.batch_size)
     t_total, n, d = x.shape
-    if t_total < config.batch_size:
-        raise ValueError(f"{t_total} samples < batch size {config.batch_size}")
     sigma = None
     if kind == MAX_SHARPE_LOSS:
         if est is None:
             est = estimate_covariance(y)
         sigma = est.loaded
+
+    def batch_grads(params, rows, epoch, batch):
+        return batch_gradients(_allocator(params), x[rows], y[rows], kind, sigma)
 
     model = init_allocator(n, d, hidden=hidden, seed=config.seed)
     params = {
@@ -171,32 +152,5 @@ def train_dfl(
         "w2": model.w2,
         "b2": model.b2,
     }
-    states = {k: AdamState.like(v) for k, v in params.items()}
-
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        loss_sum = 0.0
-        for s in range(0, t_total, config.batch_size):
-            xb, yb = x[s : s + config.batch_size], y[s : s + config.batch_size]
-            _sync(model, params)
-            mean_loss, sum_loss, grads = batch_gradients(model, xb, yb, kind, sigma)
-            if not np.isfinite(mean_loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, offset {s} ({kind})")
-            loss_sum += sum_loss
-            for k in params:
-                params[k] = adam_step(
-                    params[k], grads[k], states[k], config.learning_rate,
-                    config.beta1, config.beta2, config.eps,
-                )
-        trace.append(loss_sum / t_total)
-    _sync(model, params)
-    return model, trace
-
-
-def _sync(model: SoftmaxAllocator, params: dict) -> None:
-    model.inferencer.theta = params["theta"]
-    model.inferencer.intercept = float(params["intercept"][0])
-    model.w1 = params["w1"]
-    model.b1 = params["b1"]
-    model.w2 = params["w2"]
-    model.b2 = params["b2"]
+    trace = fit_adam(params, batch_grads, t_total, config, kind)
+    return _allocator(params), trace

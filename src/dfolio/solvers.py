@@ -83,15 +83,6 @@ class DecisionProblem:
         if self.kind != MAX_RETURN and self.w_prev is None:
             raise ValueError(f"{self.kind} requires w_prev")
 
-    def penalty(self, w: np.ndarray) -> float:
-        """Prediction-independent concave part of the objective at w."""
-        val = 0.0
-        if self.gamma > 0:
-            val -= self.gamma * np.abs(w - self.w_prev.weights).sum()
-        if self.lam > 0:
-            val -= self.lam * float(w @ w)
-        return val
-
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
@@ -180,7 +171,7 @@ def solve_fee_l2(r_hat: np.ndarray, prob: DecisionProblem, full_output: bool = F
         raise SolverError(f"fee+ridge decision not certified: duality gap {gap:.3g} > {_GAP_TOL:g}")
     port = Portfolio(w)
     if full_output:
-        obj = float(r_hat @ port.weights) + prob.penalty(port.weights)
+        obj = float(r_hat @ port.weights + penalty_batch(port.weights, prob)[0])
         return port, {"gap": gap, "objective": obj}
     return port
 
@@ -279,6 +270,7 @@ def argmax_batch(v_rows: np.ndarray, prob: DecisionProblem) -> np.ndarray:
 
 
 def penalty_batch(w_rows: np.ndarray, prob: DecisionProblem) -> np.ndarray:
+    """Prediction-independent concave part of the objective, one value per row of w."""
     w = np.atleast_2d(w_rows)
     out = np.zeros(w.shape[0])
     if prob.gamma > 0:

@@ -20,41 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import _frozen
-from .solvers import DecisionProblem, Portfolio, argmax_batch, penalty_batch
+from .solvers import DecisionProblem, argmax_batch, penalty_batch
 from .util import derived_rng
-
-
-@dataclass(frozen=True)
-class SpoInstance:
-    """One training sample: predicted and realized returns plus the decision problem."""
-
-    r_hat: np.ndarray
-    r_true: np.ndarray
-    problem: DecisionProblem
-
-    def __post_init__(self):
-        r_hat = np.asarray(self.r_hat, dtype=float).reshape(-1)
-        r_true = np.asarray(self.r_true, dtype=float).reshape(-1)
-        if r_hat.size != r_true.size:
-            raise ValueError("r_hat and r_true must have equal length")
-        if not (np.all(np.isfinite(r_hat)) and np.all(np.isfinite(r_true))):
-            raise ValueError("return vectors must be finite")
-        if self.problem.w_prev is not None and self.problem.w_prev.n_assets != r_hat.size:
-            raise ValueError("problem dimension does not match return vectors")
-        object.__setattr__(self, "r_hat", _frozen(r_hat))
-        object.__setattr__(self, "r_true", _frozen(r_true))
-
-
-@dataclass(frozen=True)
-class SpoEvaluation:
-    """Loss value, subgradient wrt r_hat, the two argmax decisions, and true regret."""
-
-    loss: float
-    subgradient: np.ndarray
-    w_tilde: Portfolio
-    w_star: Portfolio
-    regret: float
 
 
 @dataclass(frozen=True)
@@ -63,7 +30,6 @@ class RobustConfig:
 
     rho: float
     n_samples: int = 8
-    include_corners: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -96,24 +62,6 @@ def spo_plus_batch(
     return losses, grads, w_tilde, w_star_rows
 
 
-def spo_plus(instance: SpoInstance) -> SpoEvaluation:
-    """Evaluate the SPO+ surrogate at one instance, including the true regret."""
-    prob = instance.problem
-    losses, grads, w_tilde, w_star = spo_plus_batch(
-        instance.r_hat[None, :], instance.r_true[None, :], prob
-    )
-    w_hat = argmax_batch(instance.r_hat[None, :], prob)[0]
-    star_value = float(instance.r_true @ w_star[0]) + prob.penalty(w_star[0])
-    hat_value = float(instance.r_true @ w_hat) + prob.penalty(w_hat)
-    return SpoEvaluation(
-        loss=float(losses[0]),
-        subgradient=grads[0],
-        w_tilde=Portfolio(w_tilde[0]),
-        w_star=Portfolio(w_star[0]),
-        regret=star_value - hat_value,
-    )
-
-
 def perturbation_set(rho: float, n: int, config: RobustConfig) -> np.ndarray:
     """Seeded perturbation sample: uniform box draws plus sign-pattern corners.
 
@@ -122,37 +70,10 @@ def perturbation_set(rho: float, n: int, config: RobustConfig) -> np.ndarray:
     continue with single-coordinate sign flips, capped at 2n rows.
     """
     rng = derived_rng(config.seed, "robust-box", n)
-    zetas = [rho * rng.uniform(-1.0, 1.0, size=(config.n_samples, n))]
-    if config.include_corners:
-        corners = [np.ones(n), -np.ones(n)]
-        for i in range(n):
-            c = np.ones(n)
-            c[i] = -1.0
-            corners.append(c)
-        for i in range(n):
-            c = -np.ones(n)
-            c[i] = 1.0
-            corners.append(c)
-        corners = np.array(corners[: max(2, 2 * n)])
-        zetas.append(rho * corners)
-    return np.concatenate(zetas, axis=0)
-
-
-def robust_spo_loss(instance: SpoInstance, config: RobustConfig):
-    """Worst sampled SPO+ loss over multiplicative perturbations of r_hat.
-
-    Returns (worst SpoEvaluation, worst zeta); ties keep the first sample. The
-    evaluation's subgradient is taken at the perturbed prediction, i.e. wrt
-    r_tilde = r_hat * (1 + zeta); chain through (1 + zeta) to reach r_hat.
-    """
-    n = instance.r_hat.size
-    zetas = perturbation_set(config.rho, n, config)
-    perturbed = instance.r_hat[None, :] * (1.0 + zetas)
-    r_rows = np.broadcast_to(instance.r_true, perturbed.shape)
-    losses, _, _, _ = spo_plus_batch(perturbed, r_rows, instance.problem)
-    worst = int(np.argmax(losses))
-    evaluation = spo_plus(SpoInstance(perturbed[worst], instance.r_true, instance.problem))
-    return evaluation, zetas[worst]
+    uniform = rho * rng.uniform(-1.0, 1.0, size=(config.n_samples, n))
+    flips = np.ones(n) - 2.0 * np.eye(n)
+    corners = np.concatenate([np.ones((1, n)), -np.ones((1, n)), flips, -flips])[: max(2, 2 * n)]
+    return np.concatenate([uniform, rho * corners], axis=0)
 
 
 def robust_spo_batch(

@@ -1,5 +1,5 @@
-"""Linear predictor training (MSE / SPO+ / robust SPO+), Adam, and the random search
-shared by both model families.
+"""Linear predictor training (MSE / SPO+ / robust SPO+), and the mini-batch Adam
+loop and random search shared by both model families.
 
 The predictor is a single coefficient vector shared across assets: for one
 day's feature slice x (assets x features), predictions are x @ theta + b.
@@ -57,22 +57,18 @@ class AdamState:
         return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> np.ndarray:
+# Adam's moment decay rates and denominator floor.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
     """One Adam update; mutates state, returns the new parameters."""
     state.count += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1**state.count)
-    v_hat = state.v / (1.0 - beta2**state.count)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1**state.count)
+    v_hat = state.v / (1.0 - BETA2**state.count)
+    return params - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass(frozen=True)
@@ -81,9 +77,6 @@ class TrainConfig:
     epochs: int = 30
     learning_rate: float = 0.01
     batch_size: int = 63
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     fit_intercept: bool = True
     robust: RobustConfig | None = None
@@ -102,64 +95,76 @@ class TrainConfig:
             raise ValueError("robust loss requires a RobustConfig")
 
 
+def check_samples(features, targets, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float (T, n_assets, n_features) features and (T, n_assets) targets with T >= batch_size."""
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    if x.ndim != 3 or y.ndim != 2 or x.shape[:2] != y.shape:
+        raise ValueError(f"misaligned features {x.shape} / targets {y.shape}")
+    if x.shape[0] < batch_size:
+        raise ValueError(f"{x.shape[0]} samples < batch size {batch_size}")
+    return x, y
+
+
+def fit_adam(params: dict, batch_grads, t_total: int, config: TrainConfig, label: str) -> list[float]:
+    """Mini-batch Adam over chronological batches, shared by both model families.
+
+    batch_grads(params, rows, epoch, batch) returns the per-sample losses of
+    the rows slice and a dict of gradients; a parameter without a gradient
+    stays fixed. params is updated in place. Returns the per-epoch mean loss.
+    """
+    states = {k: AdamState.like(v) for k, v in params.items()}
+    trace: list[float] = []
+    for epoch in range(config.epochs):
+        loss_sum = 0.0
+        for bi, s in enumerate(range(0, t_total, config.batch_size)):
+            losses, grads = batch_grads(params, slice(s, s + config.batch_size), epoch, bi)
+            batch_loss = float(losses.mean())
+            if not np.isfinite(batch_loss):
+                raise TrainingError(f"non-finite loss {batch_loss} at epoch {epoch}, batch {bi} ({label})")
+            loss_sum += float(losses.sum())
+            for k, g in grads.items():
+                params[k] = adam_step(params[k], g, states[k], config.learning_rate)
+        trace.append(loss_sum / t_total)
+    return trace
+
+
 def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
     """Mini-batch Adam on the configured per-sample loss.
 
     features: (T, n_assets, n_features); targets: (T, n_assets) next-day simple
     returns. Returns (LinearPredictor, per-epoch mean loss trace).
     """
-    x = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if x.ndim != 3 or y.ndim != 2 or x.shape[:2] != y.shape:
-        raise ValueError(f"misaligned features {x.shape} / targets {y.shape}")
+    x, y = check_samples(features, targets, config.batch_size)
     t_total, n, d = x.shape
-    if t_total < config.batch_size:
-        raise ValueError(f"{t_total} samples < batch size {config.batch_size}")
-
-    theta = np.zeros(d)
-    intercept = np.zeros(1)
-    st_theta = AdamState.like(theta)
-    st_b = AdamState.like(intercept)
     prob = config.problem
+    w_star = argmax_batch(y, prob) if config.loss_kind in (SPO_PLUS, ROBUST_SPO) else None
 
-    w_star = None
-    if config.loss_kind in (SPO_PLUS, ROBUST_SPO):
-        w_star = argmax_batch(y, prob)
+    def batch_grads(params, rows, epoch, batch):
+        xb, yb = x[rows], y[rows]
+        r_hat = xb @ params["theta"] + params["intercept"][0]
+        if config.loss_kind == MSE:
+            resid = r_hat - yb
+            losses = (resid * resid).sum(axis=1)
+            g_rhat = 2.0 * resid
+        elif config.loss_kind == SPO_PLUS:
+            losses, g_rhat, _, _ = spo_plus_batch(r_hat, yb, prob, w_star_rows=w_star[rows])
+        else:
+            rc = replace(config.robust, seed=stable_seed(config.seed, "robust", epoch, batch))
+            zetas = perturbation_set(rc.rho, n, rc)
+            losses, g_rhat = robust_spo_batch(r_hat, yb, prob, zetas, w_star_rows=w_star[rows])
+        scale = 1.0 / xb.shape[0]
+        grads = {"theta": np.einsum("bi,bid->d", g_rhat, xb) * scale}
+        if config.fit_intercept:
+            grads["intercept"] = np.array([g_rhat.sum() * scale])
+        return losses, grads
 
-    starts = range(0, t_total, config.batch_size)
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        loss_sum = 0.0
-        for bi, s in enumerate(starts):
-            xb = x[s : s + config.batch_size]
-            yb = y[s : s + config.batch_size]
-            r_hat = xb @ theta + intercept[0]
-            if config.loss_kind == MSE:
-                resid = r_hat - yb
-                losses = (resid * resid).sum(axis=1)
-                g_rhat = 2.0 * resid
-            elif config.loss_kind == SPO_PLUS:
-                losses, g_rhat, _, _ = spo_plus_batch(r_hat, yb, prob, w_star_rows=w_star[s : s + config.batch_size])
-            else:
-                rc = replace(config.robust, seed=stable_seed(config.seed, "robust", epoch, bi))
-                zetas = perturbation_set(rc.rho, n, rc)
-                losses, g_rhat = robust_spo_batch(r_hat, yb, prob, zetas, w_star_rows=w_star[s : s + config.batch_size])
-            batch_loss = float(losses.mean())
-            if not np.isfinite(batch_loss):
-                raise TrainingError(
-                    f"non-finite loss {batch_loss} at epoch {epoch}, batch {bi} ({config.loss_kind})"
-                )
-            loss_sum += float(losses.sum())
-            scale = 1.0 / xb.shape[0]
-            g_theta = np.einsum("bi,bid->d", g_rhat, xb) * scale
-            theta = adam_step(theta, g_theta, st_theta, config.learning_rate, config.beta1, config.beta2, config.eps)
-            if config.fit_intercept:
-                g_b = np.array([g_rhat.sum() * scale])
-                intercept = adam_step(intercept, g_b, st_b, config.learning_rate, config.beta1, config.beta2, config.eps)
-        trace.append(loss_sum / t_total)
-    if not np.all(np.isfinite(theta)) or not np.isfinite(intercept[0]):
+    params = {"theta": np.zeros(d), "intercept": np.zeros(1)}
+    trace = fit_adam(params, batch_grads, t_total, config, config.loss_kind)
+    theta, intercept = params["theta"], params["intercept"][0]
+    if not np.all(np.isfinite(theta)) or not np.isfinite(intercept):
         raise TrainingError("non-finite parameters after training")
-    return LinearPredictor(theta=theta, intercept=float(intercept[0])), trace
+    return LinearPredictor(theta=theta, intercept=float(intercept)), trace
 
 
 @dataclass(frozen=True)

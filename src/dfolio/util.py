@@ -1,4 +1,4 @@
-"""Small shared helpers: date spans, deterministic RNG derivation, CSV float format."""
+"""Small shared helpers: date spans and deterministic RNG derivation."""
 
 from __future__ import annotations
 
@@ -27,9 +27,3 @@ def derived_rng(seed: int, *tags) -> np.random.Generator:
     """Generator seeded from a base seed plus string/int tags."""
     return np.random.Generator(np.random.PCG64(stable_seed(seed, *tags)))
 
-
-def fmt(x) -> str:
-    """Shortest round-trip decimal form for CSV cells (deterministic)."""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)

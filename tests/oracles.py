@@ -5,8 +5,10 @@ checked against exhaustive evaluation over simplex grids (augmented with the
 kink values implied by the prior weights, so piecewise-linear optima land on
 the grid), one-asset-wins problems against direct vertex enumeration, and the
 fee-penalized problems at any size against a dense two-phase simplex LP over
-the epigraph polytope. The CSV readers at the end parse `panel.csv` and
-`features.csv` back, cell by cell, for round-trip tests of their writers.
+the epigraph polytope. The CSV readers at the end parse every CSV artifact
+(`panel.csv`, `features.csv`, `nav.csv`, `weights.csv`, `hparams.csv`,
+`metrics.csv` and the plot data) back, cell by cell, for round-trip tests of
+their writers.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from dfolio.features import FeatureTensor
 from dfolio.market_data import MarketFrame
+from dfolio.metrics import MetricsRow
 from dfolio.solvers import MAX_RETURN, DecisionProblem
 
 
@@ -388,3 +391,83 @@ def read_panel_csv(path) -> MarketFrame:
     adj = np.array([[cells[d][t][0] for t in tickers] for d in dates])
     vol = np.array([[cells[d][t][1] for t in tickers] for d in dates])
     return MarketFrame(dates=dates, tickers=tickers, adj_close=adj, volume=vol)
+
+
+def read_nav_csv(path) -> dict[str, tuple[list[date], list[float]]]:
+    out: dict[str, tuple[list[date], list[float]]] = {}
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["date", "strategy", "nav"]:
+            raise ValueError(f"unexpected nav.csv header {header}")
+        for row in reader:
+            d, name, v = date.fromisoformat(row[0]), row[1], float(row[2])
+            out.setdefault(name, ([], []))
+            out[name][0].append(d)
+            out[name][1].append(v)
+    return out
+
+
+def read_weights_csv(path) -> list[dict]:
+    rows = []
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            rows.append(
+                {
+                    "rebalance_date": date.fromisoformat(row["rebalance_date"]),
+                    "strategy": row["strategy"],
+                    "ticker": row["ticker"],
+                    "weight": float(row["weight"]),
+                    "turnover": float(row["turnover"]),
+                    "fee": float(row["fee"]),
+                }
+            )
+    return rows
+
+
+def read_hparams_csv(path) -> list[dict]:
+    rows = []
+    with Path(path).open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            rows.append(
+                {
+                    "rebalance_date": date.fromisoformat(row["rebalance_date"]),
+                    "strategy": row["strategy"],
+                    "lr": float(row["lr"]),
+                    "epochs": int(row["epochs"]),
+                    "score": float(row["score"]),
+                }
+            )
+    return rows
+
+
+def read_metrics_csv(path) -> dict[str, dict[str, MetricsRow]]:
+    out: dict[str, dict[str, MetricsRow]] = {}
+    with Path(path).open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            out.setdefault(row["strategy"], {})[row["span"]] = MetricsRow(
+                annualized_return=float(row["annualized_return"]),
+                annualized_volatility=float(row["annualized_volatility"]),
+                sharpe=float(row["sharpe"]) if row["sharpe"] else None,
+                sortino=float(row["sortino"]) if row["sortino"] else None,
+                max_drawdown=float(row["max_drawdown"]),
+            )
+    return out
+
+
+def read_plotdata_csv(path) -> dict[str, tuple[list[date], list[float]]]:
+    """Inverse of one write_plotdata file: wide date x strategy NAV curves."""
+    out: dict[str, tuple[list[date], list[float]]] = {}
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        strategies = header[1:]
+        for name in strategies:
+            out[name] = ([], [])
+        for row in reader:
+            d = date.fromisoformat(row[0])
+            for name, cell in zip(strategies, row[1:]):
+                out[name][0].append(d)
+                out[name][1].append(float(cell))
+    return out

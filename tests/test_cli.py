@@ -5,16 +5,16 @@ import pytest
 
 from dfolio import cli
 from dfolio.backtest import BacktestLedger
-from dfolio.reports import (
+from dfolio.reports import read_metrics_json
+
+from oracles import (
     read_hparams_csv,
     read_metrics_csv,
-    read_metrics_json,
     read_nav_csv,
+    read_panel_csv,
     read_plotdata_csv,
     read_weights_csv,
 )
-
-from oracles import read_panel_csv
 
 
 def run_cli(args):

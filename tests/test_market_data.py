@@ -16,7 +16,6 @@ from dfolio.market_data import (
     align_series,
     compute_returns,
     generate_synthetic,
-    ingest_csv_dir,
     load_series,
     read_ticker_csv,
     write_csv_dir,
@@ -30,7 +29,7 @@ class TestIngest:
         days = weekdays(date(2020, 1, 6), 10)
         write_ticker_csv(tmp_csv_dir / "AAA.csv", flat_bars(days, 100.0))
         write_ticker_csv(tmp_csv_dir / "BBB.csv", flat_bars(days, 50.0))
-        frame = ingest_csv_dir(tmp_csv_dir)
+        frame = align_series(load_series(tmp_csv_dir))
         assert frame.n_dates == 10
         assert frame.tickers == ("AAA", "BBB")
 
@@ -38,7 +37,7 @@ class TestIngest:
         days = weekdays(date(2020, 1, 6), 12)
         write_ticker_csv(tmp_csv_dir / "A.csv", flat_bars(days[:10]))
         write_ticker_csv(tmp_csv_dir / "B.csv", flat_bars(days[2:12]))
-        frame = ingest_csv_dir(tmp_csv_dir)
+        frame = align_series(load_series(tmp_csv_dir))
         assert frame.dates == tuple(days[2:10])
 
     def test_zero_adj_close_names_file_and_line(self, tmp_csv_dir):
@@ -47,14 +46,14 @@ class TestIngest:
         rows[1] = (days[1], 100.0, 100.0, 100.0, 100.0, 0.0, 1000.0)
         write_ticker_csv(tmp_csv_dir / "BAD.csv", rows)
         with pytest.raises(IngestionError) as err:
-            ingest_csv_dir(tmp_csv_dir)
+            align_series(load_series(tmp_csv_dir))
         assert "BAD.csv" in str(err.value)
         assert err.value.line == 3  # header is line 1
 
     def test_bad_header(self, tmp_csv_dir):
         (tmp_csv_dir / "X.csv").write_text("date,open,close\n2020-01-06,1,1\n")
         with pytest.raises(IngestionError) as err:
-            ingest_csv_dir(tmp_csv_dir)
+            align_series(load_series(tmp_csv_dir))
         assert err.value.line == 1
 
     def test_unparsable_row(self, tmp_csv_dir):
@@ -63,18 +62,18 @@ class TestIngest:
         rows[1] = (days[1], "oops", 100.0, 100.0, 100.0, 100.0, 1000.0)
         write_ticker_csv(tmp_csv_dir / "X.csv", rows)
         with pytest.raises(IngestionError):
-            ingest_csv_dir(tmp_csv_dir)
+            align_series(load_series(tmp_csv_dir))
 
     def test_empty_dir(self, tmp_csv_dir):
         with pytest.raises(UniverseError, match="no input files"):
-            ingest_csv_dir(tmp_csv_dir)
+            align_series(load_series(tmp_csv_dir))
 
     def test_empty_intersection(self, tmp_csv_dir):
         days = weekdays(date(2020, 1, 6), 10)
         write_ticker_csv(tmp_csv_dir / "A.csv", flat_bars(days[:5]))
         write_ticker_csv(tmp_csv_dir / "B.csv", flat_bars(days[5:]))
         with pytest.raises(UniverseError, match="empty date intersection"):
-            ingest_csv_dir(tmp_csv_dir)
+            align_series(load_series(tmp_csv_dir))
 
     def test_non_increasing_dates(self, tmp_csv_dir):
         days = weekdays(date(2020, 1, 6), 3)
@@ -87,10 +86,10 @@ class TestIngest:
         days = weekdays(date(2020, 1, 6), 15)
         write_ticker_csv(tmp_csv_dir / "A.csv", flat_bars(days[:12], 101.5))
         write_ticker_csv(tmp_csv_dir / "B.csv", flat_bars(days[3:], 55.25))
-        frame = ingest_csv_dir(tmp_csv_dir)
+        frame = align_series(load_series(tmp_csv_dir))
         out = tmp_csv_dir.parent / "round"
         write_csv_dir(frame, out)
-        again = ingest_csv_dir(out)
+        again = align_series(load_series(out))
         assert again.dates == frame.dates
         assert again.tickers == frame.tickers
         assert again.adj_close.tobytes() == frame.adj_close.tobytes()
@@ -153,6 +152,7 @@ PARSE_ERRORS = [
     line_3(row(h="100.9"), OHLC, id="high-below-close"),
     line_3(row(l="100.6"), OHLC, id="low-above-open"),
     line_3(row(v="-1.0"), "volume must be >= 0", id="negative-volume"),
+    line_3(row(o="1" * 200_000), "field larger than field limit (131072)", id="field-over-csv-limit"),
     line_3(row(day="2020-01-06"), "dates not strictly increasing at 2020-01-06", id="repeated-date"),
     pytest.param(
         [HEADER, GOOD, row(), row(day="2020-01-06")],
@@ -283,19 +283,16 @@ class TestReturns:
         frame = make_frame(np.array([[100.0], [110.0]]))
         panel = compute_returns(frame)
         assert panel.simple_returns[0, 0] == pytest.approx(0.10, abs=1e-12)
-        assert panel.log_returns[0, 0] == pytest.approx(math.log(1.1), abs=1e-12)
 
     def test_down_move(self):
         frame = make_frame(np.array([[100.0], [50.0]]))
         panel = compute_returns(frame)
         assert panel.simple_returns[0, 0] == pytest.approx(-0.5, abs=1e-12)
-        assert panel.log_returns[0, 0] == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_constant_prices(self):
         frame = make_frame(np.full((5, 3), 42.0))
         panel = compute_returns(frame)
         assert np.all(panel.simple_returns == 0.0)
-        assert np.all(panel.log_returns == 0.0)
 
     def test_needs_two_dates(self):
         frame = make_frame(np.array([[100.0]]))
@@ -311,11 +308,11 @@ class TestReturns:
         st.lists(st.floats(min_value=0.1, max_value=1000.0), min_size=2, max_size=40),
     )
     @settings(deadline=None, max_examples=50)
-    def test_log_simple_consistency(self, prices):
+    def test_simple_returns_above_minus_one(self, prices):
         frame = make_frame(np.array(prices)[:, None])
         panel = compute_returns(frame)
         np.testing.assert_allclose(
-            np.expm1(panel.log_returns), panel.simple_returns, atol=1e-12
+            (1.0 + panel.simple_returns[:, 0]) * prices[:-1], prices[1:], rtol=1e-12
         )
         assert np.all(panel.simple_returns > -1.0)
 

@@ -89,10 +89,13 @@ class TestComputeMetrics:
             compute_metrics(dates, nav)
 
     def test_downside_count_convention(self):
+        # the downside sum of squares is divided by all 3 returns, not the 1 negative one
         dates, nav = nav_series([1.0, 0.9, 0.99, 1.05])
-        full = compute_metrics(dates, nav, downside_count="full")
-        down = compute_metrics(dates, nav, downside_count="downside")
-        assert full.sortino != down.sortino
+        rets = np.array([0.9, 0.99 / 0.9, 1.05 / 0.99]) - 1.0
+        dstd = np.sqrt(rets[0] ** 2 / 3)
+        sortino = compute_metrics(dates, nav).sortino
+        assert sortino == pytest.approx(rets.mean() / dstd * np.sqrt(252), rel=1e-12)
+        assert sortino != pytest.approx(rets.mean() / abs(rets[0]) * np.sqrt(252), rel=1e-3)
 
 
 class TestSubperiodReport:

@@ -13,6 +13,8 @@ import sys
 from datetime import date
 from pathlib import Path
 
+from dfolio import cli
+
 from conftest import flat_bars, weekdays, write_ticker_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +60,42 @@ def test_traced_ingest_counts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.splitlines()[-1])
     assert metrics == {keys[0]: 58 + 59 + 60, keys[1]: 3}
+
+
+TRACED_BACKTEST = ATTACH + """
+assert dfolio.cli.main(["backtest", "--config", {config!r}]) == 0
+metrics = tracing.layer_metrics(tracer.spans)
+print(json.dumps({{k: metrics[k] for k in {keys!r}}}))
+"""
+
+
+def test_traced_backtest_counts(tmp_path):
+    # One rebalance (2016-02-01), one trial of one epoch per strategy. The two
+    # linear strategies train through dfolio.backtest.train, the allocator
+    # through dfolio.backtest.train_dfl, and robust SPO+ draws one perturbation
+    # set per batch from dfolio.training: 182 train rows make 3 batches of <= 63.
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--assets", "4", "--days", "480", "--seed", "5"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data_dir": str(data),
+        "output_dir": str(tmp_path / "out"),
+        "seed": 3,
+        "backtest": {"start": "2016-02-01", "end": "2016-02-29"},
+        "search": {"n_trials": 1, "epochs_min": 1, "epochs_max": 1},
+        "strategies": ["spo_plus", "robust_spo_rho0.1", "softmax_max_return"],
+    }))
+    keys = [
+        "backtest.run_window.calls",
+        "training.train.calls",
+        "training.train.epochs",
+        "softmax_dfl.train_dfl.calls",
+        "spo.perturbation_set.calls",
+    ]
+    code = TRACED_BACKTEST.format(
+        src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), config=str(config), keys=keys,
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics == dict(zip(keys, [3, 2, 2, 1, 3]))

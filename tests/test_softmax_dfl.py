@@ -7,12 +7,12 @@ from dfolio.softmax_dfl import (
     MAX_SHARPE_LOSS,
     _forward,
     allocate,
+    _loss_and_weight_grad,
     batch_gradients,
-    dfl_loss,
     init_allocator,
     train_dfl,
 )
-from dfolio.training import SearchSpace, TrainConfig, hyperparameter_search
+from dfolio.training import SearchSpace, TrainConfig, TrainingError, hyperparameter_search
 
 
 def zero_head_allocator(n=3, d=2, hidden=8):
@@ -48,19 +48,24 @@ class TestAllocate:
             allocate(model, np.zeros((4, 2)))
 
 
+def loss_rows(weights, realized, kind, sigma=None):
+    """Per-sample realized-performance losses of weight rows."""
+    return _loss_and_weight_grad(np.atleast_2d(weights), np.atleast_2d(realized), kind, sigma)[0]
+
+
 class TestDflLoss:
     def test_zero_returns(self):
-        assert dfl_loss(Portfolio.uniform(3), np.zeros(3), MAX_RETURN_LOSS) == 0.0
+        assert loss_rows(Portfolio.uniform(3).weights, np.zeros(3), MAX_RETURN_LOSS)[0] == 0.0
 
     def test_max_sharpe_zero_numerator(self):
         est = CovarianceEstimate(mean=np.zeros(2), sigma=np.eye(2))
-        loss = dfl_loss(np.array([0.5, 0.5]), np.array([0.1, -0.1]), MAX_SHARPE_LOSS, est)
+        loss = loss_rows(np.array([0.5, 0.5]), np.array([0.1, -0.1]), MAX_SHARPE_LOSS, est.loaded)[0]
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_returns_loss(self):
         rng = np.random.default_rng(1)
         w = rng.dirichlet(np.ones(4))
-        loss = dfl_loss(w, np.full(4, 0.02), MAX_RETURN_LOSS)
+        loss = loss_rows(w, np.full(4, 0.02), MAX_RETURN_LOSS)[0]
         assert loss == pytest.approx(-0.02, abs=1e-12)
 
     def test_shift_identity(self):
@@ -68,13 +73,12 @@ class TestDflLoss:
         w = rng.dirichlet(np.ones(3))
         r = rng.normal(0, 0.05, 3)
         c = 0.013
-        base = dfl_loss(w, r, MAX_RETURN_LOSS)
-        shifted = dfl_loss(w, r + c, MAX_RETURN_LOSS)
+        base = loss_rows(w, r, MAX_RETURN_LOSS)[0]
+        shifted = loss_rows(w, r + c, MAX_RETURN_LOSS)[0]
         assert shifted == pytest.approx(base - c, abs=1e-12)
 
     def test_degenerate_covariance_rejected(self):
         from dfolio.solvers import SolverError
-        from dfolio.softmax_dfl import _loss_and_weight_grad
 
         # a singular estimate cannot even be constructed ...
         with pytest.raises(SolverError):
@@ -86,8 +90,15 @@ class TestDflLoss:
             )
 
     def test_sharpe_requires_estimate(self):
-        with pytest.raises(ValueError):
-            dfl_loss(np.array([1.0, 0.0]), np.array([0.1, 0.0]), MAX_SHARPE_LOSS)
+        # without a supplied estimate, the Sharpe loss estimates Sigma from the training returns
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(70, 3, 2))
+        y = rng.normal(0, 0.01, size=(70, 3))
+        cfg = TrainConfig(epochs=2, learning_rate=0.01, batch_size=63, seed=4)
+        m1, t1 = train_dfl(x, y, MAX_SHARPE_LOSS, cfg)
+        m2, t2 = train_dfl(x, y, MAX_SHARPE_LOSS, cfg, est=estimate_covariance(y))
+        assert m1.w1.tobytes() == m2.w1.tobytes()
+        assert t1 == t2
 
 
 def flatten_params(model):
@@ -124,7 +135,7 @@ class TestGradients:
         if kind == MAX_SHARPE_LOSS:
             a = rng.normal(size=(n, n))
             sigma = a @ a.T + 0.5 * np.eye(n)
-        mean_loss, _, grads = batch_gradients(model, xb, yb, kind, sigma)
+        _, grads = batch_gradients(model, xb, yb, kind, sigma)
 
         def loss_at():
             r_hat, pre1, h, logits, z = _forward(model, xb)
@@ -158,7 +169,7 @@ class TestGradients:
         model = zero_head_allocator(n=3)
         xb = np.zeros((2, 3, 2))
         yb = np.full((2, 3), 0.02)
-        _, _, grads = batch_gradients(model, xb, yb, MAX_RETURN_LOSS, None)
+        _, grads = batch_gradients(model, xb, yb, MAX_RETURN_LOSS, None)
         np.testing.assert_allclose(grads["b2"], 0.0, atol=1e-15)
         np.testing.assert_allclose(grads["w2"], 0.0, atol=1e-15)
 
@@ -207,6 +218,15 @@ class TestTrainDfl:
         m2, t2 = train_dfl(x, y, MAX_RETURN_LOSS, cfg)
         assert m1.w1.tobytes() == m2.w1.tobytes()
         assert t1 == t2
+
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(130, 3, 2))
+        y = rng.normal(0, 0.01, size=(130, 3))
+        x[70, 0, 0] = np.nan  # rows 63..125 form batch 1
+        cfg = TrainConfig(epochs=2, learning_rate=0.01, batch_size=63, seed=0)
+        with pytest.raises(TrainingError, match=r"^non-finite loss nan at epoch 0, batch 1 \(max_return\)$"):
+            train_dfl(x, y, MAX_RETURN_LOSS, cfg)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

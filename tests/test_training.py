@@ -146,12 +146,19 @@ class TestTrain:
         assert np.all(np.isfinite(model.theta))
         assert len(trace) == 3
 
+    def test_fixed_intercept_stays_zero(self):
+        x, y = planted_data(n_days=150, noise=0.01)
+        cfg = TrainConfig(loss_kind=SPO_PLUS, epochs=3, learning_rate=0.05, batch_size=63, seed=0, fit_intercept=False)
+        model, _ = train(x, y, cfg)
+        assert model.intercept == 0.0
+        assert np.any(model.theta != 0.0)
+
     def test_non_finite_aborts(self):
         x, y = planted_data(n_days=100)
         x = x.copy()
         x[10, 0, 0] = np.nan
         cfg = TrainConfig(loss_kind=MSE, epochs=2, learning_rate=0.01, batch_size=63, seed=0)
-        with pytest.raises(TrainingError, match="non-finite"):
+        with pytest.raises(TrainingError, match=r"^non-finite loss nan at epoch 0, batch 0 \(mse\)$"):
             train(x, y, cfg)
 
     def test_spo_gradient_through_linear_map(self):

@@ -3,7 +3,9 @@
 Each writer's file is compared with a reference that formats cell by cell.
 The values include a negative zero, the smallest subnormal, integral floats
 that repr keeps in fixed or switches to exponent notation, and a sum with a
-long repr; a ticker containing a comma must come out quoted.
+long repr; a ticker containing a comma must come out quoted. The backtest
+writers get numpy scalars and arrays as well as Python floats, as the
+backtest hands them over.
 """
 
 import csv
@@ -12,9 +14,18 @@ from datetime import date
 
 import numpy as np
 
+from dfolio.backtest import BacktestLedger, RebalanceRecord, WindowDiagnostics
 from dfolio.features import FeatureTensor, write_features_csv
 from dfolio.market_data import CSV_HEADER, MarketFrame, read_ticker_csv, write_csv_dir
-from dfolio.reports import write_panel_csv
+from dfolio.metrics import MetricsRow
+from dfolio.reports import (
+    write_hparams_csv,
+    write_metrics_csv,
+    write_nav_csv,
+    write_panel_csv,
+    write_plotdata,
+    write_weights_csv,
+)
 
 TICKERS = ("A,B", "C")
 DATES = (date(2020, 1, 6), date(2020, 1, 7))
@@ -73,3 +84,80 @@ def test_synth_csv_dir_matches_per_cell_repr_and_reads_back(tmp_path):
         bars = read_ticker_csv(p)
         assert np.array([b.adj_close for b in bars]).tobytes() == frame.adj_close[:, j].tobytes()
         assert np.array([b.volume for b in bars]).tobytes() == frame.volume[:, j].tobytes()
+
+
+def edge_ledgers() -> dict[str, BacktestLedger]:
+    def record(day, target, turnover, fee, lr, score):
+        diag = WindowDiagnostics(rebalance=day, train_start=day, val_start=day, learning_rate=lr, epochs=7, score=score)
+        return RebalanceRecord(day, np.array(target), np.zeros(2), turnover, fee, 1.0, 1.0, diag)
+
+    a = BacktestLedger(
+        "a,b",
+        nav_dates=list(DATES),
+        nav=[np.float64(0.1 + 0.2), 1e16],
+        rebalances=[record(DATES[0], [-0.0, 1.0], np.float64(5e-324), 1e-7, 0.1 + 0.2, np.float64(-0.0))],
+    )
+    b = BacktestLedger(
+        "c",
+        nav_dates=list(DATES),
+        nav=[5e-324, -0.0],
+        rebalances=[record(DATES[1], [5e-324, 1e16], -0.0, np.float64(1e16), np.float64(1e-7), 647508.0)],
+    )
+    return {"a,b": a, "failed": BacktestLedger("failed", error="boom"), "c": b}
+
+
+def test_nav_csv_matches_per_cell_repr(tmp_path):
+    ledgers = edge_ledgers()
+    path = write_nav_csv(ledgers, tmp_path / "nav.csv")
+    rows = [[d.isoformat(), name, v] for name in ("a,b", "c") for d, v in zip(DATES, ledgers[name].nav)]
+    assert path.read_bytes() == reference_csv(["date", "strategy", "nav"], rows)
+    assert b'2020-01-06,"a,b",0.30000000000000004\r\n' in path.read_bytes()
+
+
+def test_weights_csv_matches_per_cell_repr(tmp_path):
+    ledgers = edge_ledgers()
+    path = write_weights_csv(ledgers, TICKERS, tmp_path / "weights.csv")
+    rows = [
+        [rec.day.isoformat(), name, t, rec.target[j], rec.turnover, rec.fee]
+        for name in ("a,b", "c")
+        for rec in ledgers[name].rebalances
+        for j, t in enumerate(TICKERS)
+    ]
+    assert path.read_bytes() == reference_csv(["rebalance_date", "strategy", "ticker", "weight", "turnover", "fee"], rows)
+    assert b'2020-01-06,"a,b","A,B",-0.0,5e-324,1e-07\r\n' in path.read_bytes()
+
+
+def test_hparams_csv_matches_per_cell_repr(tmp_path):
+    ledgers = edge_ledgers()
+    path = write_hparams_csv(ledgers, tmp_path / "hparams.csv")
+    rows = []
+    for name in ("a,b", "c"):
+        for rec in ledgers[name].rebalances:
+            diag = rec.diagnostics
+            rows.append([rec.day.isoformat(), name, diag.learning_rate, str(diag.epochs), diag.score])
+    assert path.read_bytes() == reference_csv(["rebalance_date", "strategy", "lr", "epochs", "score"], rows)
+    assert b"2020-01-07,c,1e-07,7,647508.0\r\n" in path.read_bytes()
+
+
+def test_metrics_csv_matches_per_cell_repr(tmp_path):
+    report = {
+        "a,b": {"full": MetricsRow(np.float64(-0.0), 5e-324, None, np.float64(1e16), 0.1 + 0.2)},
+        "c": {"2020": MetricsRow(1e22, 647508.0, 1e-7, None, 123456789.125)},
+    }
+    path = write_metrics_csv(report, tmp_path / "metrics.csv")
+    header = ["strategy", "span", "annualized_return", "annualized_volatility", "sharpe", "sortino", "max_drawdown"]
+    rows = [
+        [name, span, *("" if v is None else v for v in row.as_dict().values())]
+        for name, spans in report.items()
+        for span, row in spans.items()
+    ]
+    assert path.read_bytes() == reference_csv(header, rows)
+    assert b'"a,b",full,-0.0,5e-324,,1e+16,0.30000000000000004\r\n' in path.read_bytes()
+
+
+def test_plotdata_matches_per_cell_repr(tmp_path):
+    series = {"a,b": (list(DATES), [-0.0, 5e-324]), "c": (list(DATES), np.array([1e16, 0.1 + 0.2]))}
+    (path,) = write_plotdata(series, {"full": (None, None)}, tmp_path / "plotdata")
+    rows = [[d.isoformat(), series["a,b"][1][i], series["c"][1][i]] for i, d in enumerate(DATES)]
+    assert path.read_bytes() == reference_csv(["date", "a,b", "c"], rows)
+    assert b"2020-01-07,5e-324,0.30000000000000004\r\n" in path.read_bytes()
