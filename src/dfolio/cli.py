@@ -22,6 +22,7 @@ from .backtest import (
     BacktestConfig,
     StrategySpec,
     default_roster,
+    rebalance_dates,
     run_backtest,
 )
 from .features import compute_indicators, write_features_csv
@@ -279,9 +280,21 @@ def cmd_backtest(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    ledgers = run_backtest(frame, run.roster, run.backtest)
+    # Config faults that only the data or the file system reveal, reported
+    # before any training.
+    try:
+        rebalance_dates(frame, run.backtest)
+    except ValueError as exc:
+        print(f"config error: backtest: {exc}", file=sys.stderr)
+        return 2
     out = run.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: output_dir: cannot create {out} ({exc.strerror})", file=sys.stderr)
+        return 2
+
+    ledgers = run_backtest(frame, run.roster, run.backtest)
     series = nav_series(ledgers)
     spans = {"full": (None, None), **run.report_spans}
     report = subperiod_report(series, spans) if series else {}
@@ -310,7 +323,7 @@ def cmd_compare(args) -> int:
     try:
         a = read_metrics_json(args.metrics_a)
         b = read_metrics_json(args.metrics_b)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read metrics ({exc})", file=sys.stderr)
         return 2
     common = [s for s in a if s in b]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from datetime import date
 from itertools import repeat
 from pathlib import Path
@@ -78,13 +79,28 @@ def write_metrics_json(report: dict[str, dict[str, MetricsRow]], path) -> Path:
 
 
 def read_metrics_json(path) -> dict[str, dict[str, MetricsRow]]:
-    payload = json.loads(Path(path).read_text())
+    """Read a metrics.json report; a payload of any other shape is a ValueError naming the file."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected an object of strategy -> span -> metrics, got {type(payload).__name__}")
+    names = [f.name for f in fields(MetricsRow)]
     out: dict[str, dict[str, MetricsRow]] = {}
     for strategy, spans in payload.items():
+        if not isinstance(spans, dict):
+            raise ValueError(f"{path}: {strategy}: expected an object of span -> metrics")
         out[strategy] = {}
         for span, row in spans.items():
+            if not (isinstance(row, dict) and sorted(row) == sorted(names) and all(map(_is_metric, row.values()))):
+                raise ValueError(f"{path}: {strategy}.{span}: expected numbers or null for exactly {', '.join(names)}")
             out[strategy][span] = MetricsRow(**row)
     return out
+
+
+def _is_metric(value) -> bool:
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
 
 
 METRICS_CSV_HEADER = [

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .solvers import DecisionProblem, argmax_batch
-from .spo import RobustConfig, perturbation_set, robust_spo_batch, spo_plus_batch
+from .solvers import MAX_RETURN, DecisionProblem, argmax_batch
+from .spo import RobustConfig, perturbation_set, robust_max_return_batch, robust_spo_batch, spo_plus_batch
 from .util import derived_rng, stable_seed
 
 MSE = "mse"
@@ -151,8 +151,17 @@ def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
             losses, g_rhat, _, _ = spo_plus_batch(r_hat, yb, prob, w_star_rows=w_star[rows])
         else:
             rc = replace(config.robust, seed=stable_seed(config.seed, "robust", epoch, batch))
-            zetas = perturbation_set(rc.rho, n, rc)
-            losses, g_rhat = robust_spo_batch(r_hat, yb, prob, zetas, w_star_rows=w_star[rows])
+            ws = w_star[rows]
+            if prob.kind != MAX_RETURN:
+                losses, g_rhat = robust_spo_batch(r_hat, yb, prob, perturbation_set(rc.rho, n, rc), w_star_rows=ws)
+            else:
+                # Rows the closed form cannot certify bit-equal to the sampled
+                # worst case (all of them at theta = 0) are sampled.
+                losses, g_rhat, settled = robust_max_return_batch(r_hat, yb, ws, rc)
+                if not settled.all():
+                    todo = ~settled
+                    zetas = perturbation_set(rc.rho, n, rc)
+                    losses[todo], g_rhat[todo] = robust_spo_batch(r_hat[todo], yb[todo], prob, zetas, w_star_rows=ws[todo])
         scale = 1.0 / xb.shape[0]
         grads = {"theta": np.einsum("bi,bid->d", g_rhat, xb) * scale}
         if config.fit_intercept:

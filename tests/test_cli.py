@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,13 @@ from oracles import (
 
 def run_cli(args):
     return cli.main(args)
+
+
+def run_cli_process(args):
+    """Run the CLI in a fresh interpreter: (exit code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "dfolio.cli", *args], capture_output=True, text=True, timeout=300, env=env)
+    return proc.returncode, proc.stderr
 
 
 @pytest.fixture
@@ -111,6 +121,37 @@ class TestSynthAndIngest:
 
 
 class TestBacktestCommand:
+    @pytest.mark.parametrize(
+        "backtest, message",
+        [
+            ({"start": "2030-01-01", "end": "2030-12-31"}, "no rebalance dates in [2030-01-01, 2030-12-31] with a 12-month"),
+            ({"start": "2016-02-01", "end": "2016-10-31", "train_months": 200}, "no rebalance dates in [2016-02-01, 2016-10-31] with a 203-month"),
+        ],
+    )
+    def test_span_without_rebalance_date_is_config_error(self, synth_dir, tmp_path, backtest, message):
+        cfg = write_config(tmp_path, synth_dir, tmp_path / "out", backtest=backtest)
+        code, err = run_cli_process(["backtest", "--config", str(cfg)])
+        assert code == 2
+        assert f"config error: backtest: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_uncreatable_output_dir_fails_before_training(self, synth_dir, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, synth_dir, blocker / "x")
+        code, err = run_cli_process(["backtest", "--config", str(cfg)])
+        assert code == 2
+        assert f"config error: output_dir: cannot create {blocker / 'x'}" in err
+        assert "Traceback" not in err
+
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "run_backtest", no_training)
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert "config error: output_dir" in capsys.readouterr().err
+
     def test_single_strategy_run(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, synth_dir, out, strategies=["max_sharpe"])
@@ -260,3 +301,30 @@ class TestCompareCommand:
         good.write_text("{}")
         assert run_cli(["compare", str(bad), str(good)]) == 2
         assert "cannot read metrics" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, detail",
+        [
+            ([1, 2], "expected an object of strategy -> span -> metrics, got list"),
+            ({"s": [1]}, "s: expected an object of span -> metrics"),
+            ({"s": {"full": {"annualized_return": 1.0}}}, "s.full: expected numbers or null for exactly"),
+            ({"s": {"full": dict.fromkeys(
+                ["annualized_return", "annualized_volatility", "sharpe", "sortino", "max_drawdown"], "x"
+            )}}, "s.full: expected numbers or null"),
+        ],
+    )
+    def test_malformed_report_names_file(self, tmp_path, payload, detail):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        good = tmp_path / "good.json"
+        good.write_text("{}")
+        code, err = run_cli_process(["compare", str(good), str(bad)])
+        assert code == 2
+        assert err.startswith(f"error: cannot read metrics ({bad}: {detail}")
+        assert "Traceback" not in err
+
+    def test_invalid_json_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert run_cli(["compare", str(bad), str(bad)]) == 2
+        assert f"error: cannot read metrics ({bad}: not valid JSON" in capsys.readouterr().err

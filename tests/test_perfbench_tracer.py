@@ -72,8 +72,10 @@ print(json.dumps({{k: metrics[k] for k in {keys!r}}}))
 def test_traced_backtest_counts(tmp_path):
     # One rebalance (2016-02-01), one trial of one epoch per strategy. The two
     # linear strategies train through dfolio.backtest.train, the allocator
-    # through dfolio.backtest.train_dfl, and robust SPO+ draws one perturbation
-    # set per batch from dfolio.training: 182 train rows make 3 batches of <= 63.
+    # through dfolio.backtest.train_dfl. Of robust SPO+'s 3 batches (182 train
+    # rows in batches of <= 63) only the first, at theta = 0, is left unsettled
+    # by the closed-form worst case and draws a perturbation set from
+    # dfolio.training.
     data = tmp_path / "data"
     assert cli.main(["synth", "--out", str(data), "--assets", "4", "--days", "480", "--seed", "5"]) == 0
     config = tmp_path / "config.json"
@@ -98,4 +100,4 @@ def test_traced_backtest_counts(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.splitlines()[-1])
-    assert metrics == dict(zip(keys, [3, 2, 2, 1, 3]))
+    assert metrics == dict(zip(keys, [3, 2, 2, 1, 1]))

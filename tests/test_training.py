@@ -146,6 +146,35 @@ class TestTrain:
         assert np.all(np.isfinite(model.theta))
         assert len(trace) == 3
 
+    @pytest.mark.parametrize("rho", [0.01, 0.1])
+    def test_closed_form_worst_case_equals_sampled_path(self, rho, monkeypatch):
+        # Max-return robust training settles rows with the closed form; forcing
+        # every row onto the sampled path must give the same bits.
+        import dfolio.training
+
+        x, y = planted_data(n_assets=8, n_days=260, noise=0.01)
+        cfg = TrainConfig(loss_kind=ROBUST_SPO, epochs=5, learning_rate=0.02, seed=4, robust=RobustConfig(rho=rho, seed=4))
+        exact = dfolio.training.robust_max_return_batch
+        settled_rows = []
+
+        def spy(*args):
+            out = exact(*args)
+            settled_rows.append(int(out[2].sum()))
+            return out
+
+        def none_settled(*args):
+            losses, grads, settled = exact(*args)
+            return losses, grads, np.zeros_like(settled)
+
+        monkeypatch.setattr(dfolio.training, "robust_max_return_batch", spy)
+        model, trace = train(x, y, cfg)
+        monkeypatch.setattr(dfolio.training, "robust_max_return_batch", none_settled)
+        sampled, sampled_trace = train(x, y, cfg)
+        assert settled_rows[0] == 0 and sum(settled_rows) > 0.9 * (len(y) * cfg.epochs - 63)
+        assert model.theta.tobytes() == sampled.theta.tobytes()
+        assert model.intercept.hex() == sampled.intercept.hex()
+        assert trace == sampled_trace
+
     def test_fixed_intercept_stays_zero(self):
         x, y = planted_data(n_days=150, noise=0.01)
         cfg = TrainConfig(loss_kind=SPO_PLUS, epochs=3, learning_rate=0.05, batch_size=63, seed=0, fit_intercept=False)

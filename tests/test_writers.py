@@ -11,6 +11,7 @@ backtest hands them over.
 import csv
 import io
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
@@ -161,3 +162,48 @@ def test_plotdata_matches_per_cell_repr(tmp_path):
     rows = [[d.isoformat(), series["a,b"][1][i], series["c"][1][i]] for i, d in enumerate(DATES)]
     assert path.read_bytes() == reference_csv(["date", "a,b", "c"], rows)
     assert b"2020-01-07,5e-324,0.30000000000000004\r\n" in path.read_bytes()
+
+
+class CellTypeGuard:
+    """csv.writer stand-in that lets through only str, int and Python float cells."""
+
+    files: list[str] = []
+
+    def __init__(self, fh, *args, **kwargs):
+        self.files.append(Path(fh.name).name)
+        self.real = REAL_WRITER(fh, *args, **kwargs)
+
+    def writerow(self, row):
+        row = list(row)
+        bad = [type(c).__name__ for c in row if type(c) not in (str, int, float)]
+        assert not bad, f"csv got cells of type {bad} in {row!r}"
+        return self.real.writerow(row)
+
+    def writerows(self, rows):
+        for row in rows:
+            self.writerow(row)
+
+
+REAL_WRITER = csv.writer
+
+
+def test_writers_hand_csv_only_python_scalars(tmp_path, monkeypatch):
+    # str(np.float64(x)) == repr(float(x)) for every edge value above, so the
+    # byte comparisons cannot see a numpy scalar reaching csv; check the types.
+    monkeypatch.setattr(csv, "writer", CellTypeGuard)
+    monkeypatch.setattr(CellTypeGuard, "files", [])
+    frame, ledgers = edge_frame(), edge_ledgers()
+    feats = np.array(EDGE * 2).reshape(2, 2, 4)
+    write_features_csv(FeatureTensor(dates=DATES, tickers=TICKERS, features=feats, feature_names=tuple("abcd")), tmp_path / "f.csv")
+    write_panel_csv(frame, tmp_path / "panel.csv")
+    write_csv_dir(frame, tmp_path / "data")
+    write_nav_csv(ledgers, tmp_path / "nav.csv")
+    write_weights_csv(ledgers, TICKERS, tmp_path / "weights.csv")
+    write_hparams_csv(ledgers, tmp_path / "hparams.csv")
+    report = {"a,b": {"full": MetricsRow(np.float64(-0.0), 5e-324, None, np.float64(1e16), 0.1 + 0.2)}}
+    write_metrics_csv(report, tmp_path / "metrics.csv")
+    series = {"a,b": (list(DATES), [-0.0, 5e-324]), "c": (list(DATES), np.array([1e16, 0.1 + 0.2]))}
+    write_plotdata(series, {"full": (None, None)}, tmp_path / "plotdata")
+    assert CellTypeGuard.files == [
+        "f.csv", "panel.csv", "A,B.csv", "C.csv", "nav.csv", "weights.csv", "hparams.csv", "metrics.csv", "nav_full.csv"
+    ]
