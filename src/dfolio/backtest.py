@@ -31,7 +31,7 @@ from .solvers import (
     solve_max_return,
     solve_max_sharpe,
 )
-from .softmax_dfl import MAX_RETURN_LOSS, MAX_SHARPE_LOSS, _forward, allocate, train_dfl
+from .softmax_dfl import MAX_RETURN_LOSS, MAX_SHARPE_LOSS, allocate, allocate_batch, train_dfl
 from .spo import RobustConfig
 from .training import (
     MSE,
@@ -233,13 +233,15 @@ def _strategy_problem(strategy: StrategySpec, w_prev: Portfolio) -> DecisionProb
     return DecisionProblem(kind=MAX_RETURN)
 
 
-def _window_samples(data: BacktestData, tensor: FeatureTensor, start: date, end: date, it: int):
-    """Feature/target rows with dates in [start, end) and targets strictly before t."""
-    warm = data.warmup
+def _window_samples(data: BacktestData, tensor: FeatureTensor, first: int, start: date, end: date, it: int):
+    """Feature/target rows with dates in [start, end) and targets strictly before t.
+
+    first is the frame index of tensor's first row.
+    """
     rows = span_indices(tensor.dates, start, end)
-    keep = [k for k in rows if k + warm + 1 < it]
+    keep = [k for k in rows if first + k + 1 < it]
     x = tensor.features[keep]
-    y = data.panel.simple_returns[[k + warm for k in keep]]
+    y = data.panel.simple_returns[[first + k for k in keep]]
     return x, y
 
 
@@ -254,7 +256,8 @@ def run_window(
 
     Uses only data strictly before t: features are standardized on the train
     span, validation targets stop at the last return before t, and the
-    decision consumes the latest feature slice preceding t.
+    decision consumes the latest feature slice preceding t. Only the rows the
+    window reads, [train_start, t), are standardized.
     """
     frame = data.frame
     it = frame.index_of(t)
@@ -267,13 +270,18 @@ def run_window(
         est = estimate_covariance(data.panel.simple_returns[rows.start : rows.stop])
         return solve_max_sharpe(est), diag
 
-    tensor = standardize(data.features, train_start, val_start)
-    x_train, y_train = _window_samples(data, tensor, train_start, val_start, it)
-    x_val, y_val = _window_samples(data, tensor, val_start, t, it)
-    k_dec = it - 1 - data.warmup
-    if k_dec < 0:
+    feats = data.features
+    span = span_indices(feats.dates, train_start, t)
+    window = FeatureTensor(
+        feats.dates[span.start : span.stop], feats.tickers, feats.features[span.start : span.stop], feats.feature_names
+    )
+    tensor = standardize(window, train_start, val_start)
+    first = span.start + data.warmup
+    x_train, y_train = _window_samples(data, tensor, first, train_start, val_start, it)
+    x_val, y_val = _window_samples(data, tensor, first, val_start, t, it)
+    if it - 1 < data.warmup:
         raise ValueError(f"no feature row available before {t} (warm-up too long)")
-    decision_slice = tensor.features[k_dec]
+    decision_slice = tensor.features[it - 1 - first]
 
     space = SearchSpace(
         lr_min=config.lr_min,
@@ -290,14 +298,17 @@ def run_window(
         est = estimate_covariance(y_train) if dfl_kind == MAX_SHARPE_LOSS else None
         dfl_seed = stable_seed(space.seed, "softmax-train")
 
-        def fit(lr, epochs):
-            cfg = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=config.batch_size, seed=dfl_seed)
-            return train_dfl(x_train, y_train, dfl_kind, cfg, hidden=strategy.hidden, est=est)
+        def fit(lrs, epochs):
+            # A stacked pass ignores config.epochs; it records the pass length
+            # (the longest trial's epochs), which perfbench's trace counts.
+            cfg = TrainConfig(epochs=int(epochs.max()), batch_size=config.batch_size, seed=dfl_seed)
+            return train_dfl(
+                x_train, y_train, dfl_kind, cfg, hidden=strategy.hidden, est=est, learning_rates=lrs, epochs=epochs
+            )
 
         def score(model):
             # realized validation return of the allocator's weights
-            *_, w_rows = _forward(model, x_val)
-            return float((y_val * w_rows).sum(axis=1).mean())
+            return float((y_val * allocate_batch(model, x_val)).sum(axis=1).mean())
 
     else:
         problem = _strategy_problem(strategy, w_prev)
@@ -317,8 +328,10 @@ def run_window(
             ),
         )
 
-        def fit(lr, epochs):
-            return train(x_train, y_train, replace(base, learning_rate=lr, epochs=epochs))
+        def fit(lrs, epochs):
+            # A stacked pass ignores config.epochs; it records the pass length
+            # (the longest trial's epochs), which perfbench's trace counts.
+            return train(x_train, y_train, replace(base, epochs=int(epochs.max())), learning_rates=lrs, epochs=epochs)
 
         def score(model):
             return validation_score(model, x_val, y_val, base)

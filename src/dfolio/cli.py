@@ -35,7 +35,7 @@ from .market_data import (
     load_series,
     write_csv_dir,
 )
-from .metrics import subperiod_report
+from .metrics import span_bounds, subperiod_report
 from .reports import (
     nav_series,
     write_hparams_csv,
@@ -283,9 +283,20 @@ def cmd_backtest(args) -> int:
     # Config faults that only the data or the file system reveal, reported
     # before any training.
     try:
-        rebalance_dates(frame, run.backtest)
+        rebs = rebalance_dates(frame, run.backtest)
     except ValueError as exc:
         print(f"config error: backtest: {exc}", file=sys.stderr)
+        return 2
+    # Every NAV starts the day before the first rebalance and runs to the end.
+    nav_dates = frame.dates[frame.index_of(rebs[0]) - 1 :]
+    bad_span = False
+    for name, (start, end) in run.report_spans.items():
+        try:
+            span_bounds(nav_dates, start, end)
+        except ValueError as exc:
+            print(f"config error: report_spans.{name}: {exc}", file=sys.stderr)
+            bad_span = True
+    if bad_span:
         return 2
     out = run.output_dir
     try:

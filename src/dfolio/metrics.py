@@ -87,15 +87,20 @@ def compute_metrics(
     )
 
 
-def restrict_nav(dates: Sequence[date], nav: Sequence[float], start: date | None, end: date | None):
-    """NAV slice within [start, end], renormalized to 1.0 at the span start."""
-    dates = list(dates)
-    values = np.asarray(nav, dtype=float)
+def span_bounds(dates: Sequence[date], start: date | None, end: date | None) -> tuple[int, int]:
+    """Index bounds [lo, hi) of the NAV dates within [start, end]; at least 2 points."""
     lo = 0 if start is None else bisect_left(dates, start)
     hi = len(dates) if end is None else bisect_right(dates, end)
     if hi - lo < 2:
         raise ValueError(f"span [{start}, {end}] covers fewer than 2 NAV points")
-    sliced = values[lo:hi]
+    return lo, hi
+
+
+def restrict_nav(dates: Sequence[date], nav: Sequence[float], start: date | None, end: date | None):
+    """NAV slice within [start, end], renormalized to 1.0 at the span start."""
+    dates = list(dates)
+    lo, hi = span_bounds(dates, start, end)
+    sliced = np.asarray(nav, dtype=float)[lo:hi]
     return dates[lo:hi], sliced / sliced[0]
 
 

@@ -5,6 +5,13 @@ The predictor is a single coefficient vector shared across assets: for one
 day's feature slice x (assets x features), predictions are x @ theta + b.
 Batches are chronological contiguous slices, never shuffled, so training is
 deterministic given the config.
+
+A search trains all its trials in one stacked pass: parameters carry a
+leading trial axis, each trial has its own learning rate and epoch count, and
+every batch makes one oracle call on all trials' rows. The trial axis stays a
+batch axis of every matmul and einsum (flattening trials into rows before a
+BLAS call changes the rounding), so each trial of a stacked pass equals its
+one-trial run bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +41,13 @@ class LinearPredictor:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float).reshape(-1)
-        if not (np.all(np.isfinite(self.theta)) and np.isfinite(self.intercept)):
-            raise ValueError("predictor parameters must be finite")
+        check_finite(self.theta, self.intercept)
+
+
+def check_finite(theta, intercept) -> None:
+    """Reject non-finite predictor parameters (one predictor's or a stack's)."""
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(intercept))):
+        raise ValueError("predictor parameters must be finite")
 
 
 def predict(model: LinearPredictor, features: np.ndarray) -> np.ndarray:
@@ -106,34 +118,126 @@ def check_samples(features, targets, batch_size: int) -> tuple[np.ndarray, np.nd
     return x, y
 
 
-def fit_adam(params: dict, batch_grads, t_total: int, config: TrainConfig, label: str) -> list[float]:
-    """Mini-batch Adam over chronological batches, shared by both model families.
+def fit_adam(init: dict, batch_grads, build, t_total: int, batch_size: int, learning_rates, epochs, label: str):
+    """Mini-batch Adam over chronological batches for a stack of trials, shared by both model families.
 
-    batch_grads(params, rows, epoch, batch) returns the per-sample losses of
-    the rows slice and a dict of gradients; a parameter without a gradient
-    stays fixed. params is updated in place. Returns the per-epoch mean loss.
+    Every trial starts from the one-trial parameters init and differs only in
+    its learning rate and epoch count. Parameters carry a leading trial axis,
+    and the stack holds the trials in descending order of epochs, so the trials
+    still training are always a prefix of it: a trial leaves after its last
+    epoch, and build(its parameters) makes its model. Until the first Adam step
+    every trial holds init, so that batch is evaluated once for all of them.
+
+    batch_grads(params, rows, epoch, batch) returns the (trials, rows) losses of
+    the rows slice and a dict of (trials, ...) gradients; a parameter without a
+    gradient stays fixed. A trial fails with the first error of its own path:
+    an exception that batch_grads raises for it alone, a non-finite batch loss,
+    or an exception from build. The earliest failing trial's error is raised,
+    as a loop over the trials would raise it. Returns the models and per-epoch
+    mean loss traces in trial order.
     """
+    lrs = np.asarray(learning_rates, dtype=float).reshape(-1)
+    ends = np.asarray(epochs, dtype=int).reshape(-1)
+    if lrs.size == 0 or lrs.size != ends.size or ends.min() < 1:
+        raise ValueError(f"need matching learning rates and epochs >= 1, got {lrs.size} and {ends.tolist()}")
+    order = np.argsort(-ends, kind="stable")
+    stack = {"trial": order, "lr": lrs[order], "end": ends[order], "loss": np.zeros(order.size)}
+    params = {k: np.repeat(np.asarray(v, dtype=float)[None], order.size, axis=0) for k, v in init.items()}
     states = {k: AdamState.like(v) for k, v in params.items()}
-    trace: list[float] = []
-    for epoch in range(config.epochs):
-        loss_sum = 0.0
-        for bi, s in enumerate(range(0, t_total, config.batch_size)):
-            losses, grads = batch_grads(params, slice(s, s + config.batch_size), epoch, bi)
-            batch_loss = float(losses.mean())
-            if not np.isfinite(batch_loss):
-                raise TrainingError(f"non-finite loss {batch_loss} at epoch {epoch}, batch {bi} ({label})")
-            loss_sum += float(losses.sum())
+    models: list = [None] * order.size
+    traces: list[list[float]] = [[] for _ in order]
+    errors: dict[int, Exception] = {}
+
+    def keep(mask):
+        for group in (stack, params):
+            for k in group:
+                group[k] = group[k][mask]
+        for st in states.values():
+            st.m, st.v = st.m[mask], st.v[mask]
+
+    def fail(failed, mask=True):
+        """Record each (slot, error); keep the masked trials that precede every failure."""
+        for s, exc in failed:
+            errors[int(stack["trial"][s])] = exc
+        first = min(errors)
+        kept = mask & (stack["trial"] < first)
+        keep(kept)
+        if not stack["trial"].size:
+            raise errors[first]
+        return kept
+
+    def alone(rows, epoch, batch):
+        """(slot, error) of each trial whose batch fails when it is evaluated alone."""
+        failed = []
+        for s in range(stack["trial"].size):
+            try:
+                batch_grads({k: v[s : s + 1] for k, v in params.items()}, rows, epoch, batch)
+            except Exception as exc:  # noqa: BLE001 - the trial's own failure
+                failed.append((s, exc))
+        return failed
+
+    epoch, stepped = 0, False
+    while stack["trial"].size:
+        stack["loss"] = np.zeros(stack["trial"].size)
+        for bi, start in enumerate(range(0, t_total, batch_size)):
+            rows = slice(start, start + batch_size)
+            size = stack["trial"].size
+            while True:
+                try:
+                    live = params if stepped else {k: v[:1] for k, v in params.items()}
+                    losses, grads = batch_grads(live, rows, epoch, bi)
+                    break
+                except Exception:
+                    failed = alone(rows, epoch, bi)
+                    if not failed:
+                        raise
+                    fail(failed)
+                    size = stack["trial"].size
+            if not stepped:
+                losses = np.broadcast_to(losses, (size, losses.shape[1]))
+                grads = {k: np.broadcast_to(g, (size, *g.shape[1:])) for k, g in grads.items()}
+            batch_loss = losses.mean(axis=1)
+            bad = np.flatnonzero(~np.isfinite(batch_loss))
+            if bad.size:
+                kept = fail(
+                    (s, TrainingError(f"non-finite loss {float(batch_loss[s])} at epoch {epoch}, batch {bi} ({label})"))
+                    for s in bad
+                )
+                losses = losses[kept]
+                grads = {k: g[kept] for k, g in grads.items()}
+            stack["loss"] += losses.sum(axis=1)
             for k, g in grads.items():
-                params[k] = adam_step(params[k], g, states[k], config.learning_rate)
-        trace.append(loss_sum / t_total)
-    return trace
+                lr = stack["lr"].reshape(-1, *[1] * (g.ndim - 1))
+                params[k] = adam_step(params[k], g, states[k], lr)
+            stepped = True
+        for s, trial in enumerate(stack["trial"]):
+            traces[trial].append(float(stack["loss"][s] / t_total))
+        done = stack["end"] == epoch + 1
+        failed = []
+        for s in np.flatnonzero(done):
+            try:
+                models[stack["trial"][s]] = build({k: v[s].copy() for k, v in params.items()})
+            except Exception as exc:  # noqa: BLE001 - the trial's own failure
+                failed.append((s, exc))
+        if failed:
+            fail(failed, ~done)
+        else:
+            keep(slice(0, int(np.count_nonzero(~done))))
+        epoch += 1
+    if errors:
+        raise errors[min(errors)]
+    return models, traces
 
 
-def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
+def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig, learning_rates=None, epochs=None):
     """Mini-batch Adam on the configured per-sample loss.
 
     features: (T, n_assets, n_features); targets: (T, n_assets) next-day simple
-    returns. Returns (LinearPredictor, per-epoch mean loss trace).
+    returns. Returns (LinearPredictor, per-epoch mean loss trace). Given
+    learning_rates and epochs, trains one trial per pair in a single stacked
+    pass (config's own learning rate and epochs are not used) and returns a
+    list of models and a list of traces; each equals the one-trial result bit
+    for bit.
     """
     x, y = check_samples(features, targets, config.batch_size)
     t_total, n, d = x.shape
@@ -142,38 +246,62 @@ def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig):
 
     def batch_grads(params, rows, epoch, batch):
         xb, yb = x[rows], y[rows]
-        r_hat = xb @ params["theta"] + params["intercept"][0]
+        theta = params["theta"]
+        k, b = theta.shape[0], xb.shape[0]
+        r_hat = (xb[None] @ theta[:, None, :, None])[..., 0] + params["intercept"][:, :, None]
         if config.loss_kind == MSE:
             resid = r_hat - yb
-            losses = (resid * resid).sum(axis=1)
+            losses = (resid * resid).sum(axis=2)
             g_rhat = 2.0 * resid
-        elif config.loss_kind == SPO_PLUS:
-            losses, g_rhat, _, _ = spo_plus_batch(r_hat, yb, prob, w_star_rows=w_star[rows])
         else:
-            rc = replace(config.robust, seed=stable_seed(config.seed, "robust", epoch, batch))
-            ws = w_star[rows]
-            if prob.kind != MAX_RETURN:
-                losses, g_rhat = robust_spo_batch(r_hat, yb, prob, perturbation_set(rc.rho, n, rc), w_star_rows=ws)
+            # The oracles are row-wise: every trial's rows go in one call.
+            r_rows, y_rows, ws = r_hat.reshape(k * b, n), _repeat_rows(yb, k), _repeat_rows(w_star[rows], k)
+            if config.loss_kind == SPO_PLUS:
+                losses, g_rhat, _, _ = spo_plus_batch(r_rows, y_rows, prob, w_star_rows=ws)
             else:
-                # Rows the closed form cannot certify bit-equal to the sampled
-                # worst case (all of them at theta = 0) are sampled.
-                losses, g_rhat, settled = robust_max_return_batch(r_hat, yb, ws, rc)
-                if not settled.all():
-                    todo = ~settled
-                    zetas = perturbation_set(rc.rho, n, rc)
-                    losses[todo], g_rhat[todo] = robust_spo_batch(r_hat[todo], yb[todo], prob, zetas, w_star_rows=ws[todo])
-        scale = 1.0 / xb.shape[0]
-        grads = {"theta": np.einsum("bi,bid->d", g_rhat, xb) * scale}
+                rc = replace(config.robust, seed=stable_seed(config.seed, "robust", epoch, batch))
+                if prob.kind != MAX_RETURN:
+                    losses, g_rhat = robust_spo_batch(r_rows, y_rows, prob, perturbation_set(rc.rho, n, rc), w_star_rows=ws)
+                else:
+                    # Rows the closed form cannot certify bit-equal to the sampled
+                    # worst case (all of them at theta = 0) are sampled.
+                    losses, g_rhat, settled = robust_max_return_batch(r_rows, y_rows, ws, rc)
+                    if not settled.all():
+                        todo = ~settled
+                        zetas = perturbation_set(rc.rho, n, rc)
+                        losses[todo], g_rhat[todo] = robust_spo_batch(
+                            r_rows[todo], y_rows[todo], prob, zetas, w_star_rows=ws[todo]
+                        )
+            losses, g_rhat = losses.reshape(k, b), g_rhat.reshape(k, b, n)
+        scale = 1.0 / b
+        grads = {"theta": np.einsum("tbi,bid->td", g_rhat, xb) * scale}
         if config.fit_intercept:
-            grads["intercept"] = np.array([g_rhat.sum() * scale])
+            grads["intercept"] = g_rhat.reshape(k, -1).sum(axis=1, keepdims=True) * scale
         return losses, grads
 
-    params = {"theta": np.zeros(d), "intercept": np.zeros(1)}
-    trace = fit_adam(params, batch_grads, t_total, config, config.loss_kind)
-    theta, intercept = params["theta"], params["intercept"][0]
-    if not np.all(np.isfinite(theta)) or not np.isfinite(intercept):
-        raise TrainingError("non-finite parameters after training")
-    return LinearPredictor(theta=theta, intercept=float(intercept)), trace
+    def build(params):
+        theta, intercept = params["theta"], params["intercept"][0]
+        if not np.all(np.isfinite(theta)) or not np.isfinite(intercept):
+            raise TrainingError("non-finite parameters after training")
+        return LinearPredictor(theta=theta, intercept=float(intercept))
+
+    stacked = learning_rates is not None
+    models, traces = fit_adam(
+        {"theta": np.zeros(d), "intercept": np.zeros(1)},
+        batch_grads,
+        build,
+        t_total,
+        config.batch_size,
+        learning_rates if stacked else [config.learning_rate],
+        epochs if stacked else [config.epochs],
+        config.loss_kind,
+    )
+    return (models, traces) if stacked else (models[0], traces[0])
+
+
+def _repeat_rows(a: np.ndarray, k: int) -> np.ndarray:
+    """The rows of a once per trial, trial after trial (no copy for one trial)."""
+    return np.broadcast_to(a, (k, *a.shape)).reshape(k * a.shape[0], -1)
 
 
 @dataclass(frozen=True)
@@ -230,22 +358,20 @@ def validation_score(model: LinearPredictor, x_val, y_val, config: TrainConfig) 
 def hyperparameter_search(space: SearchSpace, fit, score) -> SearchResult:
     """Seeded random search over (learning rate, epochs) that keeps the winning model.
 
-    fit(learning_rate, epochs) trains one trial and returns (model, per-epoch
-    loss trace); score(model) rates it on the validation span, higher is
-    better. The earliest trial wins ties. Callers are responsible for the
+    fit(learning_rates, epochs) trains every drawn trial, in one stacked pass
+    for both model families, and returns their models and per-epoch loss
+    traces in trial order; score(model) rates one on the validation span,
+    higher is better. The earliest trial wins ties. Callers are responsible for the
     validation span lying strictly after the training span; the backtest
     enforces that ordering by construction.
     """
     rng = derived_rng(space.seed, "hparam-search")
     lrs = np.exp(rng.uniform(np.log(space.lr_min), np.log(space.lr_max), space.n_trials))
     epoch_draws = rng.integers(space.epochs_min, space.epochs_max + 1, space.n_trials)
-    trials = []
-    models = []
-    traces = []
-    for lr, ep in zip(lrs, epoch_draws):
-        model, trace = fit(float(lr), int(ep))
-        trials.append(TrialResult(learning_rate=float(lr), epochs=int(ep), score=score(model)))
-        models.append(model)
-        traces.append(tuple(trace))
+    models, traces = fit(lrs, epoch_draws)
+    trials = tuple(
+        TrialResult(learning_rate=float(lr), epochs=int(ep), score=score(model))
+        for lr, ep, model in zip(lrs, epoch_draws, models)
+    )
     best = int(np.argmax([t.score for t in trials]))
-    return SearchResult(best=trials[best], model=models[best], trials=tuple(trials), traces=tuple(traces))
+    return SearchResult(best=trials[best], model=models[best], trials=trials, traces=tuple(map(tuple, traces)))

@@ -34,7 +34,7 @@ from dfolio.solvers import (
     solve_fee_l2,
     solve_max_sharpe,
 )
-from dfolio.softmax_dfl import MAX_RETURN_LOSS, MAX_SHARPE_LOSS, _forward, batch_gradients, init_allocator
+from dfolio.softmax_dfl import MAX_RETURN_LOSS, MAX_SHARPE_LOSS, _stack, allocate_batch, batch_gradients, init_allocator
 from dfolio.spo import RobustConfig, spo_plus_batch
 from dfolio.training import MSE, ROBUST_SPO, SPO_PLUS, TrainConfig, predict, train
 from dfolio.util import derived_rng
@@ -166,10 +166,10 @@ def test_criterion_2_gradient_checks():
         if kind == MAX_SHARPE_LOSS:
             a = rng.normal(size=(n, n))
             sigma = a @ a.T + 0.5 * np.eye(n)
-        _, grads = batch_gradients(model, xb, yb, kind, sigma)
+        _, grads = batch_gradients(_stack(model), xb, yb, kind, sigma)
 
         def loss_at():
-            *_, z = _forward(model, xb)
+            z = allocate_batch(model, xb)
             if kind == MAX_RETURN_LOSS:
                 return float(-(yb * z).sum(axis=1).mean())
             aa = (yb * z).sum(axis=1)
@@ -186,7 +186,7 @@ def test_criterion_2_gradient_checks():
         }
         for name, value in params.items():
             flat = value.reshape(-1)
-            g_flat = np.asarray(grads[name]).reshape(-1)
+            g_flat = grads[name][0].reshape(-1)
             fd = np.empty_like(flat)
             for k in range(flat.size):
                 orig = flat[k]

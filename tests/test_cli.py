@@ -152,6 +152,26 @@ class TestBacktestCommand:
         assert run_cli(["backtest", "--config", str(cfg)]) == 2
         assert "config error: output_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("span", [["2030-01-01", "2030-12-31"], ["2016-03-05", "2016-03-06"]], ids=["after", "weekend"])
+    def test_report_span_outside_nav_fails_before_training(self, synth_dir, tmp_path, monkeypatch, capsys, span):
+        # The NAV runs from the day before the first rebalance (2016-02-01) to the
+        # frame's end; a span that covers fewer than 2 of its dates used to fail
+        # in restrict_nav only after every strategy had run.
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, synth_dir, out, report_spans={"late": span})
+        code, err = run_cli_process(["backtest", "--config", str(cfg)])
+        assert code == 2
+        assert f"config error: report_spans.late: span [{span[0]}, {span[1]}] covers fewer than 2 NAV points" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "run_backtest", no_training)
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert "config error: report_spans.late" in capsys.readouterr().err
+
     def test_single_strategy_run(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, synth_dir, out, strategies=["max_sharpe"])

@@ -5,9 +5,10 @@ from dfolio.solvers import CovarianceEstimate, Portfolio, estimate_covariance
 from dfolio.softmax_dfl import (
     MAX_RETURN_LOSS,
     MAX_SHARPE_LOSS,
-    _forward,
-    allocate,
     _loss_and_weight_grad,
+    _stack,
+    allocate,
+    allocate_batch,
     batch_gradients,
     init_allocator,
     train_dfl,
@@ -135,10 +136,10 @@ class TestGradients:
         if kind == MAX_SHARPE_LOSS:
             a = rng.normal(size=(n, n))
             sigma = a @ a.T + 0.5 * np.eye(n)
-        _, grads = batch_gradients(model, xb, yb, kind, sigma)
+        _, grads = batch_gradients(_stack(model), xb, yb, kind, sigma)
 
         def loss_at():
-            r_hat, pre1, h, logits, z = _forward(model, xb)
+            z = allocate_batch(model, xb)
             if kind == MAX_RETURN_LOSS:
                 return float(-(yb * z).sum(axis=1).mean())
             a_ = (yb * z).sum(axis=1)
@@ -147,7 +148,7 @@ class TestGradients:
 
         h = 1e-6
         for name, value in flatten_params(model).items():
-            g = grads[name]
+            g = grads[name][0]
             flat = value.reshape(-1)
             g_flat = np.asarray(g).reshape(-1)
             fd = np.zeros_like(flat)
@@ -169,7 +170,7 @@ class TestGradients:
         model = zero_head_allocator(n=3)
         xb = np.zeros((2, 3, 2))
         yb = np.full((2, 3), 0.02)
-        _, grads = batch_gradients(model, xb, yb, MAX_RETURN_LOSS, None)
+        _, grads = batch_gradients(_stack(model), xb, yb, MAX_RETURN_LOSS, None)
         np.testing.assert_allclose(grads["b2"], 0.0, atol=1e-15)
         np.testing.assert_allclose(grads["w2"], 0.0, atol=1e-15)
 
@@ -185,7 +186,7 @@ class TestTrainDfl:
         y[:, 0] = np.abs(y[:, 0]) + 0.02
         cfg = TrainConfig(epochs=40, learning_rate=0.02, batch_size=63, seed=0)
         model, trace = train_dfl(x, y, MAX_RETURN_LOSS, cfg)
-        *_, w = _forward(model, x)
+        w = allocate_batch(model, x)
         assert w[:, 0].mean() >= 0.9
         assert trace[-1] <= trace[0]
 
@@ -246,12 +247,15 @@ class TestTrainDfl:
             return TrainConfig(learning_rate=lr, epochs=epochs, batch_size=63, seed=11)
 
         def score(model):
-            *_, w_rows = _forward(model, xv)
-            return float((yv * w_rows).sum(axis=1).mean())
+            return float((yv * allocate_batch(model, xv)).sum(axis=1).mean())
 
         space = SearchSpace(n_trials=3, seed=8, epochs_min=2, epochs_max=4)
         res = hyperparameter_search(
-            space, lambda lr, epochs: train_dfl(xtr, ytr, kind, config(lr, epochs), hidden=8, est=est), score
+            space,
+            lambda lrs, epochs: train_dfl(
+                xtr, ytr, kind, config(0.0, 1), hidden=8, est=est, learning_rates=lrs, epochs=epochs
+            ),
+            score,
         )
         model, trace = train_dfl(xtr, ytr, kind, config(res.best.learning_rate, res.best.epochs), hidden=8, est=est)
         kept, again = flatten_params(res.model), flatten_params(model)

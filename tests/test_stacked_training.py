@@ -1,0 +1,263 @@
+"""A stacked pass trains every search trial at once; each trial must equal its one-trial call.
+
+train and train_dfl with learning_rates/epochs run all trials through one
+mini-batch loop with a leading trial axis. The search keeps the winning
+trial's model, so the stacked result has to be the one-trial result bit for
+bit: parameters, intercept and loss trace, and on divergence the same error
+that a loop over the trials raises first.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import dfolio.backtest as bt
+from dfolio.backtest import BacktestConfig, StrategySpec, run_backtest
+from dfolio.market_data import SyntheticSpec, generate_synthetic
+from dfolio.solvers import MAX_RETURN, MAX_RETURN_FEE, MAX_RETURN_FEE_L2, DecisionProblem, Portfolio, estimate_covariance
+from dfolio.softmax_dfl import MAX_RETURN_LOSS, MAX_SHARPE_LOSS, train_dfl
+from dfolio.spo import RobustConfig
+from dfolio.training import MSE, ROBUST_SPO, SPO_PLUS, LinearPredictor, TrainConfig, TrainingError, train
+
+KINDS = (
+    "mse",
+    "spo_plus",
+    "spo_plus_fee",
+    "spo_plus_fee_l2",
+    "robust_spo",
+    "robust_spo_fee",
+    "softmax_max_return",
+    "softmax_max_sharpe",
+)
+
+
+def make_data(seed: int, t: int, n: int, d: int):
+    """Features with some all-zero days (zero predictions while the intercept is 0) and returns."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(t, n, d))
+    x[rng.random(t) < 0.2] = 0.0
+    y = rng.normal(0.0005, 0.01, size=(t, n))
+    return x, y
+
+
+def problem(kind: str, n: int, rng) -> DecisionProblem:
+    if kind in ("spo_plus_fee", "robust_spo_fee", "spo_plus_fee_l2"):
+        prior = rng.dirichlet(np.ones(n))
+        prior[rng.random(n) < 0.3] = 0.0  # vertex-like priors, p_i = 0
+        prior = Portfolio(prior / prior.sum() if prior.sum() > 0 else np.full(n, 1.0 / n))
+        if kind == "spo_plus_fee_l2":
+            return DecisionProblem(kind=MAX_RETURN_FEE_L2, gamma=0.005, lam=0.42, w_prev=prior)
+        return DecisionProblem(kind=MAX_RETURN_FEE, gamma=0.005, w_prev=prior)
+    return DecisionProblem(kind=MAX_RETURN)
+
+
+def trainer(kind: str, x, y, batch_size: int, seed: int, rho: float = 0.1, fit_intercept: bool = True):
+    """fit(learning_rates, epochs) for a stacked call and one(lr, epochs) for a one-trial call."""
+    rng = np.random.default_rng(seed)
+    n = y.shape[1]
+    if kind.startswith("softmax"):
+        loss = MAX_RETURN_LOSS if kind == "softmax_max_return" else MAX_SHARPE_LOSS
+        est = estimate_covariance(y) if loss == MAX_SHARPE_LOSS else None
+        cfg = TrainConfig(batch_size=batch_size, seed=seed)
+
+        def fit(lrs, epochs):
+            return train_dfl(x, y, loss, cfg, hidden=5, est=est, learning_rates=lrs, epochs=epochs)
+
+        def one(lr, epochs):
+            return train_dfl(x, y, loss, replace(cfg, learning_rate=lr, epochs=epochs), hidden=5, est=est)
+
+        return fit, one
+    loss_kind = MSE if kind == "mse" else ROBUST_SPO if kind.startswith("robust") else SPO_PLUS
+    robust = RobustConfig(rho=rho, n_samples=int(rng.integers(1, 9)), seed=seed) if loss_kind == ROBUST_SPO else None
+    cfg = TrainConfig(
+        loss_kind=loss_kind,
+        batch_size=batch_size,
+        seed=seed,
+        fit_intercept=fit_intercept,
+        robust=robust,
+        problem=problem(kind, n, rng),
+    )
+
+    def fit(lrs, epochs):
+        return train(x, y, cfg, learning_rates=lrs, epochs=epochs)
+
+    def one(lr, epochs):
+        return train(x, y, replace(cfg, learning_rate=lr, epochs=epochs))
+
+    return fit, one
+
+
+def bits(model) -> dict:
+    """Every parameter of a trained model as bytes."""
+    if isinstance(model, LinearPredictor):
+        return {"theta": model.theta.tobytes(), "intercept": model.intercept.hex()}
+    return {
+        "theta": model.inferencer.theta.tobytes(),
+        "intercept": model.inferencer.intercept.hex(),
+        **{k: getattr(model, k).tobytes() for k in ("w1", "b1", "w2", "b2")},
+    }
+
+
+def assert_trials_match(fit, one, lrs, epochs):
+    models, traces = fit(np.array(lrs), np.array(epochs))
+    assert len(models) == len(traces) == len(lrs)
+    for i, (lr, ep) in enumerate(zip(lrs, epochs)):
+        model, trace = one(lr, ep)
+        assert bits(models[i]) == bits(model), f"trial {i} (lr {lr}, {ep} epochs)"
+        assert traces[i] == trace, f"trial {i} (lr {lr}, {ep} epochs)"
+        assert len(trace) == ep
+
+
+LEARNING_RATES = st.one_of(st.sampled_from([0.0, 1e-4, 0.05, 0.3]), st.floats(1e-4, 0.1))
+
+
+TRIAL = st.tuples(LEARNING_RATES, st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    trials=st.lists(TRIAL, min_size=1, max_size=20),
+    n=st.integers(2, 24),
+    d=st.integers(1, 4),
+    batch_size=st.integers(4, 20),
+    full_batches=st.integers(1, 3),
+    short=st.integers(0, 19),
+    rho=st.sampled_from([0.01, 0.1, 1.0, 1.5]),
+    fit_intercept=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# A shape where (trials * batch, n) @ sigma rounds differently from a batched matmul.
+@example("softmax_max_sharpe", [(0.01, 2), (0.03, 2), (0.002, 1), (0.05, 2)], 17, 3, 13, 2, 0, 0.1, True, 1)
+def test_every_trial_equals_its_one_trial_call(kind, trials, n, d, batch_size, full_batches, short, rho, fit_intercept, seed):
+    # short > 0 leaves a short last batch; rho >= 1 and the all-zero days keep
+    # robust rows unsettled by the closed form, so they take the sampled path.
+    t = batch_size * full_batches + short % batch_size
+    if kind == "softmax_max_sharpe":
+        t = max(t, n + 2)
+    x, y = make_data(seed, t, n, d)
+    fit, one = trainer(kind, x, y, batch_size, seed, rho=rho, fit_intercept=fit_intercept)
+    assert_trials_match(fit, one, [lr for lr, _ in trials], [ep for _, ep in trials])
+
+
+@pytest.mark.parametrize("kind", ["spo_plus_fee_l2", "robust_spo", "softmax_max_sharpe"])
+def test_two_hundred_assets(kind):
+    x, y = make_data(5, 210, 200, 7)
+    fit, one = trainer(kind, x, y, 63, 5)
+    assert_trials_match(fit, one, [0.02, 0.001, 0.04], [2, 3, 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    probe=TRIAL,
+    first=st.lists(TRIAL, max_size=8),
+    second=st.lists(TRIAL, max_size=8),
+    at=st.integers(0, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_trial_does_not_depend_on_its_companions(kind, probe, first, second, at, seed):
+    x, y = make_data(seed, 45, 4, 3)
+    fit, _ = trainer(kind, x, y, 16, seed)
+    results = []
+    for others in (first, second):
+        trials = list(others)
+        k = min(at, len(trials))
+        trials.insert(k, probe)
+        models, traces = fit(np.array([lr for lr, _ in trials]), np.array([ep for _, ep in trials]))
+        results.append((bits(models[k]), traces[k]))
+    assert results[0] == results[1]
+
+
+def first_error(one, lrs, epochs):
+    """The error a loop over the trials raises: the earliest failing trial's first one."""
+    for lr, ep in zip(lrs, epochs):
+        try:
+            one(lr, ep)
+        except Exception as exc:  # noqa: BLE001
+            return exc
+    raise AssertionError("no trial failed")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["spo_plus", "robust_spo", "softmax_max_return"])
+def test_earliest_failing_trial_decides_the_error(kind):
+    # Day 40 (batch 2 of 16-day batches) is poisoned, so every trial that gets
+    # that far fails there. Trials 1 and 2 step to non-finite parameters at
+    # once and fail at batch 1, earlier in the pass than trial 0. A loop over
+    # the trials raises trial 0's error.
+    x, y = make_data(3, 60, 4, 3)
+    x[40, 0, 0] = np.nan
+    fit, one = trainer(kind, x, y, 16, 3)
+    lrs, epochs = [0.01, np.inf, np.inf], [2, 3, 1]
+    expected = first_error(one, lrs, epochs)
+    assert isinstance(expected, TrainingError)
+    assert str(expected).startswith("non-finite loss nan at epoch 0, batch 2")
+    with pytest.raises(type(expected)) as info:
+        fit(np.array(lrs), np.array(epochs))
+    assert str(info.value) == str(expected)
+    # without trial 0 the loop raises trial 1's error, the stacked pass too
+    expected = first_error(one, lrs[1:], epochs[1:])
+    with pytest.raises(type(expected)) as info:
+        fit(np.array(lrs[1:]), np.array(epochs[1:]))
+    assert str(info.value) == str(expected)
+    assert str(expected) != str(first_error(one, lrs, epochs))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failure_after_training_ranks_by_trial():
+    # Trial 1 ends with non-finite parameters after its only batch; trial 0
+    # fails later in the pass, at its second epoch's loss.
+    x, y = make_data(4, 16, 3, 2)
+    fit, one = trainer("spo_plus", x, y, 16, 4)
+    lrs, epochs = [np.inf, np.inf], [2, 1]
+    expected = first_error(one, lrs, epochs)
+    assert str(expected).startswith("non-finite loss nan at epoch 1, batch 0")
+    with pytest.raises(TrainingError) as info:
+        fit(np.array(lrs), np.array(epochs))
+    assert str(info.value) == str(expected)
+    assert str(first_error(one, lrs[1:], epochs[1:])) == "non-finite parameters after training"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind,name", [("spo_plus", "train"), ("softmax_max_return", "train_dfl")])
+def test_diverging_search_fails_the_strategy_like_a_trial_loop(monkeypatch, kind, name):
+    # The backtest's ledger line for a search whose trial 1 diverges at once
+    # while trial 0 meets a poisoned training day later, stacked and looped.
+    frame, _, _ = generate_synthetic(SyntheticSpec(n_assets=4, n_days=480, seed=11))
+    config = BacktestConfig(start=frame.dates[260], end=frame.dates[280], n_trials=3, epochs_min=2, epochs_max=3)
+    real = getattr(bt, name)
+    at = 2 if name == "train" else 3  # position of the config argument
+
+    def poison(args, kwargs):
+        x = args[0].copy()
+        x[140, 0, 0] = np.nan  # batch 2 of 63-day batches
+        lrs = np.array(kwargs.pop("learning_rates"))
+        lrs[1] = np.inf
+        return (x, *args[1:]), kwargs, lrs, kwargs.pop("epochs")
+
+    def stacked(*args, **kwargs):
+        args, kwargs, lrs, epochs = poison(args, kwargs)
+        return real(*args, **kwargs, learning_rates=lrs, epochs=epochs)
+
+    def looped(*args, **kwargs):
+        args, kwargs, lrs, epochs = poison(args, kwargs)
+        results = []
+        for lr, ep in zip(lrs, epochs):
+            one = list(args)
+            one[at] = replace(args[at], learning_rate=float(lr), epochs=int(ep))
+            results.append(real(*one, **kwargs))
+        return [m for m, _ in results], [t for _, t in results]
+
+    first = bt.rebalance_dates(frame, config)[0]
+    errors = []
+    for wrapper in (stacked, looped):
+        monkeypatch.setattr(bt, name, wrapper)
+        ledgers = run_backtest(frame, (StrategySpec(kind, kind),), config)
+        errors.append(ledgers[kind].error)
+    assert errors[0] == errors[1]
+    label = kind if name == "train" else MAX_RETURN_LOSS
+    assert errors[0] == f"rebalance {first} (decide): TrainingError: non-finite loss nan at epoch 0, batch 2 ({label})"

@@ -36,7 +36,7 @@ def linear_search(xtr, ytr, xv, yv, space, base):
     """The search as the backtest runs it for a linear strategy."""
     return hyperparameter_search(
         space,
-        lambda lr, epochs: train(xtr, ytr, replace(base, learning_rate=lr, epochs=epochs)),
+        lambda lrs, epochs: train(xtr, ytr, base, learning_rates=lrs, epochs=epochs),
         lambda model: validation_score(model, xv, yv, base),
     )
 
@@ -308,10 +308,10 @@ class TestSearch:
         space = SearchSpace(n_trials=5, seed=4, epochs_min=2, epochs_max=6)
         fitted = []
 
-        def fit(lr, epochs):
-            model = object()
-            fitted.append(model)
-            return model, [0.0] * epochs
+        def fit(lrs, epochs):
+            models = [object() for _ in lrs]
+            fitted.extend(models)
+            return models, [[0.0] * ep for ep in epochs]
 
         res = hyperparameter_search(space, fit, lambda model: 0.25)
         assert len(fitted) == 5
