@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
 
@@ -49,6 +49,11 @@ from .reports import (
 )
 
 
+# The roster parser reads these straight off the dataclass, so it cannot drift from it.
+SPEC_FIELDS = tuple(f.name for f in fields(StrategySpec))
+SPEC_REQUIRED = tuple(f.name for f in fields(StrategySpec) if f.default is MISSING)
+
+
 @dataclass
 class RunConfig:
     data_dir: Path
@@ -80,6 +85,11 @@ def _check_number(value, key: str, errors: list[str], minimum=None, integer=Fals
     return int(value) if integer else float(value)
 
 
+def _check_dir(value, key: str, errors: list[str]) -> None:
+    if not isinstance(value, str) or not value:
+        errors.append(f"{key}: expected a non-empty string, got {value!r}")
+
+
 def _build_roster(raw, errors: list[str]) -> tuple[StrategySpec, ...]:
     if raw in (None, "default"):
         return default_roster()
@@ -102,17 +112,13 @@ def _build_roster(raw, errors: list[str]) -> tuple[StrategySpec, ...]:
         if "name" in item and "kind" not in item and item.get("name") in defaults:
             base = defaults[item["name"]]
             item = {**base.__dict__, **item}
-        kwargs = {}
-        for fld in ("name", "kind"):
+        for fld in SPEC_REQUIRED:
             if fld not in item:
                 errors.append(f"{key}.{fld}: required")
-        for fld in ("name", "kind", "gamma", "lam", "rho", "robust_samples", "hidden"):
-            if fld in item:
-                kwargs[fld] = item[fld]
-        unknown = set(item) - {"name", "kind", "gamma", "lam", "rho", "robust_samples", "hidden"}
-        for u in sorted(unknown):
+        for u in sorted(set(item) - set(SPEC_FIELDS)):
             errors.append(f"{key}.{u}: unknown field")
-        if "name" in kwargs and "kind" in kwargs:
+        kwargs = {fld: item[fld] for fld in SPEC_FIELDS if fld in item}
+        if all(fld in kwargs for fld in SPEC_REQUIRED):
             try:
                 roster.append(StrategySpec(**kwargs))
             except (TypeError, ValueError) as exc:
@@ -140,9 +146,12 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
         errors.append(f"{u}: unknown top-level key")
 
     data_dir = raw.get("data_dir")
-    if not data_dir:
+    if data_dir in (None, ""):
         errors.append("data_dir: required")
-    output_dir = out_override or raw.get("output_dir") or "dfolio_out"
+    else:
+        _check_dir(data_dir, "data_dir", errors)
+    output_dir = out_override or raw.get("output_dir", "dfolio_out")
+    _check_dir(output_dir, "output_dir", errors)
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         errors.append(f"seed: expected a non-negative integer, got {seed!r}")

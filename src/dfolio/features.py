@@ -18,6 +18,9 @@ import numpy as np
 from .market_data import MarketFrame, _frozen
 from .util import span_indices
 
+# Floor on a fit span's standard deviation, so a constant feature z-scores to 0.
+STD_FLOOR = 1e-8
+
 
 class WarmupError(ValueError):
     """The price history is shorter than the indicator warm-up window."""
@@ -189,7 +192,6 @@ def standardize(
     tensor: FeatureTensor,
     fit_start: date | None = None,
     fit_end: date | None = None,
-    std_floor: float = 1e-8,
 ) -> FeatureTensor:
     """Z-score each (asset, feature) using statistics from [fit_start, fit_end) only.
 
@@ -201,7 +203,7 @@ def standardize(
         raise ValueError("empty standardization fit range")
     fit = tensor.features[rows.start : rows.stop]
     mean = fit.mean(axis=0)
-    std = np.maximum(fit.std(axis=0), std_floor)
+    std = np.maximum(fit.std(axis=0), STD_FLOOR)
     return FeatureTensor(
         dates=tensor.dates,
         tickers=tensor.tickers,

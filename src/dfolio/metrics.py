@@ -36,24 +36,17 @@ class MetricsRow:
         }
 
 
-def compute_metrics(
-    dates: Sequence[date],
-    nav: Sequence[float],
-    start: date | None = None,
-    end: date | None = None,
-) -> MetricsRow:
-    """Metrics over the NAV points with start <= date <= end (inclusive span).
+def compute_metrics(dates: Sequence[date], nav: Sequence[float]) -> MetricsRow:
+    """Metrics over a NAV series with one date per point; restrict_nav selects a sub-period.
 
     The Sortino denominator divides the downside sum of squares by all
     observations, not only the negative days.
     """
-    dates = list(dates)
     values = np.asarray(nav, dtype=float)
-    lo = 0 if start is None else bisect_left(dates, start)
-    hi = len(dates) if end is None else bisect_right(dates, end)
-    values = values[lo:hi]
+    if len(dates) != values.size:
+        raise ValueError(f"{len(dates)} dates for {values.size} NAV points")
     if values.size < 2:
-        raise ValueError("need at least 2 NAV points in the span")
+        raise ValueError("need at least 2 NAV points")
     if np.any(values <= 0):
         raise ValueError("NAV must be positive")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backtest import BacktestLedger
 from .market_data import MarketFrame
-from .metrics import MetricsRow
+from .metrics import MetricsRow, restrict_nav
 
 
 def _ok(ledgers: dict[str, BacktestLedger]) -> dict[str, BacktestLedger]:
@@ -141,8 +141,6 @@ def write_plotdata(
     out_dir,
 ) -> list[Path]:
     """Plot-ready wide CSVs: full cumulative NAV plus one renormalized file per span."""
-    from .metrics import restrict_nav
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

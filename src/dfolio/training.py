@@ -11,7 +11,9 @@ leading trial axis, each trial has its own learning rate and epoch count, and
 every batch makes one oracle call on all trials' rows. The trial axis stays a
 batch axis of every matmul and einsum (flattening trials into rows before a
 BLAS call changes the rounding), so each trial of a stacked pass equals its
-one-trial run bit for bit.
+one-trial run bit for bit. The stacked pass has no failure handling: if it
+raises, the trials train again one at a time in trial order, and the first
+one-trial run that fails raises its own error.
 """
 
 from __future__ import annotations
@@ -122,110 +124,70 @@ def fit_adam(init: dict, batch_grads, build, t_total: int, batch_size: int, lear
     """Mini-batch Adam over chronological batches for a stack of trials, shared by both model families.
 
     Every trial starts from the one-trial parameters init and differs only in
-    its learning rate and epoch count. Parameters carry a leading trial axis,
-    and the stack holds the trials in descending order of epochs, so the trials
-    still training are always a prefix of it: a trial leaves after its last
-    epoch, and build(its parameters) makes its model. Until the first Adam step
-    every trial holds init, so that batch is evaluated once for all of them.
+    its learning rate and epoch count. batch_grads(params, rows, epoch, batch)
+    returns the (trials, rows) losses of the rows slice and a dict of
+    (trials, ...) gradients; a parameter without a gradient stays fixed.
+    build(parameters) makes a trial's model after its last epoch, and a
+    non-finite batch loss raises TrainingError. Returns the models and
+    per-epoch mean loss traces in trial order.
 
-    batch_grads(params, rows, epoch, batch) returns the (trials, rows) losses of
-    the rows slice and a dict of (trials, ...) gradients; a parameter without a
-    gradient stays fixed. A trial fails with the first error of its own path:
-    an exception that batch_grads raises for it alone, a non-finite batch loss,
-    or an exception from build. The earliest failing trial's error is raised,
-    as a loop over the trials would raise it. Returns the models and per-epoch
-    mean loss traces in trial order.
+    The trials train in one stacked pass, where each equals its one-trial run
+    bit for bit. If that pass raises, they train again one at a time in trial
+    order, so a failing search raises the earliest failing trial's own error,
+    as a loop over the trials would.
     """
     lrs = np.asarray(learning_rates, dtype=float).reshape(-1)
     ends = np.asarray(epochs, dtype=int).reshape(-1)
     if lrs.size == 0 or lrs.size != ends.size or ends.min() < 1:
         raise ValueError(f"need matching learning rates and epochs >= 1, got {lrs.size} and {ends.tolist()}")
+    try:
+        return _fit_stack(init, batch_grads, build, t_total, batch_size, lrs, ends, label)
+    except Exception:
+        if lrs.size == 1:
+            raise
+    runs = [fit_adam(init, batch_grads, build, t_total, batch_size, [lr], [end], label) for lr, end in zip(lrs, ends)]
+    return [model for (model,), _ in runs], [trace for _, (trace,) in runs]
+
+
+def _fit_stack(init: dict, batch_grads, build, t_total: int, batch_size: int, lrs, ends, label: str):
+    """fit_adam's stacked pass, with no failure handling of its own.
+
+    Parameters carry a leading trial axis, and the trials sit in descending
+    order of epochs, so those still training are always a prefix of the stack.
+    Until the first Adam step every trial holds init, so that batch is
+    evaluated for one trial only.
+    """
     order = np.argsort(-ends, kind="stable")
-    stack = {"trial": order, "lr": lrs[order], "end": ends[order], "loss": np.zeros(order.size)}
+    lrs, ends = lrs[order], ends[order]
     params = {k: np.repeat(np.asarray(v, dtype=float)[None], order.size, axis=0) for k, v in init.items()}
     states = {k: AdamState.like(v) for k, v in params.items()}
     models: list = [None] * order.size
     traces: list[list[float]] = [[] for _ in order]
-    errors: dict[int, Exception] = {}
-
-    def keep(mask):
-        for group in (stack, params):
-            for k in group:
-                group[k] = group[k][mask]
-        for st in states.values():
-            st.m, st.v = st.m[mask], st.v[mask]
-
-    def fail(failed, mask=True):
-        """Record each (slot, error); keep the masked trials that precede every failure."""
-        for s, exc in failed:
-            errors[int(stack["trial"][s])] = exc
-        first = min(errors)
-        kept = mask & (stack["trial"] < first)
-        keep(kept)
-        if not stack["trial"].size:
-            raise errors[first]
-        return kept
-
-    def alone(rows, epoch, batch):
-        """(slot, error) of each trial whose batch fails when it is evaluated alone."""
-        failed = []
-        for s in range(stack["trial"].size):
-            try:
-                batch_grads({k: v[s : s + 1] for k, v in params.items()}, rows, epoch, batch)
-            except Exception as exc:  # noqa: BLE001 - the trial's own failure
-                failed.append((s, exc))
-        return failed
-
-    epoch, stepped = 0, False
-    while stack["trial"].size:
-        stack["loss"] = np.zeros(stack["trial"].size)
+    live, epoch = order.size, 0
+    while live:
+        total = np.zeros(live)
         for bi, start in enumerate(range(0, t_total, batch_size)):
             rows = slice(start, start + batch_size)
-            size = stack["trial"].size
-            while True:
-                try:
-                    live = params if stepped else {k: v[:1] for k, v in params.items()}
-                    losses, grads = batch_grads(live, rows, epoch, bi)
-                    break
-                except Exception:
-                    failed = alone(rows, epoch, bi)
-                    if not failed:
-                        raise
-                    fail(failed)
-                    size = stack["trial"].size
-            if not stepped:
-                losses = np.broadcast_to(losses, (size, losses.shape[1]))
-                grads = {k: np.broadcast_to(g, (size, *g.shape[1:])) for k, g in grads.items()}
+            # The first batch's one-trial losses and gradients broadcast over the stack.
+            stack = params if epoch or bi else {k: v[:1] for k, v in params.items()}
+            losses, grads = batch_grads(stack, rows, epoch, bi)
             batch_loss = losses.mean(axis=1)
             bad = np.flatnonzero(~np.isfinite(batch_loss))
             if bad.size:
-                kept = fail(
-                    (s, TrainingError(f"non-finite loss {float(batch_loss[s])} at epoch {epoch}, batch {bi} ({label})"))
-                    for s in bad
-                )
-                losses = losses[kept]
-                grads = {k: g[kept] for k, g in grads.items()}
-            stack["loss"] += losses.sum(axis=1)
+                loss = float(batch_loss[bad[0]])
+                raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {bi} ({label})")
+            total += losses.sum(axis=1)
             for k, g in grads.items():
-                lr = stack["lr"].reshape(-1, *[1] * (g.ndim - 1))
-                params[k] = adam_step(params[k], g, states[k], lr)
-            stepped = True
-        for s, trial in enumerate(stack["trial"]):
-            traces[trial].append(float(stack["loss"][s] / t_total))
-        done = stack["end"] == epoch + 1
-        failed = []
-        for s in np.flatnonzero(done):
-            try:
-                models[stack["trial"][s]] = build({k: v[s].copy() for k, v in params.items()})
-            except Exception as exc:  # noqa: BLE001 - the trial's own failure
-                failed.append((s, exc))
-        if failed:
-            fail(failed, ~done)
-        else:
-            keep(slice(0, int(np.count_nonzero(~done))))
+                params[k] = adam_step(params[k], g, states[k], lrs[:live].reshape(-1, *[1] * (g.ndim - 1)))
+        for s in range(live):
+            traces[order[s]].append(float(total[s] / t_total))
         epoch += 1
-    if errors:
-        raise errors[min(errors)]
+        for s in np.flatnonzero(ends[:live] == epoch):
+            models[order[s]] = build({k: v[s].copy() for k, v in params.items()})
+        live = int(np.count_nonzero(ends > epoch))
+        params = {k: v[:live] for k, v in params.items()}
+        for st in states.values():
+            st.m, st.v = st.m[:live], st.v[:live]
     return models, traces
 
 

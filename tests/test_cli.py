@@ -222,6 +222,14 @@ class TestBacktestCommand:
         assert "backtest.start" in err
         assert "backtest.fee_rate" in err
 
+    @pytest.mark.parametrize("key,value", [("data_dir", 5), ("output_dir", ["x"])])
+    def test_non_string_dir_is_config_error(self, synth_dir, tmp_path, capsys, key, value):
+        # Path() of these raised a TypeError traceback (exit 1).
+        cfg = write_config(tmp_path, synth_dir, tmp_path / "o")
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: value}))
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert f"config error: {key}: expected a non-empty string, got {value!r}" in capsys.readouterr().err
+
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

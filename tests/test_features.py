@@ -51,7 +51,7 @@ class TestIndicators:
         assert np.all(tensor.features[:, 0, col] == -1.0)  # 0 / the 1e-12 floor, minus one
         out = standardize(tensor, tensor.dates[0], tensor.dates[200])
         assert np.all(np.isfinite(out.features))
-        assert np.all(out.features[:, 0, col] == 0.0)  # zero spread: the std_floor path
+        assert np.all(out.features[:, 0, col] == 0.0)  # zero spread: the STD_FLOOR path
 
     def test_sma_ratio_on_linear_ramp(self):
         # prices 1..30; SMA(5) on day 30 = mean(26..30) = 28

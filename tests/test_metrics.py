@@ -79,14 +79,21 @@ class TestComputeMetrics:
 
     def test_span_selection_inclusive(self):
         dates, nav = nav_series(np.linspace(1.0, 2.0, 20))
-        full = compute_metrics(dates, nav)
-        same = compute_metrics(dates, nav, start=dates[0], end=dates[-1])
-        assert full == same
+        sub_dates, sub_nav = restrict_nav(dates, nav, dates[3], dates[7])
+        assert sub_dates == dates[3:8]  # both ends inclusive
+        assert list(sub_nav) == list(np.asarray(nav[3:8]) / nav[3])
+        full = restrict_nav(dates, nav, dates[0], dates[-1])
+        assert full[0] == dates and compute_metrics(*full) == compute_metrics(dates, nav)
 
     def test_needs_two_points(self):
         dates, nav = nav_series([1.0])
         with pytest.raises(ValueError):
             compute_metrics(dates, nav)
+
+    def test_dates_must_match_nav(self):
+        dates, nav = nav_series([1.0, 1.1, 1.2])
+        with pytest.raises(ValueError, match="2 dates for 3 NAV points"):
+            compute_metrics(dates[:2], nav)
 
     def test_downside_count_convention(self):
         # the downside sum of squares is divided by all 3 returns, not the 1 negative one

@@ -20,7 +20,7 @@ from dfolio.market_data import SyntheticSpec, generate_synthetic
 from dfolio.solvers import MAX_RETURN, MAX_RETURN_FEE, MAX_RETURN_FEE_L2, DecisionProblem, Portfolio, estimate_covariance
 from dfolio.softmax_dfl import MAX_RETURN_LOSS, MAX_SHARPE_LOSS, train_dfl
 from dfolio.spo import RobustConfig
-from dfolio.training import MSE, ROBUST_SPO, SPO_PLUS, LinearPredictor, TrainConfig, TrainingError, train
+from dfolio.training import MSE, ROBUST_SPO, SPO_PLUS, LinearPredictor, TrainConfig, TrainingError, fit_adam, train
 
 KINDS = (
     "mse",
@@ -102,6 +102,15 @@ def bits(model) -> dict:
 
 
 def assert_trials_match(fit, one, lrs, epochs):
+    """The stacked call gives each trial's one-trial result, or the error a loop over the trials raises."""
+    try:
+        for lr, ep in zip(lrs, epochs):
+            one(lr, ep)
+    except Exception as exc:  # noqa: BLE001
+        with pytest.raises(Exception) as info:
+            fit(np.array(lrs), np.array(epochs))
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
     models, traces = fit(np.array(lrs), np.array(epochs))
     assert len(models) == len(traces) == len(lrs)
     for i, (lr, ep) in enumerate(zip(lrs, epochs)):
@@ -117,10 +126,13 @@ LEARNING_RATES = st.one_of(st.sampled_from([0.0, 1e-4, 0.05, 0.3]), st.floats(1e
 TRIAL = st.tuples(LEARNING_RATES, st.integers(1, 4))
 
 
-@settings(max_examples=80, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=240, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
     trials=st.lists(TRIAL, min_size=1, max_size=20),
+    diverging=st.sets(st.integers(0, 19), max_size=3),
+    poison=st.one_of(st.none(), st.integers(0, 2**16)),
     n=st.integers(2, 24),
     d=st.integers(1, 4),
     batch_size=st.integers(4, 20),
@@ -131,16 +143,23 @@ TRIAL = st.tuples(LEARNING_RATES, st.integers(1, 4))
     seed=st.integers(0, 2**16),
 )
 # A shape where (trials * batch, n) @ sigma rounds differently from a batched matmul.
-@example("softmax_max_sharpe", [(0.01, 2), (0.03, 2), (0.002, 1), (0.05, 2)], 17, 3, 13, 2, 0, 0.1, True, 1)
-def test_every_trial_equals_its_one_trial_call(kind, trials, n, d, batch_size, full_batches, short, rho, fit_intercept, seed):
+@example("softmax_max_sharpe", [(0.01, 2), (0.03, 2), (0.002, 1), (0.05, 2)], set(), None, 17, 3, 13, 2, 0, 0.1, True, 1)
+def test_every_trial_equals_its_one_trial_call(
+    kind, trials, diverging, poison, n, d, batch_size, full_batches, short, rho, fit_intercept, seed
+):
     # short > 0 leaves a short last batch; rho >= 1 and the all-zero days keep
     # robust rows unsettled by the closed form, so they take the sampled path.
+    # Trials listed in diverging get an infinite learning rate, and poison puts
+    # a NaN feature on one training day, so some calls fail.
     t = batch_size * full_batches + short % batch_size
     if kind == "softmax_max_sharpe":
         t = max(t, n + 2)
     x, y = make_data(seed, t, n, d)
+    if poison is not None:
+        x[poison % t, poison % n, poison % d] = np.nan
+    lrs = [np.inf if i in diverging else lr for i, (lr, _) in enumerate(trials)]
     fit, one = trainer(kind, x, y, batch_size, seed, rho=rho, fit_intercept=fit_intercept)
-    assert_trials_match(fit, one, [lr for lr, _ in trials], [ep for _, ep in trials])
+    assert_trials_match(fit, one, lrs, [ep for _, ep in trials])
 
 
 @pytest.mark.parametrize("kind", ["spo_plus_fee_l2", "robust_spo", "softmax_max_sharpe"])
@@ -261,3 +280,32 @@ def test_diverging_search_fails_the_strategy_like_a_trial_loop(monkeypatch, kind
     assert errors[0] == errors[1]
     label = kind if name == "train" else MAX_RETURN_LOSS
     assert errors[0] == f"rebalance {first} (decide): TrainingError: non-finite loss nan at epoch 0, batch 2 ({label})"
+
+
+def test_a_failure_of_the_stack_alone_returns_the_trial_loop_results():
+    # batch_grads raises whenever it gets more than one trial and never for a
+    # trial alone, so fit_adam returns what the loop over the trials returns.
+    x, y = make_data(6, 40, 3, 2)
+
+    def least_squares(params, rows, epoch, batch):
+        xb, yb = x[rows], y[rows]
+        resid = (xb[None] @ params["theta"][:, None, :, None])[..., 0] - yb
+        return (resid * resid).sum(axis=2), {"theta": 2.0 * np.einsum("tbi,bid->td", resid, xb) / len(xb)}
+
+    def one_at_a_time(params, rows, epoch, batch):
+        if params["theta"].shape[0] > 1:
+            raise RuntimeError("stacked batch failed")
+        return least_squares(params, rows, epoch, batch)
+
+    def fit(batch_grads, lrs, epochs):
+        return fit_adam({"theta": np.zeros(2)}, batch_grads, lambda p: p["theta"], 40, 16, lrs, epochs, "lsq")
+
+    lrs, epochs = [0.01, 0.03, 0.002], [2, 3, 1]
+    models, traces = fit(one_at_a_time, lrs, epochs)
+    for i, (lr, ep) in enumerate(zip(lrs, epochs)):
+        (model,), (trace,) = fit(least_squares, [lr], [ep])
+        assert models[i].tobytes() == model.tobytes()
+        assert traces[i] == trace
+    # the same trials stacked without the failure give the same models
+    stacked, _ = fit(least_squares, lrs, epochs)
+    assert [m.tobytes() for m in stacked] == [m.tobytes() for m in models]
