@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
@@ -52,6 +53,10 @@ from .reports import (
 # The roster parser reads these straight off the dataclass, so it cannot drift from it.
 SPEC_FIELDS = tuple(f.name for f in fields(StrategySpec))
 SPEC_REQUIRED = tuple(f.name for f in fields(StrategySpec) if f.default is MISSING)
+# Type checks ahead of StrategySpec's own value checks: a wrong type there fails
+# only at the first rebalance, or is coerced silently (True as rho 1.0).
+SPEC_NUMBERS = ("gamma", "lam", "rho")
+SPEC_COUNTS = ("robust_samples", "hidden")
 
 
 @dataclass
@@ -75,6 +80,9 @@ def _parse_iso(value, key: str, errors: list[str]) -> date | None:
 def _check_number(value, key: str, errors: list[str], minimum=None, integer=False):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         errors.append(f"{key}: expected a number, got {value!r}")
+        return None
+    if not math.isfinite(value):
+        errors.append(f"{key}: expected a finite number, got {value!r}")
         return None
     if integer and int(value) != value:
         errors.append(f"{key}: expected an integer, got {value!r}")
@@ -118,7 +126,13 @@ def _build_roster(raw, errors: list[str]) -> tuple[StrategySpec, ...]:
         for u in sorted(set(item) - set(SPEC_FIELDS)):
             errors.append(f"{key}.{u}: unknown field")
         kwargs = {fld: item[fld] for fld in SPEC_FIELDS if fld in item}
-        if all(fld in kwargs for fld in SPEC_REQUIRED):
+        n_errors = len(errors)
+        if not isinstance(kwargs.get("name", ""), str):
+            errors.append(f"{key}.name: expected a string, got {kwargs['name']!r}")
+        for fld in SPEC_NUMBERS + SPEC_COUNTS:
+            if fld in kwargs:
+                kwargs[fld] = _check_number(kwargs[fld], f"{key}.{fld}", errors, integer=fld in SPEC_COUNTS)
+        if len(errors) == n_errors and all(fld in kwargs for fld in SPEC_REQUIRED):
             try:
                 roster.append(StrategySpec(**kwargs))
             except (TypeError, ValueError) as exc:

@@ -2,21 +2,21 @@
 
 All indicators are causal: the value at date t uses prices/volumes at dates <= t
 only. Price-denominated indicators are divided by price so a single linear
-predictor shared across assets sees comparable scales.
+predictor shared across assets sees comparable scales. The features.csv audit
+dump goes through util.write_long_csv, the panel's block writer: csv quotes
+each ticker, and each date block's floats are formatted by one `%r` format.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .market_data import MarketFrame, _frozen
-from .util import span_indices
+from .util import span_indices, write_long_csv
 
 # Floor on a fit span's standard deviation, so a constant feature z-scores to 0.
 STD_FLOOR = 1e-8
@@ -213,14 +213,6 @@ def standardize(
 
 
 def write_features_csv(tensor: FeatureTensor, path) -> Path:
-    """Audit dump: one row per (date, ticker), written one date block at a time.
-
-    csv writes each Python float as its shortest round-trip repr.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "ticker", *tensor.feature_names])
-        for d, block in zip(tensor.dates, tensor.features):
-            w.writerows(zip(repeat(d.isoformat()), tensor.tickers, *block.T.tolist()))
-    return path
+    """Audit dump: one row per (date, ticker), written one date block at a time."""
+    header = ["date", "ticker", *tensor.feature_names]
+    return write_long_csv(path, header, tensor.dates, tensor.tickers, tensor.features)

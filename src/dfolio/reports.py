@@ -1,7 +1,9 @@
 """Writers for every emitted artifact, and the metrics.json reader.
 
-Floats reach csv as Python floats, which it writes in shortest round-trip
-repr, so identical runs produce identical bytes.
+Every float is written as its shortest round-trip repr, so identical runs
+produce identical bytes. The backtest writers hand csv Python floats;
+panel.csv goes through util.write_long_csv, which quotes each ticker by
+csv's rule and formats a whole date block with one `%r` format.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import csv
 import json
 from dataclasses import fields
 from datetime import date
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .backtest import BacktestLedger
 from .market_data import MarketFrame
 from .metrics import MetricsRow, restrict_nav
+from .util import write_long_csv
 
 
 def _ok(ledgers: dict[str, BacktestLedger]) -> dict[str, BacktestLedger]:
@@ -171,10 +173,5 @@ def write_plotdata(
 
 def write_panel_csv(frame: MarketFrame, path) -> Path:
     """Aligned long-format cache of the ingested universe, one date block at a time."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["date", "ticker", "adj_close", "volume"])
-        for d, adj, vol in zip(frame.dates, frame.adj_close, frame.volume):
-            w.writerows(zip(repeat(d.isoformat()), frame.tickers, adj.tolist(), vol.tolist()))
-    return path
+    blocks = map(np.column_stack, zip(frame.adj_close, frame.volume))
+    return write_long_csv(path, ["date", "ticker", "adj_close", "volume"], frame.dates, frame.tickers, blocks)

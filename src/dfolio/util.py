@@ -1,11 +1,14 @@
-"""Small shared helpers: date spans and deterministic RNG derivation."""
+"""Small shared helpers: date spans, deterministic RNG derivation, the long-table CSV writer."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 from bisect import bisect_left
 from datetime import date
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,3 +30,28 @@ def derived_rng(seed: int, *tags) -> np.random.Generator:
     """Generator seeded from a base seed plus string/int tags."""
     return np.random.Generator(np.random.PCG64(stable_seed(seed, *tags)))
 
+
+def write_long_csv(path, header: Sequence[str], dates: Sequence[date], labels: Sequence[str],
+                   blocks: Iterable[np.ndarray]) -> Path:
+    """Write one (date, label, *cells) row per label per date, one date block per write.
+
+    `blocks` yields a (len(labels), len(header) - 2) float array per date. The
+    bytes equal a csv.writer row per (date, label) of Python floats: csv
+    quotes the header and each label (QUOTE_MINIMAL), and each cell is
+    repr(float), which `%r` prints for the block's `.tolist()` floats.
+    """
+    path = Path(path)
+    row = ",%r" * (len(header) - 2) + "\r\n"
+    pieces = []
+    for label in labels:
+        # Quoted as a cell among others (csv quotes a lone empty cell, not an
+        # empty cell in a row), in the file's dialect: drop the ",\r\n" after it.
+        buf = io.StringIO()
+        csv.writer(buf).writerow([label, ""])
+        pieces.append("," + buf.getvalue()[:-3].replace("%", "%%") + row)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for d, block in zip(dates, blocks):
+            iso = d.isoformat()
+            fh.write("".join([iso + piece for piece in pieces]) % tuple(block.ravel().tolist()))
+    return path

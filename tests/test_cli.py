@@ -210,6 +210,40 @@ class TestBacktestCommand:
         err = capsys.readouterr().err
         assert "strategies[0]" in err and "gamma" in err
 
+    @pytest.mark.parametrize(
+        "strategy, key, detail",
+        [
+            ({"name": "lin", "kind": "spo_plus", "hidden": 2.5}, "hidden", "expected an integer, got 2.5"),
+            ({"name": "rob", "kind": "robust_spo", "rho": 0.1, "robust_samples": 1.5}, "robust_samples", "expected an integer, got 1.5"),
+            ({"name": "rob", "kind": "robust_spo", "rho": True}, "rho", "expected a number, got True"),
+            ({"name": 5, "kind": "spo_plus"}, "name", "expected a string, got 5"),
+            ({"name": "fee", "kind": "spo_plus_fee", "gamma": True}, "gamma", "expected a number, got True"),
+            ({"name": "fee", "kind": "spo_plus_fee", "gamma": "0.1"}, "gamma", "expected a number, got '0.1'"),
+            ({"name": "fee", "kind": "spo_plus_fee", "gamma": float("nan")}, "gamma", "expected a finite number, got nan"),
+            ({"name": "lin", "kind": "spo_plus", "hidden": float("inf")}, "hidden", "expected a finite number, got inf"),
+            ({"name": "softmax_max_return", "hidden": 2.5}, "hidden", "expected an integer, got 2.5"),
+            ({"name": "robust_spo_rho0.1", "robust_samples": False}, "robust_samples", "expected a number, got False"),
+            ({"name": "spo_plus_fee_l2", "lam": True}, "lam", "expected a number, got True"),
+        ],
+    )
+    def test_strategy_field_types_fail_before_training(self, synth_dir, tmp_path, monkeypatch, capsys, strategy, key, detail):
+        # Each of these was accepted: it failed at the first rebalance, or was
+        # coerced silently (True as 1.0, 5 as a name).
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "run_backtest", no_training)
+        cfg = write_config(tmp_path, synth_dir, tmp_path / "o", strategies=[strategy])
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert f"config error: strategies[0].{key}: {detail}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("train_months", float("inf")), ("fee_rate", float("nan"))])
+    def test_non_finite_backtest_number_is_config_error(self, synth_dir, tmp_path, capsys, key, value):
+        # Infinity ended in an OverflowError traceback; NaN was accepted.
+        cfg = write_config(tmp_path, synth_dir, tmp_path / "o", backtest={"start": "2016-02-01", "end": "2016-10-31", key: value})
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert f"config error: backtest.{key}: expected a finite number, got {value!r}" in capsys.readouterr().err
+
     def test_errors_reported_exhaustively(self, synth_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path, synth_dir, tmp_path / "o",

@@ -5,19 +5,34 @@ The values include a negative zero, the smallest subnormal, integral floats
 that repr keeps in fixed or switches to exponent notation, and a sum with a
 long repr; a ticker containing a comma must come out quoted. The backtest
 writers get numpy scalars and arrays as well as Python floats, as the
-backtest hands them over.
+backtest hands them over. The panel and features writers share one block
+writer, util.write_long_csv; it is also checked on drawn floats and labels,
+and through `dfolio ingest` on tickers that carry csv and `%` syntax.
 """
 
 import csv
 import io
+import struct
 from datetime import date
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfolio import cli
 from dfolio.backtest import BacktestLedger, RebalanceRecord, WindowDiagnostics
-from dfolio.features import FeatureTensor, write_features_csv
-from dfolio.market_data import CSV_HEADER, MarketFrame, read_ticker_csv, write_csv_dir
+from dfolio.features import FeatureTensor, compute_indicators, write_features_csv
+from dfolio.market_data import (
+    CSV_HEADER,
+    MarketFrame,
+    SyntheticSpec,
+    align_series,
+    generate_synthetic,
+    load_series,
+    read_ticker_csv,
+    write_csv_dir,
+)
 from dfolio.metrics import MetricsRow
 from dfolio.reports import (
     write_hparams_csv,
@@ -27,6 +42,7 @@ from dfolio.reports import (
     write_plotdata,
     write_weights_csv,
 )
+from dfolio.util import write_long_csv
 
 TICKERS = ("A,B", "C")
 DATES = (date(2020, 1, 6), date(2020, 1, 7))
@@ -190,12 +206,11 @@ REAL_WRITER = csv.writer
 def test_writers_hand_csv_only_python_scalars(tmp_path, monkeypatch):
     # str(np.float64(x)) == repr(float(x)) for every edge value above, so the
     # byte comparisons cannot see a numpy scalar reaching csv; check the types.
+    # The panel and features writers hand csv only the header and the tickers;
+    # their floats never reach it (see the next test).
     monkeypatch.setattr(csv, "writer", CellTypeGuard)
     monkeypatch.setattr(CellTypeGuard, "files", [])
     frame, ledgers = edge_frame(), edge_ledgers()
-    feats = np.array(EDGE * 2).reshape(2, 2, 4)
-    write_features_csv(FeatureTensor(dates=DATES, tickers=TICKERS, features=feats, feature_names=tuple("abcd")), tmp_path / "f.csv")
-    write_panel_csv(frame, tmp_path / "panel.csv")
     write_csv_dir(frame, tmp_path / "data")
     write_nav_csv(ledgers, tmp_path / "nav.csv")
     write_weights_csv(ledgers, TICKERS, tmp_path / "weights.csv")
@@ -204,6 +219,64 @@ def test_writers_hand_csv_only_python_scalars(tmp_path, monkeypatch):
     write_metrics_csv(report, tmp_path / "metrics.csv")
     series = {"a,b": (list(DATES), [-0.0, 5e-324]), "c": (list(DATES), np.array([1e16, 0.1 + 0.2]))}
     write_plotdata(series, {"full": (None, None)}, tmp_path / "plotdata")
-    assert CellTypeGuard.files == [
-        "f.csv", "panel.csv", "A,B.csv", "C.csv", "nav.csv", "weights.csv", "hparams.csv", "metrics.csv", "nav_full.csv"
+    assert CellTypeGuard.files == ["A,B.csv", "C.csv", "nav.csv", "weights.csv", "hparams.csv", "metrics.csv", "nav_full.csv"]
+
+
+def test_block_writer_cannot_print_numpy_scalars():
+    # write_long_csv formats cells with %r, and %r of a numpy scalar is not
+    # repr(float): a block handed over without .tolist() fails the byte tests.
+    for x in EDGE:
+        assert "%r" % (np.float64(x),) != repr(x)
+
+
+HOSTILE_TICKERS = ("A%B", "%r", "100%%", "A,B", 'A"B', " lead")
+
+
+def test_ingest_hostile_tickers_match_per_cell_reference(tmp_path):
+    synth, _, _ = generate_synthetic(SyntheticSpec(n_assets=len(HOSTILE_TICKERS), n_days=60, seed=3))
+    frame = MarketFrame(synth.dates, HOSTILE_TICKERS, synth.adj_close, synth.volume)
+    write_csv_dir(frame, tmp_path / "data")
+    assert cli.main(["ingest", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]) == 0
+
+    panel = align_series(load_series(tmp_path / "data"))
+    assert panel.tickers == tuple(sorted(HOSTILE_TICKERS))
+    rows = [
+        [d.isoformat(), t, panel.adj_close[i, j], panel.volume[i, j]]
+        for i, d in enumerate(panel.dates)
+        for j, t in enumerate(panel.tickers)
     ]
+    assert (tmp_path / "out" / "panel.csv").read_bytes() == reference_csv(["date", "ticker", "adj_close", "volume"], rows)
+    feats = compute_indicators(panel)
+    rows = [
+        [d.isoformat(), t, *feats.features[i, j]]
+        for i, d in enumerate(feats.dates)
+        for j, t in enumerate(feats.tickers)
+    ]
+    header = ["date", "ticker", *feats.feature_names]
+    assert (tmp_path / "out" / "features.csv").read_bytes() == reference_csv(header, rows)
+    assert b'"A""B",' in (tmp_path / "out" / "features.csv").read_bytes()
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FINITE_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float_of_bits).filter(np.isfinite),
+    st.integers(1, 2**52 - 1).map(_float_of_bits),  # positive subnormals
+    st.floats(9e15, 2e16) | st.floats(-2e16, -9e15),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 9999999999999998.0, 1e16 + 2, 1e-7, 0.1 + 0.2]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), n_labels=st.integers(0, 4), n_cells=st.integers(1, 3), n_dates=st.integers(0, 3))
+def test_block_writer_matches_per_cell_reference(tmp_path_factory, data, n_labels, n_cells, n_dates):
+    labels = data.draw(st.lists(st.text('%", A\nr', max_size=4), min_size=n_labels, max_size=n_labels))
+    cells = data.draw(st.lists(FINITE_FLOATS, min_size=n_dates * n_labels * n_cells, max_size=n_dates * n_labels * n_cells))
+    blocks = np.array(cells, dtype=float).reshape(n_dates, n_labels, n_cells)
+    dates = [date(2020, 1, 1 + i) for i in range(n_dates)]
+    header = ["date", "ticker", *(f"c%{k}" for k in range(n_cells))]
+    path = write_long_csv(tmp_path_factory.mktemp("long") / "x.csv", header, dates, labels, blocks)
+    rows = [[d.isoformat(), t, *blocks[i, j]] for i, d in enumerate(dates) for j, t in enumerate(labels)]
+    assert path.read_bytes() == reference_csv(header, rows)
