@@ -1,5 +1,6 @@
 """Decision-focused portfolio optimization toolkit."""
 
+from .util import ConfigError, DfolioError, UsageError
 from .market_data import (
     AssetBar,
     IngestionError,
@@ -15,6 +16,7 @@ from .solvers import (
     CovarianceEstimate,
     DecisionProblem,
     Portfolio,
+    SolverError,
     estimate_covariance,
     solve_fee,
     solve_fee_l2,
@@ -22,9 +24,9 @@ from .solvers import (
     solve_max_sharpe,
 )
 from .spo import RobustConfig
-from .training import LinearPredictor, SearchSpace, TrainConfig, hyperparameter_search, predict, train
+from .training import LinearPredictor, SearchSpace, TrainConfig, TrainingError, hyperparameter_search, predict, train
 from .softmax_dfl import SoftmaxAllocator, allocate, train_dfl
-from .backtest import BacktestConfig, BacktestLedger, StrategySpec, default_roster, run_backtest
+from .backtest import AccountingError, BacktestConfig, BacktestLedger, StrategySpec, default_roster, run_backtest
 from .metrics import MetricsRow, compute_metrics, subperiod_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import calendar
 from dataclasses import dataclass, field, replace
-from datetime import date
+from datetime import MINYEAR, date
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .training import (
     train,
     validation_score,
 )
-from .util import span_indices, stable_seed
+from .util import ConfigError, DfolioError, span_indices, stable_seed
 
 STRAT_SPO_PLUS = "spo_plus"
 STRAT_SPO_FEE = "spo_plus_fee"
@@ -66,7 +66,7 @@ STRATEGY_KINDS = (
 )
 
 
-class AccountingError(RuntimeError):
+class AccountingError(DfolioError, RuntimeError):
     pass
 
 
@@ -140,16 +140,22 @@ class BacktestConfig:
 
 
 def months_back(day: date, months: int) -> date:
-    """Same day-of-month `months` earlier, clamped to the target month's length."""
-    y, m = day.year, day.month - months
-    while m <= 0:
-        m += 12
-        y -= 1
-    return date(y, m, min(day.day, calendar.monthrange(y, m)[1]))
+    """Same day-of-month `months` earlier, clamped to the target month's length.
+
+    Raises ValueError when that month lies before year 1.
+    """
+    y, m0 = divmod(day.year * 12 + day.month - 1 - months, 12)
+    if y < MINYEAR:  # date() raises OverflowError, not ValueError, below the C int range
+        raise ValueError(f"year {y} is out of range")
+    return date(y, m0 + 1, min(day.day, calendar.monthrange(y, m0 + 1)[1]))
 
 
 def rebalance_dates(frame: MarketFrame, config: BacktestConfig) -> list[date]:
-    """First trading day of each month in [start, end] with a full lookback behind it."""
+    """First trading day of each month in [start, end] with a full lookback behind it.
+
+    Raises ConfigError, under the `backtest` key, when no month qualifies or a
+    lookback runs off the calendar.
+    """
     first_of_month: dict[tuple[int, int], date] = {}
     for d in frame.dates:
         key = (d.year, d.month)
@@ -160,11 +166,15 @@ def rebalance_dates(frame: MarketFrame, config: BacktestConfig) -> list[date]:
         c = first_of_month[key]
         if c < config.start or c > config.end:
             continue
-        if months_back(c, config.lookback_months) >= frame.dates[0]:
+        try:
+            fits = months_back(c, config.lookback_months) >= frame.dates[0]
+        except ValueError as exc:
+            raise ConfigError(f"backtest: {exc}") from None
+        if fits:
             out.append(c)
     if not out:
-        raise ValueError(
-            f"no rebalance dates in [{config.start}, {config.end}] with a "
+        raise ConfigError(
+            f"backtest: no rebalance dates in [{config.start}, {config.end}] with a "
             f"{config.lookback_months}-month lookback inside the frame"
         )
     return out

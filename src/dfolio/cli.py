@@ -7,35 +7,25 @@ Commands:
   dfolio synth    --out DIR [--assets N] [--days N] [--seed N]
 
 The backtest config is a single JSON document; see README for the schema.
+
+A bad input raises a DfolioError where it is found; `main` alone maps it to an
+exit code: 2 for a ConfigError (`config error: ...`) or another UsageError
+(`error: ...`), 1 for a data or run error (`error: ...`) or a failed strategy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
 
-from .backtest import (
-    BacktestConfig,
-    StrategySpec,
-    default_roster,
-    rebalance_dates,
-    run_backtest,
-)
+from .backtest import BacktestConfig, StrategySpec, default_roster, rebalance_dates, run_backtest
 from .features import compute_indicators, write_features_csv
-from .market_data import (
-    IngestionError,
-    SyntheticSpec,
-    UniverseError,
-    align_series,
-    generate_synthetic,
-    load_series,
-    write_csv_dir,
-)
+from .market_data import SyntheticSpec, align_series, generate_synthetic, load_series, write_csv_dir
 from .metrics import span_bounds, subperiod_report
 from .reports import (
     nav_series,
@@ -48,6 +38,7 @@ from .reports import (
     write_weights_csv,
     read_metrics_json,
 )
+from .util import ConfigError, DfolioError, UsageError
 
 
 # The roster parser reads these straight off the dataclass, so it cannot drift from it.
@@ -81,7 +72,7 @@ def _check_number(value, key: str, errors: list[str], minimum=None, integer=Fals
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         errors.append(f"{key}: expected a number, got {value!r}")
         return None
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an integer beyond the float range
         errors.append(f"{key}: expected a finite number, got {value!r}")
         return None
     if integer and int(value) != value:
@@ -96,6 +87,25 @@ def _check_number(value, key: str, errors: list[str], minimum=None, integer=Fals
 def _check_dir(value, key: str, errors: list[str]) -> None:
     if not isinstance(value, str) or not value:
         errors.append(f"{key}: expected a non-empty string, got {value!r}")
+    elif "\0" in value:
+        errors.append(f"{key}: a path cannot contain a NUL character")
+
+
+def _output_dir(path, key: str) -> Path:
+    """`path` if the command can create it when it writes, else a ConfigError under `key`.
+
+    Nothing is created here, so a run that later fails on its data leaves no
+    directory: the nearest existing one of `path` and its parents must be a
+    writable directory.
+    """
+    out = Path(path)
+    try:
+        base = next((p for p in (out, *out.parents) if p.exists()), out)
+    except OSError as exc:  # e.g. a name too long
+        raise ConfigError(f"{key}: cannot create {out} ({exc.strerror})") from None
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise ConfigError(f"{key}: cannot create {out} ({base} is not a writable directory)")
+    return out
 
 
 def _build_roster(raw, errors: list[str]) -> tuple[StrategySpec, ...]:
@@ -117,7 +127,7 @@ def _build_roster(raw, errors: list[str]) -> tuple[StrategySpec, ...]:
         if not isinstance(item, dict):
             errors.append(f"{key}: expected a name or an object")
             continue
-        if "name" in item and "kind" not in item and item.get("name") in defaults:
+        if "kind" not in item and isinstance(item.get("name"), str) and item["name"] in defaults:
             base = defaults[item["name"]]
             item = {**base.__dict__, **item}
         for fld in SPEC_REQUIRED:
@@ -143,17 +153,23 @@ def _build_roster(raw, errors: list[str]) -> tuple[StrategySpec, ...]:
     return tuple(roster)
 
 
-def load_run_config(path, seed_override=None, out_override=None, strategy_filter=None):
-    """Parse and validate a run config; returns (RunConfig | None, list of errors)."""
+def load_run_config(path, seed_override=None, out_override=None, strategy_filter=None) -> RunConfig:
+    """Parse and validate a run config.
+
+    Returns the RunConfig, or raises one ConfigError that carries every fault
+    found, one message each, keyed like `backtest.start` or `strategies[0].rho`.
+    """
     errors: list[str] = []
     try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        return None, [f"config file not found: {path}"]
-    except json.JSONDecodeError as exc:
-        return None, [f"config is not valid JSON: {exc}"]
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path} ({exc.strerror})") from None
+    try:
+        raw = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        return None, ["config root must be a JSON object"]
+        raise ConfigError("config root must be a JSON object")
 
     known = {"data_dir", "output_dir", "universe", "seed", "backtest", "search", "strategies", "report_spans"}
     for u in sorted(set(raw) - known):
@@ -223,6 +239,9 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
         if name == "full":
             errors.append("report_spans.full: reserved span name")
             continue
+        if "/" in name or "\0" in name:
+            errors.append(f"report_spans.{name}: a span name is part of a file name, so no '/' or NUL")
+            continue
         if not isinstance(pair, list) or len(pair) != 2:
             errors.append(f"report_spans.{name}: expected [start, end]")
             continue
@@ -232,9 +251,9 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
             spans[name] = (s, e)
 
     if errors:
-        return None, errors
+        raise ConfigError(*errors)
     if start > end:
-        return None, ["backtest.start: must be <= backtest.end"]
+        raise ConfigError("backtest.start: must be <= backtest.end")
 
     config = BacktestConfig(
         start=start,
@@ -250,28 +269,33 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
         epochs_max=epochs_max,
         batch_size=batch_size,
     )
-    return (
-        RunConfig(
-            data_dir=Path(data_dir),
-            output_dir=Path(output_dir),
-            universe=universe,
-            backtest=config,
-            roster=roster,
-            report_spans=spans,
-        ),
-        [],
+    return RunConfig(
+        data_dir=Path(data_dir),
+        output_dir=Path(output_dir),
+        universe=universe,
+        backtest=config,
+        roster=roster,
+        report_spans=spans,
     )
 
 
+def _check_spans(nav_dates, spans) -> None:
+    """One ConfigError naming every report span that covers fewer than 2 NAV dates."""
+    errors = []
+    for name, (start, end) in spans.items():
+        try:
+            span_bounds(nav_dates, start, end)
+        except ValueError as exc:
+            errors.append(f"report_spans.{name}: {exc}")
+    if errors:
+        raise ConfigError(*errors)
+
+
 def cmd_ingest(args) -> int:
-    try:
-        series = load_series(args.data)
-        frame = align_series(series)
-        features = compute_indicators(frame)
-    except (IngestionError, UniverseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = Path(args.out)
+    out = _output_dir(args.out, "--out")
+    series = load_series(args.data)
+    frame = align_series(series)
+    features = compute_indicators(frame)
     out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(frame, out / "panel.csv")
     write_features_csv(features, out / "features.csv")
@@ -287,51 +311,22 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    run, errors = load_run_config(
-        args.config, seed_override=args.seed, out_override=args.out, strategy_filter=args.strategies
-    )
-    if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
-        frame = align_series(load_series(run.data_dir))
-        if run.universe:
-            frame = frame.select(run.universe)
-        frame.check_usable()
-    except (IngestionError, UniverseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    # Config faults that only the data or the file system reveal, reported
-    # before any training.
-    try:
-        rebs = rebalance_dates(frame, run.backtest)
-    except ValueError as exc:
-        print(f"config error: backtest: {exc}", file=sys.stderr)
-        return 2
+    run = load_run_config(args.config, seed_override=args.seed, out_override=args.out, strategy_filter=args.strategies)
+    out = _output_dir(run.output_dir, "output_dir")
+    frame = align_series(load_series(run.data_dir))
+    if run.universe:
+        frame = frame.select(run.universe)
+    frame.check_usable()
+    # Config faults that only the data reveal, reported before any training.
+    rebs = rebalance_dates(frame, run.backtest)
     # Every NAV starts the day before the first rebalance and runs to the end.
-    nav_dates = frame.dates[frame.index_of(rebs[0]) - 1 :]
-    bad_span = False
-    for name, (start, end) in run.report_spans.items():
-        try:
-            span_bounds(nav_dates, start, end)
-        except ValueError as exc:
-            print(f"config error: report_spans.{name}: {exc}", file=sys.stderr)
-            bad_span = True
-    if bad_span:
-        return 2
-    out = run.output_dir
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: output_dir: cannot create {out} ({exc.strerror})", file=sys.stderr)
-        return 2
+    _check_spans(frame.dates[frame.index_of(rebs[0]) - 1 :], run.report_spans)
 
     ledgers = run_backtest(frame, run.roster, run.backtest)
     series = nav_series(ledgers)
     spans = {"full": (None, None), **run.report_spans}
     report = subperiod_report(series, spans) if series else {}
+    out.mkdir(parents=True, exist_ok=True)
     write_nav_csv(ledgers, out / "nav.csv")
     write_weights_csv(ledgers, frame.tickers, out / "weights.csv")
     write_hparams_csv(ledgers, out / "hparams.csv")
@@ -339,27 +334,16 @@ def cmd_backtest(args) -> int:
     write_metrics_csv(report, out / "metrics.csv")
     write_plotdata(series, spans, out / "plotdata")
 
-    failed = 0
     print(f"{'strategy':<24} status")
     for name, led in ledgers.items():
-        status = "ok" if led.error is None else f"FAILED: {led.error}"
-        failed += led.error is not None
-        print(f"{name:<24} {status}")
+        print(f"{name:<24} {'ok' if led.error is None else f'FAILED: {led.error}'}")
     print(f"outputs -> {out}")
-    return 1 if failed else 0
-
-
-def _fmt_cell(x) -> str:
-    return "n/a" if x is None else f"{x:+.3f}"
+    return 1 if any(led.error is not None for led in ledgers.values()) else 0
 
 
 def cmd_compare(args) -> int:
-    try:
-        a = read_metrics_json(args.metrics_a)
-        b = read_metrics_json(args.metrics_b)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read metrics ({exc})", file=sys.stderr)
-        return 2
+    a = read_metrics_json(args.metrics_a)
+    b = read_metrics_json(args.metrics_b)
     common = [s for s in a if s in b]
     unmatched = sorted(set(a) ^ set(b))
     metrics = ["annualized_return", "annualized_volatility", "sharpe", "sortino", "max_drawdown"]
@@ -385,9 +369,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(n_assets=args.assets, n_days=args.days, seed=args.seed)
-    frame, _, _ = generate_synthetic(spec)
-    write_csv_dir(frame, args.out)
+    errors: list[str] = []
+    for key, minimum in (("assets", 1), ("days", 2), ("seed", 0)):
+        _check_number(getattr(args, key), f"--{key}", errors, minimum, integer=True)
+    if errors:
+        raise ConfigError(*errors)
+    out = _output_dir(args.out, "--out")
+    frame, _, _ = generate_synthetic(SyntheticSpec(n_assets=args.assets, n_days=args.days, seed=args.seed))
+    write_csv_dir(frame, out)
     print(f"wrote {frame.n_assets} tickers x {frame.n_dates} days to {args.out}")
     return 0
 
@@ -424,7 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DfolioError as exc:
+        prefix = "config error" if isinstance(exc, ConfigError) else "error"
+        for line in str(exc).split("\n"):
+            print(f"{prefix}: {line}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .market_data import MarketFrame, _frozen
-from .util import span_indices, write_long_csv
+from .market_data import MarketFrame, UniverseError, _frozen
+from .util import DfolioError, span_indices, write_long_csv
 
 # Floor on a fit span's standard deviation, so a constant feature z-scores to 0.
 STD_FLOOR = 1e-8
 
 
-class WarmupError(ValueError):
+class WarmupError(DfolioError, ValueError):
     """The price history is shorter than the indicator warm-up window."""
 
 
@@ -67,8 +67,10 @@ class FeatureTensor:
                 f"feature shape {feats.shape} != "
                 f"({len(self.dates)}, {len(self.tickers)}, {len(self.feature_names)})"
             )
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features contain non-finite values")
+        if not np.isfinite(feats).all():  # e.g. rolling sums of prices or volumes near the float limit
+            t, i, k = np.argwhere(~np.isfinite(feats))[0]
+            name, ticker, day = self.feature_names[k], self.tickers[i], self.dates[t]
+            raise UniverseError(f"feature {name} of {ticker} is not finite on {day}")
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))

@@ -13,6 +13,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .util import DfolioError
+
 CSV_HEADER = ("date", "open", "high", "low", "close", "adj_close", "volume")
 
 # Soft requirement for running a real backtest; small frames are fine for unit work.
@@ -20,7 +22,7 @@ MIN_USABLE_ASSETS = 2
 MIN_USABLE_DATES = 252
 
 
-class IngestionError(ValueError):
+class IngestionError(DfolioError, ValueError):
     """A CSV file could not be parsed or a row violates bar invariants."""
 
     def __init__(self, path, line: int, message: str):
@@ -29,8 +31,9 @@ class IngestionError(ValueError):
         self.line = line
 
 
-class UniverseError(ValueError):
-    """The aligned universe is unusable (empty intersection, too few assets/dates)."""
+class UniverseError(DfolioError, ValueError):
+    """The universe is unusable: an unreadable data path, an empty intersection, too few
+    assets/dates, or indicators that are not finite."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -200,7 +203,11 @@ def read_ticker_csv(path) -> list[AssetBar]:
     `_check_row` scans them in file order to name the first bad line.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="")
+    except OSError as exc:  # e.g. a directory named X.csv
+        raise UniverseError(f"cannot open {path} ({exc.strerror})") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -211,6 +218,9 @@ def read_ticker_csv(path) -> list[AssetBar]:
             raise IngestionError(path, 1, "empty file") from None
         except csv.Error as exc:  # e.g. a cell over the field size limit
             raise IngestionError(path, reader.line_num, str(exc)) from None
+        except UnicodeDecodeError as exc:  # decoded a buffer ahead of the reader, so no exact line
+            message = f"not UTF-8 text at or after this line ({exc.reason})"
+            raise IngestionError(path, reader.line_num + 1, message) from None
     data = rows if all(rows) else [row for row in rows if row]
     if not data:
         raise IngestionError(path, 2, "no data rows")
@@ -229,7 +239,11 @@ def read_ticker_csv(path) -> list[AssetBar]:
 def load_series(path) -> dict[str, list[AssetBar]]:
     """Read every per-ticker CSV in a directory, keyed by filename stem."""
     path = Path(path)
-    files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".csv")
+    try:
+        entries = list(path.iterdir())
+    except OSError as exc:
+        raise UniverseError(f"cannot read data directory {path} ({exc.strerror})") from None
+    files = sorted(p for p in entries if p.suffix.lower() == ".csv")
     if not files:
         raise UniverseError(f"no input files in {path}")
     return {f.stem: read_ticker_csv(f) for f in files}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from .backtest import BacktestLedger
 from .market_data import MarketFrame
 from .metrics import MetricsRow, restrict_nav
-from .util import write_long_csv
+from .util import UsageError, write_long_csv
 
 
 def _ok(ledgers: dict[str, BacktestLedger]) -> dict[str, BacktestLedger]:
@@ -81,28 +82,41 @@ def write_metrics_json(report: dict[str, dict[str, MetricsRow]], path) -> Path:
 
 
 def read_metrics_json(path) -> dict[str, dict[str, MetricsRow]]:
-    """Read a metrics.json report; a payload of any other shape is a ValueError naming the file."""
+    """Read a metrics.json report.
+
+    A file that cannot be read, or a payload of any other shape, is a
+    UsageError `cannot read metrics (<path>: <reason>)`.
+    """
+
+    def unreadable(reason: str) -> UsageError:
+        return UsageError(f"cannot read metrics ({path}: {reason})")
+
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise unreadable(exc.strerror) from None
+    try:
+        payload = json.loads(data)
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
+        raise unreadable(f"not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected an object of strategy -> span -> metrics, got {type(payload).__name__}")
+        raise unreadable(f"expected an object of strategy -> span -> metrics, got {type(payload).__name__}")
     names = [f.name for f in fields(MetricsRow)]
     out: dict[str, dict[str, MetricsRow]] = {}
     for strategy, spans in payload.items():
         if not isinstance(spans, dict):
-            raise ValueError(f"{path}: {strategy}: expected an object of span -> metrics")
+            raise unreadable(f"{strategy}: expected an object of span -> metrics")
         out[strategy] = {}
         for span, row in spans.items():
             if not (isinstance(row, dict) and sorted(row) == sorted(names) and all(map(_is_metric, row.values()))):
-                raise ValueError(f"{path}: {strategy}.{span}: expected numbers or null for exactly {', '.join(names)}")
+                raise unreadable(f"{strategy}.{span}: expected numbers or null for exactly {', '.join(names)}")
             out[strategy][span] = MetricsRow(**row)
     return out
 
 
 def _is_metric(value) -> bool:
-    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
+    """None, a float, or an int that converts to one (`compare` subtracts them as floats)."""
+    return value is None or isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
 METRICS_CSV_HEADER = [

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market_data import _frozen
+from .util import DfolioError
 
 MAX_RETURN = "max_return"
 MAX_RETURN_FEE = "max_return_fee"
@@ -24,7 +25,7 @@ MAX_RETURN_FEE_L2 = "max_return_fee_l2"
 PROBLEM_KINDS = (MAX_RETURN, MAX_RETURN_FEE, MAX_RETURN_FEE_L2)
 
 
-class SolverError(RuntimeError):
+class SolverError(DfolioError, RuntimeError):
     pass
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .solvers import MAX_RETURN, DecisionProblem, argmax_batch
 from .spo import RobustConfig, perturbation_set, robust_max_return_batch, robust_spo_batch, spo_plus_batch
-from .util import derived_rng, stable_seed
+from .util import DfolioError, derived_rng, stable_seed
 
 MSE = "mse"
 SPO_PLUS = "spo_plus"
@@ -32,7 +32,7 @@ ROBUST_SPO = "robust_spo"
 LOSS_KINDS = (MSE, SPO_PLUS, ROBUST_SPO)
 
 
-class TrainingError(RuntimeError):
+class TrainingError(DfolioError, RuntimeError):
     pass
 
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: date spans, deterministic RNG derivation, the long-table CSV writer."""
+"""Small shared helpers: the error base classes, date spans, deterministic RNG derivation, the long-table CSV writer."""
 
 from __future__ import annotations
 
@@ -11,6 +11,25 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+
+class DfolioError(Exception):
+    """Base of the errors a bad input or a failed run raises, each located by file:line, key or path.
+
+    `dfolio.cli.main` catches this class alone: it prints the message to
+    stderr and exits 2 for a UsageError, 1 for every other (data or run) error.
+    """
+
+
+class UsageError(DfolioError, ValueError):
+    """An argument or input file named on the command line that the command cannot use."""
+
+
+class ConfigError(UsageError):
+    """Every fault found in a run config or in command-line values, one message per fault."""
+
+    def __str__(self) -> str:
+        return "\n".join(map(str, self.args))
 
 
 def span_indices(dates: Sequence[date], start: date | None, end: date | None) -> range:

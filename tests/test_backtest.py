@@ -1,4 +1,5 @@
-from datetime import date
+import calendar
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -34,7 +35,32 @@ def fast_config(frame, seed=0, **kw):
     return BacktestConfig(**base)
 
 
+def months_back_loop(day, months):
+    """The former months_back, one year per iteration: the reference for the closed form."""
+    y, m = day.year, day.month - months
+    while m <= 0:
+        m += 12
+        y -= 1
+    return date(y, m, min(day.day, calendar.monthrange(y, m)[1]))
+
+
 class TestMonthsBack:
+    def test_equals_loop_version(self):
+        # Every day of 2015-2025 for lookbacks up to two years, and up to 1200
+        # months for the 1st and the 29th-31st of each month. A day up to the
+        # 28th is never clamped, so it takes the 1st's year and month; the full
+        # grid of 4.8M pairs takes about 30 s.
+        days = [date(2015, 1, 1) + timedelta(k) for k in range((date(2026, 1, 1) - date(2015, 1, 1)).days)]
+        for day in days:
+            months = range(1201) if day.day == 1 or day.day > 28 else range(25)
+            assert [months_back(day, k) for k in months] == [months_back_loop(day, k) for k in months], day
+
+    def test_lookback_before_year_one_raises_at_once(self):
+        # The loop took about 10^11 iterations here; date() itself would raise
+        # OverflowError, not ValueError, this far below year 1.
+        with pytest.raises(ValueError, match=r"^year -83333331318 is out of range$"):
+            months_back(date(2016, 2, 1), 10**12)
+
     def test_simple(self):
         assert months_back(date(2020, 6, 15), 3) == date(2020, 3, 15)
 

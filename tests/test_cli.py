@@ -1,12 +1,16 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from dfolio import cli
+import dfolio
+from dfolio import backtest, cli
 from dfolio.backtest import BacktestLedger
 from dfolio.reports import read_metrics_json
 
@@ -24,10 +28,12 @@ def run_cli(args):
     return cli.main(args)
 
 
-def run_cli_process(args):
+def run_cli_process(args, timeout=300):
     """Run the CLI in a fresh interpreter: (exit code, stderr)."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-m", "dfolio.cli", *args], capture_output=True, text=True, timeout=300, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dfolio.cli", *args], capture_output=True, text=True, timeout=timeout, env=env
+    )
     return proc.returncode, proc.stderr
 
 
@@ -390,3 +396,156 @@ class TestCompareCommand:
         bad.write_text("{")
         assert run_cli(["compare", str(bad), str(bad)]) == 2
         assert f"error: cannot read metrics ({bad}: not valid JSON" in capsys.readouterr().err
+
+
+class TestErrorPolicy:
+    """`main` is the only place that maps errors to exit codes: 2 for config and usage, 1 for data and run."""
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["synth", "--out", "{file}/x", "--assets", "2"], "config error: --out: cannot create {file}/x"),
+            (["synth", "--out", "{tmp}/s", "--assets", "0"], "config error: --assets: must be >= 1, got 0"),
+            (["synth", "--out", "{tmp}/s", "--days", "1"], "config error: --days: must be >= 2, got 1"),
+            (["synth", "--out", "{tmp}/s", "--seed", "-1"], "config error: --seed: must be >= 0, got -1"),
+            (["ingest", "--data", "{tmp}", "--out", "{file}/x"], "config error: --out: cannot create {file}/x"),
+            (["ingest", "--data", "{tmp}", "--out", "{file}"], "config error: --out: cannot create {file}"),
+            (["synth", "--out", "{tmp}/" + "x" * 300 + "/y"], "config error: --out: cannot create {tmp}/xxx"),
+            (["compare", "{tmp}/no.json", "{tmp}/no.json"], "error: cannot read metrics ({tmp}/no.json: No such file"),
+            (["compare", "{tmp}", "{tmp}"], "error: cannot read metrics ({tmp}: Is a directory"),
+            (["backtest", "--config", "{tmp}/no.json"], "config error: cannot read config {tmp}/no.json (No such file"),
+        ],
+        ids=["synth-out-under-file", "synth-assets", "synth-days", "synth-seed", "ingest-out-under-file",
+             "ingest-out-is-file", "synth-out-name-too-long", "compare-missing", "compare-directory",
+             "backtest-missing-config"],
+    )
+    def test_usage_errors_exit_2(self, tmp_path, capsys, argv, detail):
+        # Each of the synth, ingest --out and compare directory cases ended in a traceback.
+        (tmp_path / "file").write_text("")
+        fill = {"tmp": str(tmp_path), "file": str(tmp_path / "file")}
+        assert run_cli([a.format(**fill) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(detail.format(**fill))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_compare_integer_beyond_float_is_usage_error(self, tmp_path, capsys):
+        # It passed the shape check and ended in an OverflowError traceback when subtracted.
+        names = ["annualized_return", "annualized_volatility", "sharpe", "sortino", "max_drawdown"]
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"s": {"full": dict.fromkeys(names, 1.0)}}))
+        bad.write_text(json.dumps({"s": {"full": {**dict.fromkeys(names, 1.0), "sharpe": 10**400}}}))
+        assert run_cli(["compare", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read metrics ({bad}: s.full: expected numbers")
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (["synth", "--assets", "0", "--out", "{tmp}/s"], "config error: --assets: must be >= 1, got 0\n"),
+            (["ingest", "--data", "{tmp}", "--out", "{file}/x"], "config error: --out: cannot create {file}/x"),
+        ],
+        ids=["synth-assets", "ingest-out-under-file"],
+    )
+    def test_usage_errors_in_a_fresh_process(self, tmp_path, argv, detail):
+        (tmp_path / "file").write_text("")
+        fill = {"tmp": str(tmp_path), "file": str(tmp_path / "file")}
+        code, err = run_cli_process([a.format(**fill) for a in argv], timeout=60)
+        assert code == 2
+        assert err.startswith(detail.format(**fill))
+        assert "Traceback" not in err
+
+    def test_ingest_checks_out_before_reading_data(self, tmp_path, monkeypatch, capsys):
+        # The output directory was created only after parsing, aligning and
+        # computing every indicator, and its failure was a traceback.
+        def no_parsing(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_series", no_parsing)
+        (tmp_path / "file").write_text("")
+        assert run_cli(["ingest", "--data", str(tmp_path), "--out", str(tmp_path / "file" / "x")]) == 2
+        assert "config error: --out: cannot create" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["data-is-file", "csv-is-directory"])
+    @pytest.mark.parametrize("command", ["ingest", "backtest"])
+    def test_unreadable_data_names_path(self, tmp_path, capsys, kind, command):
+        if kind == "data-is-file":
+            data = tmp_path / "data"
+            data.write_text("")
+            detail = f"error: cannot read data directory {data} (Not a directory)"
+        else:
+            data = tmp_path / "data"
+            (data / "X.csv").mkdir(parents=True)
+            detail = f"error: cannot open {data / 'X.csv'} (Is a directory)"
+        if command == "ingest":
+            argv = ["ingest", "--data", str(data), "--out", str(tmp_path / "o")]
+        else:
+            argv = ["backtest", "--config", str(write_config(tmp_path, data, tmp_path / "o"))]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == detail + "\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_huge_lookback_is_config_error_at_once(self, synth_dir, tmp_path):
+        # months_back stepped back one year per loop iteration: about 10^11 of them here.
+        backtest_cfg = {"start": "2016-02-01", "end": "2016-10-31", "train_months": 10**12}
+        cfg = write_config(tmp_path, synth_dir, tmp_path / "out", backtest=backtest_cfg)
+        code, err = run_cli_process(["backtest", "--config", str(cfg)], timeout=30)
+        assert code == 2
+        assert err == "config error: backtest: year -83333331318 is out of range\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, detail",
+        [
+            ("backtest", {"start": "2016-02-01", "end": "2016-10-31", "fee_rate": 10**400},
+             "backtest.fee_rate: expected a finite number"),
+            ("data_dir", "a\0b", "data_dir: a path cannot contain a NUL character"),
+            ("strategies", [{"name": ["spo_plus"]}], "strategies[0].name: expected a string, got ['spo_plus']"),
+            ("report_spans", {"a/b": ["2016-03-01", "2016-06-30"]},
+             "report_spans.a/b: a span name is part of a file name"),
+        ],
+        ids=["integer-beyond-float", "nul-in-path", "unhashable-name", "span-name-with-slash"],
+    )
+    def test_hostile_config_values_are_config_errors(self, synth_dir, tmp_path, capsys, key, value, detail):
+        # Found by tests/test_hostile_inputs.py: an OverflowError and a TypeError
+        # traceback, a ValueError traceback, and a FileNotFoundError after training.
+        cfg = write_config(tmp_path, synth_dir, tmp_path / "o")
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: value}))
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert f"config error: {detail}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["cli.write_panel_csv", "backtest.run_window"])
+    def test_base_exception_passes_through_main(self, synth_dir, tmp_path, monkeypatch, target):
+        # perfbench's set-up probe raises a BaseException at these boundaries
+        # and catches it around cli.main.
+        class Probe(BaseException):
+            pass
+
+        probe = Probe()
+
+        def boundary(*args, **kwargs):
+            raise probe
+
+        module, name = target.split(".")
+        monkeypatch.setattr({"cli": cli, "backtest": backtest}[module], name, boundary)
+        if module == "cli":
+            argv = ["ingest", "--data", str(synth_dir), "--out", str(tmp_path / "o")]
+        else:
+            argv = ["backtest", "--config", str(write_config(tmp_path, synth_dir, tmp_path / "o"))]
+        with pytest.raises(Probe) as info:
+            run_cli(argv)
+        assert info.value is probe
+
+
+def test_every_error_class_derives_from_dfolio_error():
+    found = []
+    for info in pkgutil.iter_modules(dfolio.__path__):
+        module = importlib.import_module(f"dfolio.{info.name}")
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == module.__name__:
+                found.append(obj)
+    names = sorted(cls.__name__ for cls in found)
+    assert names == [
+        "AccountingError", "ConfigError", "DfolioError", "IngestionError", "SolverError",
+        "TrainingError", "UniverseError", "UsageError", "WarmupError",
+    ]
+    for cls in found:
+        assert issubclass(cls, dfolio.DfolioError), cls
+        assert getattr(dfolio, cls.__name__) is cls

@@ -13,7 +13,7 @@ from dfolio.features import (
     standardize,
     write_features_csv,
 )
-from dfolio.market_data import generate_synthetic, SyntheticSpec
+from dfolio.market_data import SyntheticSpec, UniverseError, generate_synthetic
 
 from conftest import make_frame
 from oracles import read_features_csv
@@ -52,6 +52,14 @@ class TestIndicators:
         out = standardize(tensor, tensor.dates[0], tensor.dates[200])
         assert np.all(np.isfinite(out.features))
         assert np.all(out.features[:, 0, col] == 0.0)  # zero spread: the STD_FLOOR path
+
+    def test_overflowing_indicator_is_located(self):
+        # Volumes near the float limit overflow the rolling sums; the check named no ticker or date.
+        frame, _, _ = generate_synthetic(SyntheticSpec(n_assets=2, n_days=120, seed=4))
+        volume = frame.volume.copy()
+        volume[50:, 1] = 1e308
+        with pytest.raises(UniverseError, match=r"^feature vol_ratio of T01 is not finite on 2015-04-14$"):
+            compute_indicators(make_frame(frame.adj_close, volume))
 
     def test_sma_ratio_on_linear_ramp(self):
         # prices 1..30; SMA(5) on day 30 = mean(26..30) = 28

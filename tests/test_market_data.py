@@ -214,6 +214,25 @@ class TestParseErrors:
         with pytest.raises(IngestionError, match=r"X\.csv:4: adj_close must be > 0$"):
             read_ticker_csv(path)
 
+    def test_bytes_that_are_not_utf8(self, tmp_csv_dir):
+        # The decode error escaped with no path (a traceback under `backtest`).
+        path = tmp_csv_dir / "X.csv"
+        path.write_bytes(f"{HEADER}\n{GOOD}\n".encode() + b"2020-01-07,1,1,1,1,1,\xff\n")
+        with pytest.raises(IngestionError, match=r"X\.csv:1: not UTF-8 text at or after this line \(invalid start byte\)$"):
+            read_ticker_csv(path)
+
+    @pytest.mark.parametrize("make", ["missing", "file", "csv-directory"])
+    def test_unreadable_paths_are_universe_errors(self, tmp_path, make):
+        # Each was a bare OSError without the kind of fault.
+        data = tmp_path / "data"
+        if make == "file":
+            data.write_text("")
+        elif make == "csv-directory":
+            (data / "X.csv").mkdir(parents=True)
+        reason = {"missing": "No such file or directory", "file": "Not a directory", "csv-directory": "Is a directory"}
+        with pytest.raises(UniverseError, match=rf"^cannot (read data directory|open) {data}.* \({reason[make]}\)$"):
+            load_series(data)
+
     def test_records_hold_parsed_floats(self, tmp_csv_dir):
         path = tmp_csv_dir / "X.csv"
         path.write_text(f"{HEADER}\n{GOOD}\n{row(l='-0.0', v='0')}\n")
