@@ -77,7 +77,6 @@ class StrategySpec:
     gamma: float = 0.0
     lam: float = 0.0
     rho: float = 0.0
-    robust_samples: int = 8
     hidden: int = 32
 
     def __post_init__(self):
@@ -89,8 +88,8 @@ class StrategySpec:
             raise ValueError(f"strategy {self.name}: robust_spo requires rho > 0")
         if self.kind == STRAT_SPO_FEE_L2 and self.lam <= 0:
             raise ValueError(f"strategy {self.name}: fee+l2 oracle requires lam > 0")
-        if self.robust_samples < 1 or self.hidden < 1:
-            raise ValueError(f"strategy {self.name}: counts must be >= 1")
+        if self.hidden < 1:
+            raise ValueError(f"strategy {self.name}: hidden must be >= 1")
 
 
 def default_roster() -> tuple[StrategySpec, ...]:
@@ -327,15 +326,7 @@ def run_window(
             batch_size=config.batch_size,
             seed=stable_seed(config.seed, strategy.name, t, "train"),
             problem=problem,
-            robust=(
-                RobustConfig(
-                    rho=strategy.rho,
-                    n_samples=strategy.robust_samples,
-                    seed=stable_seed(config.seed, strategy.name, t, "robust"),
-                )
-                if strategy.kind == STRAT_ROBUST
-                else None
-            ),
+            robust=RobustConfig(rho=strategy.rho) if strategy.kind == STRAT_ROBUST else None,
         )
 
         def fit(lrs, epochs):

@@ -47,7 +47,9 @@ SPEC_REQUIRED = tuple(f.name for f in fields(StrategySpec) if f.default is MISSI
 # Type checks ahead of StrategySpec's own value checks: a wrong type there fails
 # only at the first rebalance, or is coerced silently (True as rho 1.0).
 SPEC_NUMBERS = ("gamma", "lam", "rho")
-SPEC_COUNTS = ("robust_samples", "hidden")
+SPEC_COUNTS = ("hidden",)
+# The longest file name most file systems take, in bytes.
+NAME_MAX = 255
 
 
 @dataclass
@@ -241,6 +243,16 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
             continue
         if "/" in name or "\0" in name:
             errors.append(f"report_spans.{name}: a span name is part of a file name, so no '/' or NUL")
+            continue
+        try:
+            fits = len(os.fsencode(f"nav_{name}.csv")) <= NAME_MAX
+        except UnicodeEncodeError:  # a lone surrogate from a JSON escape
+            fits = False
+        if not fits:
+            errors.append(
+                f"report_spans.{name}: a span name is part of a file name, "
+                f"so nav_<name>.csv must encode to at most {NAME_MAX} bytes"
+            )
             continue
         if not isinstance(pair, list) or len(pair) != 2:
             errors.append(f"report_spans.{name}: expected [start, end]")

@@ -136,6 +136,9 @@ def _wilder_rsi(prices: np.ndarray, period: int) -> np.ndarray:
     return rsi
 
 
+# Overflow and NaN are left to FeatureTensor, which names the first non-finite
+# cell, so numpy does not warn ahead of that error.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def compute_indicators(frame: MarketFrame, config: IndicatorConfig = IndicatorConfig()) -> FeatureTensor:
     """Per-asset indicator features with leading warm-up rows dropped uniformly.
 

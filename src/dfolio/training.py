@@ -220,20 +220,11 @@ def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig, learni
             r_rows, y_rows, ws = r_hat.reshape(k * b, n), _repeat_rows(yb, k), _repeat_rows(w_star[rows], k)
             if config.loss_kind == SPO_PLUS:
                 losses, g_rhat, _, _ = spo_plus_batch(r_rows, y_rows, prob, w_star_rows=ws)
+            elif prob.kind == MAX_RETURN:
+                losses, g_rhat = robust_max_return_batch(r_rows, y_rows, ws, config.robust.rho)
             else:
                 rc = replace(config.robust, seed=stable_seed(config.seed, "robust", epoch, batch))
-                if prob.kind != MAX_RETURN:
-                    losses, g_rhat = robust_spo_batch(r_rows, y_rows, prob, perturbation_set(rc.rho, n, rc), w_star_rows=ws)
-                else:
-                    # Rows the closed form cannot certify bit-equal to the sampled
-                    # worst case (all of them at theta = 0) are sampled.
-                    losses, g_rhat, settled = robust_max_return_batch(r_rows, y_rows, ws, rc)
-                    if not settled.all():
-                        todo = ~settled
-                        zetas = perturbation_set(rc.rho, n, rc)
-                        losses[todo], g_rhat[todo] = robust_spo_batch(
-                            r_rows[todo], y_rows[todo], prob, zetas, w_star_rows=ws[todo]
-                        )
+                losses, g_rhat = robust_spo_batch(r_rows, y_rows, prob, perturbation_set(rc.rho, n, rc), w_star_rows=ws)
             losses, g_rhat = losses.reshape(k, b), g_rhat.reshape(k, b, n)
         scale = 1.0 / b
         grads = {"theta": np.einsum("tbi,bid->td", g_rhat, xb) * scale}

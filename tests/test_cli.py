@@ -220,7 +220,7 @@ class TestBacktestCommand:
         "strategy, key, detail",
         [
             ({"name": "lin", "kind": "spo_plus", "hidden": 2.5}, "hidden", "expected an integer, got 2.5"),
-            ({"name": "rob", "kind": "robust_spo", "rho": 0.1, "robust_samples": 1.5}, "robust_samples", "expected an integer, got 1.5"),
+            ({"name": "rob", "kind": "robust_spo", "rho": 0.1, "robust_samples": 1.5}, "robust_samples", "unknown field"),
             ({"name": "rob", "kind": "robust_spo", "rho": True}, "rho", "expected a number, got True"),
             ({"name": 5, "kind": "spo_plus"}, "name", "expected a string, got 5"),
             ({"name": "fee", "kind": "spo_plus_fee", "gamma": True}, "gamma", "expected a number, got True"),
@@ -228,7 +228,7 @@ class TestBacktestCommand:
             ({"name": "fee", "kind": "spo_plus_fee", "gamma": float("nan")}, "gamma", "expected a finite number, got nan"),
             ({"name": "lin", "kind": "spo_plus", "hidden": float("inf")}, "hidden", "expected a finite number, got inf"),
             ({"name": "softmax_max_return", "hidden": 2.5}, "hidden", "expected an integer, got 2.5"),
-            ({"name": "robust_spo_rho0.1", "robust_samples": False}, "robust_samples", "expected a number, got False"),
+            ({"name": "robust_spo_rho0.1", "robust_samples": False}, "robust_samples", "unknown field"),
             ({"name": "spo_plus_fee_l2", "lam": True}, "lam", "expected a number, got True"),
         ],
     )
@@ -510,6 +510,44 @@ class TestErrorPolicy:
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: value}))
         assert run_cli(["backtest", "--config", str(cfg)]) == 2
         assert f"config error: {detail}" in capsys.readouterr().err
+
+    def test_unwritable_span_name_fails_before_reading_data(self, synth_dir, tmp_path, monkeypatch, capsys):
+        # nav_<name>.csv over 255 bytes (here in 124 characters), or not
+        # encodable, trained every strategy, then failed in write_plotdata with
+        # a traceback and a partial output directory.
+        def no_reading(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_series", no_reading)
+        cfg = write_config(tmp_path, synth_dir, tmp_path / "o")
+
+        def with_span(name):
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "report_spans": {name: ["2016-03-01", "2016-06-30"]}}))
+            return str(cfg)
+
+        detail = ": a span name is part of a file name, so nav_<name>.csv must encode to at most 255 bytes\n"
+        fits = "x" * (255 - len("nav_.csv"))
+        assert fits in cli.load_run_config(with_span(fits)).report_spans
+        too_long = "é" * 124  # 248 bytes in UTF-8
+        assert run_cli(["backtest", "--config", with_span(too_long)]) == 2
+        assert capsys.readouterr().err == f"config error: report_spans.{too_long}" + detail
+        # Real stderr escapes a lone surrogate; pytest's capture cannot take one.
+        code, err = run_cli_process(["backtest", "--config", with_span("\ud800")], timeout=60)
+        assert code == 2 and err == "config error: report_spans.\\ud800" + detail
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_indicator_error_comes_first(self, tmp_path):
+        # numpy printed two RuntimeWarnings to stderr ahead of the located error.
+        data = tmp_path / "data"
+        assert run_cli(["synth", "--out", str(data), "--assets", "3", "--days", "120", "--seed", "4"]) == 0
+        path = data / "SYN01.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[51:] = [line.rsplit(",", 1)[0] + ",1e308\n" for line in lines[51:]]
+        path.write_text("".join(lines))
+        code, err = run_cli_process(["ingest", "--data", str(data), "--out", str(tmp_path / "o")], timeout=60)
+        assert code == 1
+        assert err.splitlines()[0].startswith("error: feature vol_ratio of SYN01 is not finite on ")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("target", ["cli.write_panel_csv", "backtest.run_window"])
     def test_base_exception_passes_through_main(self, synth_dir, tmp_path, monkeypatch, target):

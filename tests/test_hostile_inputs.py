@@ -5,9 +5,10 @@ value of the backtest config, the per-ticker CSVs (for both `ingest` and
 `backtest`), or the `synth` arguments. argparse's own usage error,
 SystemExit(2), is the only exception allowed out of `main`.
 
-`search.n_trials`, a strategy's `hidden` and `robust_samples`, and the
-`synth` sizes have no upper bound in the program, and a large one allocates
-until the machine runs out of memory, so they are drawn from small ranges.
+`search.n_trials`, a strategy's `hidden`, and the `synth` sizes have no
+upper bound in the program, and a large one allocates until the machine runs
+out of memory, so they are drawn from small ranges. `robust_samples` is no
+longer a strategy field, so it stays among the keys as an unknown one.
 """
 
 import contextlib
@@ -43,7 +44,7 @@ BASE = {
     "strategies": STRATEGIES,
     "report_spans": {"feb": ["2016-02-01", "2016-02-26"]},
 }
-UNBOUNDED = {("search", "n_trials"), ("strategy", "hidden"), ("strategy", "robust_samples")}
+UNBOUNDED = {("search", "n_trials"), ("strategy", "hidden")}
 SPEC_KEYS = ["name", "kind", "gamma", "lam", "rho", "robust_samples", "hidden"]
 
 scalars = st.one_of(

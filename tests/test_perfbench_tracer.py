@@ -72,10 +72,9 @@ print(json.dumps({{k: metrics[k] for k in {keys!r}}}))
 def test_traced_backtest_counts(tmp_path):
     # One rebalance (2016-02-01), one trial of one epoch per strategy. The two
     # linear strategies train through dfolio.backtest.train, the allocator
-    # through dfolio.backtest.train_dfl. Of robust SPO+'s 3 batches (182 train
-    # rows in batches of <= 63) only the first, at theta = 0, is left unsettled
-    # by the closed-form worst case and draws a perturbation set from
-    # dfolio.training.
+    # through dfolio.backtest.train_dfl. Robust SPO+ on a max-return problem
+    # takes the closed-form worst case on every batch, at theta = 0 too, so no
+    # perturbation set is drawn.
     data = tmp_path / "data"
     assert cli.main(["synth", "--out", str(data), "--assets", "4", "--days", "480", "--seed", "5"]) == 0
     config = tmp_path / "config.json"
@@ -100,4 +99,4 @@ def test_traced_backtest_counts(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.splitlines()[-1])
-    assert metrics == dict(zip(keys, [3, 2, 2, 1, 1]))
+    assert metrics == dict(zip(keys, [3, 2, 2, 1, 0]))

@@ -264,7 +264,7 @@ class TestRobust:
             RobustConfig(rho=0.1, n_samples=0)
 
 
-RHOS = (1e-12, 0.01, 0.1, 0.5, 0.99)
+RHOS = (1e-12, 0.01, 0.1, 0.5, 0.99, 1.5)
 # Cells with exact ties, signed zeros and values small enough to be absorbed
 # by a return of ordinary size, mixed with arbitrary finite floats.
 CELLS = st.one_of(
@@ -288,97 +288,84 @@ def max_return_rows(draw):
     return r_hat, r, RobustConfig(rho=rho, seed=draw(st.integers(0, 2**32)))
 
 
+def exact_rows(r_hat, r, rho):
+    return robust_max_return_batch(r_hat, r, argmax_batch(r, DecisionProblem()), rho)
+
+
 class TestRobustMaxReturn:
     """The closed-form worst case over the box for the max-return oracle."""
 
     @staticmethod
-    def both(r_hat, r, cfg):
-        w_star = argmax_batch(r, DecisionProblem())
-        exact = robust_max_return_batch(r_hat, r, w_star, cfg)
+    def sampled(r_hat, r, cfg):
         zetas = perturbation_set(cfg.rho, r.shape[1], cfg)
-        sampled = robust_spo_batch(r_hat, r, DecisionProblem(), zetas, w_star_rows=w_star)
-        return exact, sampled
+        return robust_spo_batch(r_hat, r, DecisionProblem(), zetas, w_star_rows=argmax_batch(r, DecisionProblem()))
 
     @settings(max_examples=400, deadline=None)
-    @given(max_return_rows())
-    @example((np.array([[1e-20, 2e-20]]), np.array([[0.5, 0.1]]), RobustConfig(rho=0.1)))
-    # Two rivals tie exactly; the +rho corner, which precedes the worst one,
-    # is maximized by the later rival.
-    @example((np.array([[-0.25, 0.25, -0.25]]), np.array([[0.0, 1.0, 2.0]]), RobustConfig(rho=0.5)))
-    # Near-ties between the best rival and j's least value, found by search.
-    @example((
-        np.array([[0.0023414322103364133, -0.009684709695817622, 0.004614726014996658]]),
-        np.array([[-0.007461040028548929, -0.03004466834376076, -0.004305684064295051]]),
-        RobustConfig(rho=0.1, seed=755),
-    ))
-    @example((
-        np.array([[-0.006416411029827086, -0.0035885404197639617, 0.008044844211335517]]),
-        np.array([[-0.014535664346015859, -0.01427017951056787, 0.0066699128254111935]]),
-        RobustConfig(rho=0.1, seed=755),
-    ))
-    @example((
-        np.array([[-0.005253876604737516, 0.001656766762667388]]),
-        np.array([[-0.01346909201402247, -0.0010299339526936408]]),
-        RobustConfig(rho=0.1, seed=712),
-    ))
-    def test_settled_rows_equal_sampled_bit_for_bit(self, case):
+    @given(max_return_rows(), st.integers(0, 2**32))
+    @example((np.array([[1e-20, 2e-20]]), np.array([[0.5, 0.1]]), RobustConfig(rho=0.1)), 0)
+    # Two rivals tie exactly.
+    @example((np.array([[-0.25, 0.25, -0.25]]), np.array([[0.0, 1.0, 2.0]]), RobustConfig(rho=0.5)), 0)
+    def test_sample_never_beats_the_exact_worst_case(self, case, direction_seed):
         r_hat, r, cfg = case
-        (losses, grads, settled), (s_losses, s_grads) = self.both(r_hat, r, cfg)
-        for i in np.flatnonzero(settled):
-            assert losses[i].tobytes() == s_losses[i].tobytes()
-            assert grads[i].tobytes() == s_grads[i].tobytes()
-        # The sample lies inside the box, so it never beats the exact worst case.
-        assert np.all(losses >= s_losses - 1e-15)
+        losses, grads = exact_rows(r_hat, r, cfg.rho)
+        s_losses, _ = self.sampled(r_hat, r, cfg)
+        # The sample and zeta = 0 lie inside the box, so neither beats the worst case.
+        plain = spo_plus_batch(r_hat, r, DecisionProblem())[0]
+        assert np.all(losses >= np.maximum(s_losses, plain) - 1e-15)
+        # The loss is convex in r_hat, and grads are subgradients of it.
+        step = np.random.default_rng(direction_seed).normal(0, 0.05, (4, *r_hat.shape))
+        for d in step:
+            moved, _ = exact_rows(r_hat + d, r, cfg.rho)
+            assert np.all(moved >= losses + (grads * d).sum(axis=1) - 1e-12)
 
-    def test_absorbed_predictions_stay_unsettled(self):
-        # Every sample scores 0.4 in float, so the sampled argmax keeps the
-        # first uniform draw and its factor, not the worst corner's.
-        (_, grads, settled), (_, s_grads) = self.both(np.array([[1e-20, 2e-20]]), np.array([[0.5, 0.1]]), RobustConfig(rho=0.1))
-        assert not settled[0]
-        assert grads[0].tobytes() != s_grads[0].tobytes()
-
-    def test_uniform_draw_beside_the_corner_stays_unsettled(self, monkeypatch):
-        # A draw one float inside the worst corner at k scores the same once
-        # r_j absorbs the difference, and it precedes the corners in the set.
-        import dfolio.spo
-
-        monkeypatch.setattr(dfolio.spo, "_unit_draws", lambda seed, n, n_samples: np.array([[-1.0, 1.0 - 1e-15]]))
-        cfg = RobustConfig(rho=0.1, n_samples=1)
-        (_, grads, settled), (_, s_grads) = self.both(np.array([[1e-3, 1e-3]]), np.array([[1.0, 0.0]]), cfg)
-        assert not settled[0]
-        assert grads[0].tobytes() != s_grads[0].tobytes()
+    def test_absorbed_predictions_take_their_signs_factors(self):
+        # r_j absorbs both predictions, yet each still takes 1 + rho sign(r_hat).
+        losses, grads = exact_rows(np.array([[1e-20, 2e-20]]), np.array([[0.5, 0.1]]), 0.1)
+        assert losses[0] == 0.4
+        assert grads[0].tolist() == [-2.0 * (1.0 - 0.1), 2.0 * (1.0 + 0.1)]
 
     @pytest.mark.parametrize("rho", [0.01, 0.1, 0.5])
-    def test_ordinary_rows_all_settle(self, rho):
+    def test_ordinary_rows_equal_the_sampled_worst_case(self, rho):
+        # On these rows a corner of the sample takes the worst factors at k and j,
+        # so the sample finds the closed form's bits.
         rng = np.random.default_rng(5)
         r_hat, r = rng.normal(0, 0.005, (200, 10)), rng.normal(0, 0.02, (200, 10))
-        (losses, grads, settled), (s_losses, s_grads) = self.both(r_hat, r, RobustConfig(rho=rho, seed=11))
-        assert settled.all()
+        (losses, grads), (s_losses, s_grads) = exact_rows(r_hat, r, rho), self.sampled(r_hat, r, RobustConfig(rho=rho, seed=11))
         assert losses.tobytes() == s_losses.tobytes() and grads.tobytes() == s_grads.tobytes()
 
-    def test_zero_predictions_unsettled(self):
+    @pytest.mark.parametrize("rho", [0.01, 0.1, 1.5])
+    def test_zero_predictions_equal_plain_spo_plus(self, rho):
+        # At theta = 0 every prediction is 0, and zeta = 0 makes the first step plain SPO+'s.
         rng = np.random.default_rng(6)
-        r = rng.normal(0, 0.02, (4, 5))
-        _, _, settled = robust_max_return_batch(np.zeros((4, 5)), r, argmax_batch(r, DecisionProblem()), RobustConfig(rho=0.1))
-        assert not settled.any()
-
-    def test_rho_at_least_one_unsettled(self):
-        rng = np.random.default_rng(7)
-        r_hat, r = rng.normal(0, 0.005, (20, 4)), rng.normal(0, 0.02, (20, 4))
-        _, _, settled = robust_max_return_batch(r_hat, r, argmax_batch(r, DecisionProblem()), RobustConfig(rho=1.5))
-        assert not settled.any()
+        r = np.concatenate([rng.normal(0, 0.02, (6, 5)), np.full((1, 5), 0.01), [[0.0, 0.01, 0.01, -0.02, -0.02]]])
+        losses, grads = exact_rows(np.zeros_like(r), r, rho)
+        plain, plain_grads, _, _ = spo_plus_batch(np.zeros_like(r), r, DecisionProblem())
+        assert losses.tobytes() == plain.tobytes() and grads.tobytes() == plain_grads.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_box_vertex_maximum(self, n):
         rng = np.random.default_rng(100 + n)
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
         prob = DecisionProblem()
+        checked = 0
         for _ in range(12):
-            rho = float(rng.choice([0.01, 0.1, 0.5, 0.99]))
+            rho = float(rng.choice([0.01, 0.1, 0.5, 0.99, 1.5]))
             r_hat, r = rng.normal(0, 0.05, n), rng.normal(0, 0.05, n)
             if n > 2:
                 r_hat[rng.integers(n)] = 0.0
-            vertices = r_hat * (1.0 + rho * signs)
-            vertex_losses = spo_plus_batch(vertices, np.tile(r, (len(signs), 1)), prob)[0]
-            loss = robust_max_return_batch(r_hat[None], r[None], argmax_batch(r[None], prob), RobustConfig(rho=rho))[0]
-            assert abs(loss[0] - max(vertex_losses.max(), 0.0)) <= 1e-15
+            zetas = rho * signs
+            vertex_losses, vertex_grads, _, _ = spo_plus_batch(r_hat * (1.0 + zetas), np.tile(r, (len(signs), 1)), prob)
+            loss, grad = exact_rows(r_hat[None], r[None], rho)
+            best = vertex_losses.max()
+            assert abs(loss[0] - max(best, 0.0)) <= 1e-15
+            # Where the maximizing vertices agree on the chained subgradient
+            # (1 + zeta) * 2 (w_tilde - w*), it is the one returned; where a zero
+            # prediction makes them disagree, it lies between them.
+            near = vertex_losses >= best - 1e-9
+            chained = vertex_grads[near] * (1.0 + zetas[near])
+            if np.all(chained == chained[0]):
+                np.testing.assert_allclose(grad[0], chained[0], rtol=0, atol=1e-15)
+                checked += 1
+            else:
+                assert np.all((chained.min(axis=0) <= grad[0]) & (grad[0] <= chained.max(axis=0)))
+        assert checked >= 4

@@ -147,8 +147,8 @@ TRIAL = st.tuples(LEARNING_RATES, st.integers(1, 4))
 def test_every_trial_equals_its_one_trial_call(
     kind, trials, diverging, poison, n, d, batch_size, full_batches, short, rho, fit_intercept, seed
 ):
-    # short > 0 leaves a short last batch; rho >= 1 and the all-zero days keep
-    # robust rows unsettled by the closed form, so they take the sampled path.
+    # short > 0 leaves a short last batch; rho >= 1 makes a robust factor
+    # 1 - rho sign(r_hat) zero or negative, and the all-zero days take zeta = 0.
     # Trials listed in diverging get an infinite learning rate, and poison puts
     # a NaN feature on one training day, so some calls fail.
     t = batch_size * full_batches + short % batch_size

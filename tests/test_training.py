@@ -147,33 +147,16 @@ class TestTrain:
         assert len(trace) == 3
 
     @pytest.mark.parametrize("rho", [0.01, 0.1])
-    def test_closed_form_worst_case_equals_sampled_path(self, rho, monkeypatch):
-        # Max-return robust training settles rows with the closed form; forcing
-        # every row onto the sampled path must give the same bits.
-        import dfolio.training
-
+    def test_robust_first_step_equals_spo_plus(self, rho):
+        # At theta = 0 every prediction is 0 and takes zeta = 0, so the first
+        # Adam step is plain SPO+'s; the second step tells them apart.
         x, y = planted_data(n_assets=8, n_days=260, noise=0.01)
-        cfg = TrainConfig(loss_kind=ROBUST_SPO, epochs=5, learning_rate=0.02, seed=4, robust=RobustConfig(rho=rho, seed=4))
-        exact = dfolio.training.robust_max_return_batch
-        settled_rows = []
-
-        def spy(*args):
-            out = exact(*args)
-            settled_rows.append(int(out[2].sum()))
-            return out
-
-        def none_settled(*args):
-            losses, grads, settled = exact(*args)
-            return losses, grads, np.zeros_like(settled)
-
-        monkeypatch.setattr(dfolio.training, "robust_max_return_batch", spy)
-        model, trace = train(x, y, cfg)
-        monkeypatch.setattr(dfolio.training, "robust_max_return_batch", none_settled)
-        sampled, sampled_trace = train(x, y, cfg)
-        assert settled_rows[0] == 0 and sum(settled_rows) > 0.9 * (len(y) * cfg.epochs - 63)
-        assert model.theta.tobytes() == sampled.theta.tobytes()
-        assert model.intercept.hex() == sampled.intercept.hex()
-        assert trace == sampled_trace
+        robust = TrainConfig(loss_kind=ROBUST_SPO, epochs=1, learning_rate=0.02, batch_size=len(y), robust=RobustConfig(rho=rho))
+        plain = replace(robust, loss_kind=SPO_PLUS, robust=None)
+        (model, trace), (spo, spo_trace) = train(x, y, robust), train(x, y, plain)
+        assert model.theta.tobytes() == spo.theta.tobytes() and model.intercept == spo.intercept
+        assert trace == spo_trace
+        assert train(x, y, replace(robust, epochs=2))[1][1] != train(x, y, replace(plain, epochs=2))[1][1]
 
     def test_fixed_intercept_stays_zero(self):
         x, y = planted_data(n_days=150, noise=0.01)
