@@ -7,6 +7,7 @@ from .market_data import (
     MarketFrame,
     ReturnPanel,
     SyntheticSpec,
+    TickerBars,
     UniverseError,
     compute_returns,
     generate_synthetic,

@@ -139,8 +139,14 @@ def _build_roster(raw, errors: list[str]) -> tuple[StrategySpec, ...]:
             errors.append(f"{key}.{u}: unknown field")
         kwargs = {fld: item[fld] for fld in SPEC_FIELDS if fld in item}
         n_errors = len(errors)
-        if not isinstance(kwargs.get("name", ""), str):
-            errors.append(f"{key}.name: expected a string, got {kwargs['name']!r}")
+        name = kwargs.get("name", "")
+        if not isinstance(name, str):
+            errors.append(f"{key}.name: expected a string, got {name!r}")
+        else:
+            try:
+                name.encode()
+            except UnicodeEncodeError:  # a lone surrogate from a JSON escape; the writers need UTF-8
+                errors.append(f"{key}.name: expected UTF-8 text, got {name!r}")
         for fld in SPEC_NUMBERS + SPEC_COUNTS:
             if fld in kwargs:
                 kwargs[fld] = _check_number(kwargs[fld], f"{key}.{fld}", errors, integer=fld in SPEC_COUNTS)
@@ -307,14 +313,12 @@ def cmd_ingest(args) -> int:
     out = _output_dir(args.out, "--out")
     series = load_series(args.data)
     frame = align_series(series)
+    dropped = len(set().union(*(bars.days for bars in series.values()))) - frame.n_dates
+    del series  # frees the parsed columns before the indicators allocate
     features = compute_indicators(frame)
     out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(frame, out / "panel.csv")
     write_features_csv(features, out / "features.csv")
-    union = set()
-    for bars in series.values():
-        union |= {b.day for b in bars}
-    dropped = len(union) - frame.n_dates
     print(f"assets: {frame.n_assets} ({', '.join(frame.tickers)})")
     print(f"dates: {frame.n_dates} from {frame.dates[0]} to {frame.dates[-1]}")
     print(f"dropped non-common dates: {dropped}")

@@ -9,7 +9,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +52,26 @@ class AssetBar(NamedTuple):
     close: float
     adj_close: float
     volume: float
+
+
+@dataclass(frozen=True, eq=False)
+class TickerBars:
+    """One ticker's bars as columns, as `read_ticker_csv` returns them.
+
+    `days` holds the dates, strictly increasing; `values` is the read-only
+    (6, n) float array of open, high, low, close, adj_close and volume, in
+    `CSV_HEADER[1:]` order. `len()` is the row count, and iterating yields
+    `AssetBar` rows, built one at a time.
+    """
+
+    days: tuple[date, ...]
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.days)
+
+    def __iter__(self) -> Iterator[AssetBar]:
+        return map(AssetBar._make, zip(self.days, *self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -170,17 +190,15 @@ def _check_row(path, line_no: int, row: list[str], prev_day: date | None) -> dat
     return day
 
 
-def _parse_columns(rows: list[list[str]]) -> tuple[list[date], np.ndarray]:
+def _parse_columns(rows: list[list[str]]) -> TickerBars:
     """All rows at once: one numeric conversion, then the bar checks as masks.
 
-    Returns the dates and the (6, n_rows) array of open, high, low, close,
-    adj_close and volume. Raises ValueError, without a location, when any row
-    fails any check.
+    Raises ValueError, without a location, when any row fails any check.
     """
     if set(map(len, rows)) != {len(CSV_HEADER)}:
         raise ValueError("field count")
     cells = list(zip(*rows))
-    days = list(map(date.fromisoformat, cells[0]))
+    days = tuple(map(date.fromisoformat, cells[0]))
     values = np.array(cells[1:], dtype=float)
     open_, high, low, close, adj_close, volume = values
     ok = (
@@ -193,10 +211,11 @@ def _parse_columns(rows: list[list[str]]) -> tuple[list[date], np.ndarray]:
     )
     if not ok:
         raise ValueError("bar check")
-    return days, values
+    values.setflags(write=False)
+    return TickerBars(days, values)
 
 
-def read_ticker_csv(path) -> list[AssetBar]:
+def read_ticker_csv(path) -> TickerBars:
     """Parse one per-ticker OHLCV file, validating header and every bar.
 
     The rows are converted and checked column by column; when that fails,
@@ -225,18 +244,16 @@ def read_ticker_csv(path) -> list[AssetBar]:
     if not data:
         raise IngestionError(path, 2, "no data rows")
     try:
-        days, values = _parse_columns(data)
+        return _parse_columns(data)
     except ValueError:
         prev_day = None
         for line_no, row in enumerate(rows, start=2):
             if row:
                 prev_day = _check_row(path, line_no, row, prev_day)
         raise  # not reached: the scan raises on every row the columns reject
-    del rows, data  # free the cell strings before the records are built
-    return list(map(AssetBar._make, zip(days, *values.tolist())))
 
 
-def load_series(path) -> dict[str, list[AssetBar]]:
+def load_series(path) -> dict[str, TickerBars]:
     """Read every per-ticker CSV in a directory, keyed by filename stem."""
     path = Path(path)
     try:
@@ -249,25 +266,27 @@ def load_series(path) -> dict[str, list[AssetBar]]:
     return {f.stem: read_ticker_csv(f) for f in files}
 
 
-def align_series(series: dict[str, list[AssetBar]]) -> MarketFrame:
-    """Restrict all tickers to their common trading dates, sorted ascending."""
+def align_series(series: dict[str, TickerBars]) -> MarketFrame:
+    """Restrict all tickers to their common trading dates, sorted ascending.
+
+    A date that a ticker repeats takes that ticker's last bar for it.
+    """
     if not series:
         raise UniverseError("no ticker series to align")
-    day_of, adj_close_of, volume_of = map(operator.attrgetter, ("day", "adj_close", "volume"))
     tickers = sorted(series)
-    days = {t: list(map(day_of, series[t])) for t in tickers}
-    common = set.intersection(*map(set, days.values()))
+    common = set.intersection(*(set(series[t].days) for t in tickers))
     if not common:
         raise UniverseError("empty date intersection across tickers")
     dates = tuple(sorted(common))
     adj_close = np.empty((len(dates), len(tickers)))
     volume = np.empty_like(adj_close)
     for j, t in enumerate(tickers):
-        n = len(days[t])
-        row_of = dict(zip(days[t], range(n)))
+        bars = series[t]
+        row_of = dict(zip(bars.days, range(len(bars))))
         rows = list(map(row_of.__getitem__, dates))
-        adj_close[:, j] = np.fromiter(map(adj_close_of, series[t]), float, n)[rows]
-        volume[:, j] = np.fromiter(map(volume_of, series[t]), float, n)[rows]
+        *_, adj_close_of, volume_of = bars.values
+        adj_close[:, j] = adj_close_of[rows]
+        volume[:, j] = volume_of[rows]
     return MarketFrame(dates=dates, tickers=tuple(tickers), adj_close=adj_close, volume=volume)
 
 

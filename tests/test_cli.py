@@ -536,6 +536,19 @@ class TestErrorPolicy:
         assert code == 2 and err == "config error: report_spans.\\ud800" + detail
         assert not (tmp_path / "o").exists()
 
+    def test_strategy_name_not_utf8_fails_before_reading_data(self, tmp_path, monkeypatch, capsys):
+        # A lone surrogate trained every strategy, then write_nav_csv ended in a
+        # UnicodeEncodeError traceback and left a partial nav.csv.
+        def no_reading(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_series", no_reading)
+        strategies = ["spo_plus", {"name": "\ud800", "kind": "max_sharpe"}]
+        cfg = write_config(tmp_path, tmp_path / "data", tmp_path / "o", strategies=strategies)
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: strategies[1].name: expected UTF-8 text, got '\\ud800'\n"
+        assert not (tmp_path / "o").exists()
+
     def test_overflowing_indicator_error_comes_first(self, tmp_path):
         # numpy printed two RuntimeWarnings to stderr ahead of the located error.
         data = tmp_path / "data"

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -12,6 +13,7 @@ from dfolio.market_data import (
     IngestionError,
     _check_row,
     SyntheticSpec,
+    TickerBars,
     UniverseError,
     align_series,
     compute_returns,
@@ -103,7 +105,8 @@ class TestIngest:
         write_ticker_csv(tmp_csv_dir / "B.csv", b[2:8] + b[9:])
         series = load_series(tmp_csv_dir)
         kept = [2, 3, 4, 6, 7, 9, 10]
-        for frame in (align_series(series), align_series({t: bars[::-1] for t, bars in series.items()})):
+        reversed_bars = {t: TickerBars(bars.days[::-1], bars.values[:, ::-1]) for t, bars in series.items()}
+        for frame in (align_series(series), align_series(reversed_bars)):
             assert frame.dates == tuple(days[i] for i in kept)
             np.testing.assert_array_equal(frame.adj_close, [[100.0 + i, 50.0 + i] for i in kept])
             np.testing.assert_array_equal(frame.volume, [[10.0 * i, 20.0 * i] for i in kept])
@@ -114,6 +117,23 @@ class TestIngest:
         series = load_series(tmp_csv_dir)
         frame = align_series(series)
         assert frame.n_assets == 1 and frame.n_dates == 6
+
+    def test_parsed_series_keep_under_128_bytes_per_row(self, tmp_csv_dir):
+        # One record per bar kept about 288 bytes per row; a date object and
+        # six float64 cells take about 88.
+        days = weekdays(date(2000, 1, 3), 5000)
+        for k in range(10):
+            write_ticker_csv(tmp_csv_dir / f"T{k}.csv", flat_bars(days, 100.0 + k, 1000.0 + k))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            series = load_series(tmp_csv_dir)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = sum(map(len, series.values()))
+        assert rows == 50_000
+        assert kept / rows < 128
 
 
 HEADER = "date,open,high,low,close,adj_close,volume"
@@ -203,7 +223,7 @@ class TestParseErrors:
         path = tmp_csv_dir / "X.csv"
         quoted = '"2020-01-07","100.5"," 102.0 ",100.0,"101.0",101.0,"1_200"'
         path.write_bytes(f"{HEADER}\r\n\r\n{GOOD}\r\n\r\n{quoted}\r\n\r\n".encode())
-        assert read_ticker_csv(path) == [
+        assert list(read_ticker_csv(path)) == [
             AssetBar(date(2020, 1, 6), 100.0, 101.0, 99.0, 100.5, 100.5, 1000.0),
             AssetBar(date(2020, 1, 7), 100.5, 102.0, 100.0, 101.0, 101.0, 1200.0),
         ]
@@ -236,7 +256,9 @@ class TestParseErrors:
     def test_records_hold_parsed_floats(self, tmp_csv_dir):
         path = tmp_csv_dir / "X.csv"
         path.write_text(f"{HEADER}\n{GOOD}\n{row(l='-0.0', v='0')}\n")
-        bars = read_ticker_csv(path)
+        columns = read_ticker_csv(path)
+        assert len(columns) == 2 and not columns.values.flags.writeable
+        bars = list(columns)
         assert [type(v) for v in bars[1][1:]] == [float] * 6
         assert bars[1].day == date(2020, 1, 7) and bars[1].volume == 0.0
         assert math.copysign(1.0, bars[1].low) == -1.0
@@ -294,7 +316,7 @@ class TestColumnarMatchesScalar:
                 read_ticker_csv(path)
             assert (str(err.value), err.value.line) == (str(exc), exc.line)
         else:
-            assert read_ticker_csv(path) == expected
+            assert list(read_ticker_csv(path)) == expected
 
 
 class TestReturns:

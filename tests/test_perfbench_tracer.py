@@ -3,8 +3,9 @@
 It wraps names in dfolio's module namespaces, such as dfolio.backtest.train and
 dfolio.backtest.train_dfl; a refactor that drops one breaks every traced run.
 Its ingest counts read what `load_series` returns: a dict from ticker to a
-sized sequence of records with `.day`. Installing rewrites module attributes,
-so it runs in a fresh interpreter.
+sized per-ticker object whose iteration yields records with `.day`
+(`TickerBars`). Installing rewrites module attributes, so it runs in a fresh
+interpreter.
 """
 
 import json
