@@ -31,6 +31,10 @@ SPO_PLUS = "spo_plus"
 ROBUST_SPO = "robust_spo"
 LOSS_KINDS = (MSE, SPO_PLUS, ROBUST_SPO)
 
+# A trial whose validation score is within SCORE_TIE_TOL * max(1, |best|) of
+# the best ties with it, so round-off in the last bits cannot pick the winner.
+SCORE_TIE_TOL = 1e-12
+
 
 class TrainingError(DfolioError, RuntimeError):
     pass
@@ -314,9 +318,11 @@ def hyperparameter_search(space: SearchSpace, fit, score) -> SearchResult:
     fit(learning_rates, epochs) trains every drawn trial, in one stacked pass
     for both model families, and returns their models and per-epoch loss
     traces in trial order; score(model) rates one on the validation span,
-    higher is better. The earliest trial wins ties. Callers are responsible for the
-    validation span lying strictly after the training span; the backtest
-    enforces that ordering by construction.
+    higher is better. The earliest trial whose score is within
+    SCORE_TIE_TOL * max(1, |best|) of the best score wins, so scores that tie
+    in exact arithmetic but differ by round-off go to the earliest trial.
+    Callers are responsible for the validation span lying strictly after the
+    training span; the backtest enforces that ordering by construction.
     """
     rng = derived_rng(space.seed, "hparam-search")
     lrs = np.exp(rng.uniform(np.log(space.lr_min), np.log(space.lr_max), space.n_trials))
@@ -326,5 +332,7 @@ def hyperparameter_search(space: SearchSpace, fit, score) -> SearchResult:
         TrialResult(learning_rate=float(lr), epochs=int(ep), score=score(model))
         for lr, ep, model in zip(lrs, epoch_draws, models)
     )
-    best = int(np.argmax([t.score for t in trials]))
+    scores = np.array([t.score for t in trials])
+    top = scores.max()
+    best = int(np.argmax(scores >= top - SCORE_TIE_TOL * max(1.0, abs(top))))
     return SearchResult(best=trials[best], model=models[best], trials=trials, traces=tuple(map(tuple, traces)))
