@@ -1,9 +1,9 @@
 """Portfolio decision solvers over the long-only full-investment simplex.
 
 Every oracle or baseline decision used anywhere in the project lives here:
-vertex argmax, the exact closed-form oracles for the fee-penalized LP (sorted
-segment fill) and the fee+ridge QP (breakpoint root, certified by a
-closed-form duality gap), mean-variance max-Sharpe (one nonnegative QP,
+vertex argmax, the exact closed-form oracles for the fee-penalized LP (keep
+the prior or sell it to the best buy) and the fee+ridge QP (breakpoint root,
+certified by a closed-form duality gap), mean-variance max-Sharpe (one nonnegative QP,
 solved exactly by an active set), and covariance estimation.
 The fee and fee+ridge oracles are batched over coefficient rows for the
 training loops; the single-decision solvers wrap them. All solvers are pure,
@@ -149,7 +149,7 @@ _GAP_TOL = 1e-9
 
 
 def solve_fee(r_hat: np.ndarray, prob: DecisionProblem) -> Portfolio:
-    """Maximize r_hat . w - gamma * ||w - w_prev||_1 over the simplex (exact, sort-based)."""
+    """Maximize r_hat . w - gamma * ||w - w_prev||_1 over the simplex (exact, closed form)."""
     if prob.kind != MAX_RETURN_FEE:
         raise ValueError(f"solve_fee requires kind={MAX_RETURN_FEE}, got {prob.kind}")
     r_hat = np.asarray(r_hat, dtype=float).reshape(-1)
@@ -251,10 +251,10 @@ def _nonneg_qp(q: np.ndarray, c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact closed-form batch oracles, vectorized across coefficient rows.
 #
-# The fee problem is a separable piecewise-linear minimization over the simplex
-# (greedy segment fill); the fee+ridge problem has a one-dimensional dual root
-# on a piecewise-linear curve, found exactly from its sorted breakpoints. Tests
-# pin them to a dense-simplex LP reference and to brute-force grids.
+# The fee problem keeps each asset's prior or sells it to the first argmax, in
+# closed form; the fee+ridge problem has a one-dimensional dual root on a
+# piecewise-linear curve, found exactly from its sorted breakpoints. Tests pin
+# them to a dense-simplex LP reference and to brute-force grids.
 # ---------------------------------------------------------------------------
 
 
@@ -282,24 +282,20 @@ def penalty_batch(w_rows: np.ndarray, prob: DecisionProblem) -> np.ndarray:
 
 
 def _fee_argmax_batch(v: np.ndarray, gamma: float, p: np.ndarray) -> np.ndarray:
-    """Greedy segment fill for max v.w - gamma * ||w - p||_1 over the simplex.
+    """Exact maximizer of v.w - gamma * ||w - p||_1 over the simplex: keep or sell.
 
-    Each coordinate contributes two linear segments of the (convex, piecewise
-    linear) cost: [0, p_i] at slope -v_i - gamma and [p_i, 1] at slope
-    -v_i + gamma; mass 1 is poured into segments by ascending slope. Stable
-    sort keeps ties at the lowest index and below-kink side first.
+    Holding a unit of asset i that is already held is worth v_i + gamma (the
+    sell fee it saves); buying a unit of asset j is worth v_j - gamma, best at
+    j, the first argmax of v. The prior p fills all of the simplex, so every
+    asset keeps its prior unless v_i + gamma < v_j - gamma, and then its mass
+    moves to j. Slope ties keep the prior.
     """
-    b, n = v.shape
-    slopes = np.concatenate([-v - gamma, -v + gamma], axis=1)
-    caps = np.broadcast_to(np.concatenate([p, 1.0 - p]), (b, 2 * n))
-    order = np.argsort(slopes, axis=1, kind="stable")
-    caps_sorted = np.take_along_axis(caps, order, axis=1)
-    csum = np.cumsum(caps_sorted, axis=1)
-    remaining_before = 1.0 - (csum - caps_sorted)
-    fill_sorted = np.clip(remaining_before, 0.0, caps_sorted)
-    fill = np.zeros_like(fill_sorted)
-    np.put_along_axis(fill, order, fill_sorted, axis=1)
-    return fill[:, :n] + fill[:, n:]
+    rows = np.arange(v.shape[0])
+    j = np.argmax(v, axis=1)
+    sell = v + gamma < (v[rows, j] - gamma)[:, None]
+    w = np.where(sell, 0.0, p)
+    w[rows, j] += np.where(sell, p, 0.0).sum(axis=1)
+    return w
 
 
 def _fee_l2_argmax_batch(v: np.ndarray, gamma: float, lam: float, p: np.ndarray) -> np.ndarray:

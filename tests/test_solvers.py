@@ -155,6 +155,13 @@ class TestSolveFee:
             np.testing.assert_allclose(
                 solve_fee(r, prob).weights, solve_max_return(r).weights, atol=1e-9
             )
+        # On a prior that sums to 1 exactly in floats, and with no tie for the
+        # best prediction, it is argmax_batch's MAX_RETURN one-hot bit for bit.
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            v = rng.normal(0, 0.05, (4, n))
+            p = rng.multinomial(1024, rng.dirichlet(np.ones(n))) / 1024
+            np.testing.assert_array_equal(argmax_batch(v, fee_problem(p, 0.0)), argmax_batch(v, DecisionProblem()))
 
     def test_turnover_monotone_in_gamma(self):
         rng = np.random.default_rng(3)
@@ -180,21 +187,37 @@ class TestSolveFee:
 
     def test_batch_oracle_agrees(self):
         rng = np.random.default_rng(5)
+        checked = 0
         for _ in range(100):
             n = int(rng.integers(2, 8))
             r = rng.normal(0, 0.05, n)
             prob = fee_problem(rng.dirichlet(np.ones(n)), gamma=float(rng.uniform(0, 0.05)))
-            _, v_lp = lp_fee_argmax(r, prob)
+            w_lp, v_lp = lp_fee_argmax(r, prob)
             w_fast = argmax_batch(r[None, :], prob)[0]
             np.testing.assert_array_equal(solve_fee(r, prob).weights, w_fast)
             v_fast = objective_values(w_fast[None, :], r, prob)[0]
             assert abs(v_lp - v_fast) <= 1e-9
+            # Where the LP optimum is unique (no tie for the best buy, none
+            # between keeping an asset and buying the best), every other asset
+            # keeps its prior bit for bit or is sold to exactly 0.0.
+            p, j = prob.w_prev.weights, int(np.argmax(r))
+            others = np.delete(r, j)
+            if r[j] - others.max() > 1e-9 and np.abs(others + 2 * prob.gamma - r[j]).min() > 1e-9:
+                kept = np.delete(w_lp, j) > 1e-9
+                np.testing.assert_allclose(np.delete(w_lp, j)[kept], np.delete(p, j)[kept], atol=1e-9)
+                assert np.array_equal(np.delete(w_fast, j), np.where(kept, np.delete(p, j), 0.0))
+                checked += 1
+        assert checked >= 90
 
     def test_tie_heavy_inputs_match_lp(self):
         # Ties between keeping one asset and buying another leave several
         # optima. Every decision must reach the LP optimum; where the ties are
-        # exact in floating point, the oracle keeps the prior (below-kink side
-        # first), so it trades no more than any optimal decision does.
+        # exact in floating point, the oracle keeps the prior, so it trades no
+        # more than any optimal decision does, and it buys only the first
+        # argmax of r. Exact ties for the best prediction buy the first one,
+        # and the tied rival keeps its prior.
+        prob = fee_problem(np.array([0.5, 0.0, 0.5, 0.0]), gamma=0.001)
+        assert solve_fee([0.01, 0.03, 0.03, 0.03], prob).weights.tolist() == [0.0, 0.5, 0.5, 0.0]
         rng = np.random.default_rng(14)
         for units in (1000, 1024):
             for _ in range(100):
@@ -206,6 +229,7 @@ class TestSolveFee:
                 assert abs(objective_values(w[None, :], r, prob)[0] - v_lp) <= 1e-9
                 if units == 1024:
                     assert np.abs(w - p).sum() <= lp_fee_min_turnover(r, prob, v_lp) + 1e-5
+                    assert np.flatnonzero(w > p).tolist() in ([], [int(np.argmax(r))])
 
     def test_vertex_priors_match_lp(self):
         rng = np.random.default_rng(15)
@@ -216,6 +240,38 @@ class TestSolveFee:
             w = solve_fee(r, prob).weights
             _, v_lp = lp_fee_argmax(r, prob)
             assert abs(objective_values(w[None, :], r, prob)[0] - v_lp) <= 1e-9
+            # A vertex prior e_i (p_i = 1, p_j = 0 elsewhere) is kept, or sold whole to j.
+            p, j = prob.w_prev.weights, int(np.argmax(r))
+            if p.max() == 1.0:
+                i = int(np.argmax(p))
+                sell = r[i] + prob.gamma < r[j] - prob.gamma
+                assert np.array_equal(w, np.eye(n)[j if sell else i])
+
+    def test_prior_off_one_by_an_ulp(self):
+        # These priors sum to 1 + 2^-52 and 1 - 2^-53, and both rivals are sold
+        # to asset 2. In the first, w_2 - p_2 passes 1 - p_2 by an ulp.
+        # Portfolio accepts each result, and it sums to what the prior sums to.
+        for p, over in (([0.33, 0.56, 0.11], True), ([0.06, 0.57, 0.37], False)):
+            p = np.array(p)
+            assert p.sum() != 1.0
+            w = solve_fee([0.0, 0.0, 0.1], fee_problem(p, 0.01)).weights
+            assert w[:2].tolist() == [0.0, 0.0]
+            assert (w[2] - p[2] > 1.0 - p[2]) == over
+            assert abs(w.sum() - p.sum()) <= np.spacing(1.0)
+
+    def test_at_most_one_asset_above_its_prior(self):
+        # perfbench's check_fee_prior relies on this: only the first argmax buys.
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            v = rng.normal(0, 0.02, (8, n))
+            v[rng.random(v.shape) < 0.3] = 0.01  # exact ties
+            p = vertex_prior(rng, n) if rng.random() < 0.3 else rng.dirichlet(np.ones(n))
+            w = argmax_batch(v, fee_problem(p, float(rng.choice([0.0, 0.005, 0.05]))))
+            above = w > p
+            assert (above.sum(axis=1) <= 1).all()
+            rows = above.any(axis=1)
+            assert (above.argmax(axis=1)[rows] == np.argmax(v, axis=1)[rows]).all()
 
     def test_wide_universe_matches_lp(self):
         rng = np.random.default_rng(16)
