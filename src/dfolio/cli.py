@@ -38,6 +38,7 @@ from .reports import (
     write_weights_csv,
     read_metrics_json,
 )
+from .training import MAX_EPOCHS
 from .util import ConfigError, DfolioError, UsageError
 
 
@@ -70,7 +71,7 @@ def _parse_iso(value, key: str, errors: list[str]) -> date | None:
         return None
 
 
-def _check_number(value, key: str, errors: list[str], minimum=None, integer=False):
+def _check_number(value, key: str, errors: list[str], minimum=None, integer=False, maximum=None):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         errors.append(f"{key}: expected a number, got {value!r}")
         return None
@@ -82,6 +83,9 @@ def _check_number(value, key: str, errors: list[str], minimum=None, integer=Fals
         return None
     if minimum is not None and value < minimum:
         errors.append(f"{key}: must be >= {minimum}, got {value!r}")
+        return None
+    if maximum is not None and value > maximum:
+        errors.append(f"{key}: must be <= {maximum}, got {value!r}")
         return None
     return int(value) if integer else float(value)
 
@@ -214,8 +218,8 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
     lr_max = _check_number(search.get("lr_max", 5e-2), "search.lr_max", errors, minimum=0.0)
     if lr_min is not None and lr_max is not None and not 0 < lr_min <= lr_max:
         errors.append("search.lr_min: need 0 < lr_min <= lr_max")
-    epochs_min = _check_number(search.get("epochs_min", 20), "search.epochs_min", errors, 1, integer=True)
-    epochs_max = _check_number(search.get("epochs_max", 40), "search.epochs_max", errors, 1, integer=True)
+    epochs_min = _check_number(search.get("epochs_min", 20), "search.epochs_min", errors, 1, True, MAX_EPOCHS)
+    epochs_max = _check_number(search.get("epochs_max", 40), "search.epochs_max", errors, 1, True, MAX_EPOCHS)
     if epochs_min is not None and epochs_max is not None and epochs_min > epochs_max:
         errors.append("search.epochs_min: must be <= search.epochs_max")
     n_trials = _check_number(search.get("n_trials", 20), "search.n_trials", errors, 1, integer=True)

@@ -35,6 +35,9 @@ LOSS_KINDS = (MSE, SPO_PLUS, ROBUST_SPO)
 # the best ties with it, so round-off in the last bits cannot pick the winner.
 SCORE_TIE_TOL = 1e-12
 
+# The most epochs a training run may take; the backtest config checks it too.
+MAX_EPOCHS = 1000
+
 
 class TrainingError(DfolioError, RuntimeError):
     pass
@@ -103,8 +106,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if not 1 <= self.epochs <= 1000:
-            raise ValueError("epochs must be in [1, 1000]")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ValueError(f"epochs must be in [1, {MAX_EPOCHS}]")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1:

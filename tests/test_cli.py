@@ -549,6 +549,28 @@ class TestErrorPolicy:
         assert capsys.readouterr().err == "config error: strategies[1].name: expected UTF-8 text, got '\\ud800'\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "search, detail",
+        [
+            ({"epochs_min": 1001, "epochs_max": 1001},
+             "search.epochs_min: must be <= 1000, got 1001\nconfig error: search.epochs_max: must be <= 1000, got 1001"),
+            ({"epochs_min": 2, "epochs_max": 1001}, "search.epochs_max: must be <= 1000, got 1001"),
+        ],
+        ids=["both", "max-only"],
+    )
+    def test_epochs_beyond_training_bound_fail_before_reading_data(self, tmp_path, monkeypatch, capsys, search, detail):
+        # The config took them, then every trained strategy failed at its first
+        # rebalance with "epochs must be in [1, 1000]" and exit 1, or only the
+        # seeds whose draw reached 1001 did.
+        def no_reading(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_series", no_reading)
+        cfg = write_config(tmp_path, tmp_path / "data", tmp_path / "o", search={"n_trials": 2, **search})
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {detail}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_overflowing_indicator_error_comes_first(self, tmp_path):
         # numpy printed two RuntimeWarnings to stderr ahead of the located error.
         data = tmp_path / "data"
