@@ -3,8 +3,8 @@
 Every oracle or baseline decision used anywhere in the project lives here:
 vertex argmax, the exact closed-form oracles for the fee-penalized LP (keep
 the prior or sell it to the best buy) and the fee+ridge QP (breakpoint root,
-certified by a closed-form duality gap), mean-variance max-Sharpe (one nonnegative QP,
-solved exactly by an active set), and covariance estimation.
+certified by a closed-form duality gap), mean-variance max-Sharpe (one
+nonnegative QP, solved exactly by an active set), and covariance estimation.
 The fee and fee+ridge oracles are batched over coefficient rows for the
 training loops; the single-decision solvers wrap them. All solvers are pure,
 deterministic, and tie-break by lowest asset index.

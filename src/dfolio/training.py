@@ -31,10 +31,8 @@ SPO_PLUS = "spo_plus"
 ROBUST_SPO = "robust_spo"
 LOSS_KINDS = (MSE, SPO_PLUS, ROBUST_SPO)
 
-# A trial whose validation score is within SCORE_TIE_TOL * max(1, |best|) of
-# the best ties with it, so round-off in the last bits cannot pick the winner.
+# A search score within SCORE_TIE_TOL * max(1, |best|) of the best ties with it.
 SCORE_TIE_TOL = 1e-12
-
 # The most epochs a training run may take; the backtest config checks it too.
 MAX_EPOCHS = 1000
 
