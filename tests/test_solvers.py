@@ -213,9 +213,8 @@ class TestSolveFee:
         # Ties between keeping one asset and buying another leave several
         # optima. Every decision must reach the LP optimum; where the ties are
         # exact in floating point, the oracle keeps the prior, so it trades no
-        # more than any optimal decision does, and it buys only the first
-        # argmax of r. Exact ties for the best prediction buy the first one,
-        # and the tied rival keeps its prior.
+        # more than any optimal decision does. Exact ties for the best
+        # prediction buy the first one, and the tied rival keeps its prior.
         prob = fee_problem(np.array([0.5, 0.0, 0.5, 0.0]), gamma=0.001)
         assert solve_fee([0.01, 0.03, 0.03, 0.03], prob).weights.tolist() == [0.0, 0.5, 0.5, 0.0]
         rng = np.random.default_rng(14)
@@ -229,7 +228,9 @@ class TestSolveFee:
                 assert abs(objective_values(w[None, :], r, prob)[0] - v_lp) <= 1e-9
                 if units == 1024:
                     assert np.abs(w - p).sum() <= lp_fee_min_turnover(r, prob, v_lp) + 1e-5
-                    assert np.flatnonzero(w > p).tolist() in ([], [int(np.argmax(r))])
+                # At most one asset ends above its prior (perfbench's
+                # check_fee_prior relies on this), and only the first argmax.
+                assert np.flatnonzero(w > p).tolist() in ([], [int(np.argmax(r))])
 
     def test_vertex_priors_match_lp(self):
         rng = np.random.default_rng(15)
@@ -258,20 +259,6 @@ class TestSolveFee:
             assert w[:2].tolist() == [0.0, 0.0]
             assert (w[2] - p[2] > 1.0 - p[2]) == over
             assert abs(w.sum() - p.sum()) <= np.spacing(1.0)
-
-    def test_at_most_one_asset_above_its_prior(self):
-        # perfbench's check_fee_prior relies on this: only the first argmax buys.
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            n = int(rng.integers(1, 12))
-            v = rng.normal(0, 0.02, (8, n))
-            v[rng.random(v.shape) < 0.3] = 0.01  # exact ties
-            p = vertex_prior(rng, n) if rng.random() < 0.3 else rng.dirichlet(np.ones(n))
-            w = argmax_batch(v, fee_problem(p, float(rng.choice([0.0, 0.005, 0.05]))))
-            above = w > p
-            assert (above.sum(axis=1) <= 1).all()
-            rows = above.any(axis=1)
-            assert (above.argmax(axis=1)[rows] == np.argmax(v, axis=1)[rows]).all()
 
     def test_wide_universe_matches_lp(self):
         rng = np.random.default_rng(16)
