@@ -20,6 +20,9 @@ from .util import DfolioError, span_indices, write_long_csv
 
 # Floor on a fit span's standard deviation, so a constant feature z-scores to 0.
 STD_FLOOR = 1e-8
+# Cells per temporary of compute_indicators: it fills its result a block of
+# max(2, BLOCK_CELLS // dates) assets at a time, about 1 MB per temporary.
+BLOCK_CELLS = 1 << 17
 
 
 class WarmupError(DfolioError, ValueError):
@@ -74,7 +77,17 @@ class FeatureTensor:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "features", _frozen(feats))
+        # Adopt memory that a read-only array owns (the results of compute_indicators and
+        # standardize, or a row window of another tensor's features); copy every other
+        # array, which a caller could still write through.
+        owner = feats if feats.base is None else feats.base
+        adopt = (
+            not feats.flags.writeable
+            and isinstance(owner, np.ndarray)
+            and owner.flags.owndata
+            and not owner.flags.writeable
+        )
+        object.__setattr__(self, "features", feats if adopt else _frozen(feats))
 
     @property
     def n_features(self) -> int:
@@ -99,14 +112,26 @@ def _rolling_std(x: np.ndarray, window: int) -> np.ndarray:
     return np.sqrt(var)
 
 
-def _ema(x: np.ndarray, span: int) -> np.ndarray:
-    """Exponential moving average seeded at the first row (alpha = 2/(span+1))."""
-    alpha = 2.0 / (span + 1.0)
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for t in range(1, x.shape[0]):
-        out[t] = alpha * x[t] + (1.0 - alpha) * out[t - 1]
-    return out
+def _macd_hist(px: np.ndarray, config: IndicatorConfig) -> np.ndarray:
+    """MACD line minus its signal line, not yet divided by price.
+
+    The fast, slow and signal EMAs run in one time loop. Each is seeded at its
+    input's first row and steps alpha * x[t] + (1 - alpha) * ema[t - 1], with
+    alpha = 2/(span+1).
+    """
+    a_fast, a_slow, a_sig = (2.0 / (span + 1.0) for span in (config.macd_fast, config.macd_slow, config.macd_signal))
+    fast_x, slow_x = a_fast * px, a_slow * px
+    fast = slow = px[0]
+    line = sig = fast - slow
+    hist = np.empty_like(px)
+    hist[0] = line - sig
+    for t in range(1, px.shape[0]):
+        fast = fast_x[t] + (1.0 - a_fast) * fast
+        slow = slow_x[t] + (1.0 - a_slow) * slow
+        line = fast - slow
+        sig = a_sig * line + (1.0 - a_sig) * sig
+        hist[t] = line - sig
+    return hist
 
 
 def _wilder_rsi(prices: np.ndarray, period: int) -> np.ndarray:
@@ -145,32 +170,18 @@ def compute_indicators(frame: MarketFrame, config: IndicatorConfig = IndicatorCo
     Columns: 1-day log return, SMA(short)/price, SMA(long)/price, price bias vs
     SMA(long), RSI rescaled to [-1, 1], MACD histogram / price, Bollinger band
     width, volume / SMA(volume) - 1.
+
+    The result is allocated once and filled one block of assets at a time, so
+    every temporary is sized to the block. Each indicator is per-asset, so the
+    values are the bits a full-width pass gives. The one reduction, the RSI's
+    seed mean, sums a lone column pairwise but a wider block row by row, so no
+    block holds a single asset unless the frame does.
     """
     warmup = config.warmup
     if frame.n_dates <= warmup:
         raise WarmupError(
             f"need at least {warmup + 1} dates for indicator warm-up, got {frame.n_dates}"
         )
-    px = frame.adj_close
-    vol = frame.volume
-
-    log_ret = np.full_like(px, np.nan)
-    log_ret[1:] = np.log(px[1:] / px[:-1])
-
-    sma_s = _rolling_mean(px, config.sma_short)
-    sma_l = _rolling_mean(px, config.sma_long)
-    bias = (px - sma_l) / sma_l
-
-    rsi = (_wilder_rsi(px, config.rsi_period) - 50.0) / 50.0
-
-    macd_line = _ema(px, config.macd_fast) - _ema(px, config.macd_slow)
-    macd_hist = (macd_line - _ema(macd_line, config.macd_signal)) / px
-
-    boll_mid = _rolling_mean(px, config.boll_window)
-    boll_width = 2.0 * config.boll_sigma * _rolling_std(px, config.boll_window) / boll_mid
-
-    vol_ratio = vol / np.maximum(_rolling_mean(vol, config.vol_window), 1e-12) - 1.0
-
     names = (
         "log_ret_1d",
         f"sma{config.sma_short}_ratio",
@@ -181,16 +192,30 @@ def compute_indicators(frame: MarketFrame, config: IndicatorConfig = IndicatorCo
         "boll_width",
         "vol_ratio",
     )
-    stacked = np.stack(
-        [log_ret, sma_s / px, sma_l / px, bias, rsi, macd_hist, boll_width, vol_ratio],
-        axis=-1,
-    )
-    return FeatureTensor(
-        dates=frame.dates[warmup:],
-        tickers=frame.tickers,
-        features=stacked[warmup:],
-        feature_names=names,
-    )
+    n = frame.n_assets
+    out = np.empty((frame.n_dates - warmup, n, len(names)))
+    step = max(2, BLOCK_CELLS // frame.n_dates)
+    starts = range(0, max(n - 1, 1), step)  # a one-asset tail joins the block before it
+    for a, b in zip(starts, [*starts[1:], n]):
+        _indicator_block(out[:, a:b], frame.adj_close[:, a:b], frame.volume[:, a:b], config, warmup)
+    out.setflags(write=False)
+    return FeatureTensor(dates=frame.dates[warmup:], tickers=frame.tickers, features=out, feature_names=names)
+
+
+def _indicator_block(out: np.ndarray, px: np.ndarray, vol: np.ndarray, config: IndicatorConfig, w: int) -> None:
+    """Writes rows w: of one asset block's eight indicators into out, (dates - w, block, 8)."""
+    log_ret, sma_s, sma_l, bias, rsi, macd_hist, boll_width, vol_ratio = np.moveaxis(out, -1, 0)
+    p = px[w:]
+    mean_l = _rolling_mean(px, config.sma_long)[w:]
+    np.log(p / px[w - 1 : -1], out=log_ret)
+    np.divide(_rolling_mean(px, config.sma_short)[w:], p, out=sma_s)
+    np.divide(mean_l, p, out=sma_l)
+    np.divide(p - mean_l, mean_l, out=bias)
+    np.divide(_wilder_rsi(px, config.rsi_period)[w:] - 50.0, 50.0, out=rsi)
+    np.divide(_macd_hist(px, config)[w:], p, out=macd_hist)
+    boll_std = 2.0 * config.boll_sigma * _rolling_std(px, config.boll_window)[w:]
+    np.divide(boll_std, _rolling_mean(px, config.boll_window)[w:], out=boll_width)
+    np.subtract(vol[w:] / np.maximum(_rolling_mean(vol, config.vol_window)[w:], 1e-12), 1.0, out=vol_ratio)
 
 
 def standardize(
@@ -209,12 +234,10 @@ def standardize(
     fit = tensor.features[rows.start : rows.stop]
     mean = fit.mean(axis=0)
     std = np.maximum(fit.std(axis=0), STD_FLOOR)
-    return FeatureTensor(
-        dates=tensor.dates,
-        tickers=tensor.tickers,
-        features=(tensor.features - mean) / std,
-        feature_names=tensor.feature_names,
-    )
+    z = tensor.features - mean  # the one array of the result: divided in place, frozen, adopted
+    z /= std
+    z.setflags(write=False)
+    return FeatureTensor(dates=tensor.dates, tickers=tensor.tickers, features=z, feature_names=tensor.feature_names)
 
 
 def write_features_csv(tensor: FeatureTensor, path) -> Path:

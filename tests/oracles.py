@@ -5,7 +5,9 @@ checked against exhaustive evaluation over simplex grids (augmented with the
 kink values implied by the prior weights, so piecewise-linear optima land on
 the grid), one-asset-wins problems against direct vertex enumeration, and the
 fee-penalized problems at any size against a dense two-phase simplex LP over
-the epigraph polytope. The CSV readers at the end parse every CSV artifact
+the epigraph polytope. `reference_indicators` is the full-width indicator
+formula that `features.compute_indicators` computes one asset block at a time.
+The CSV readers at the end parse every CSV artifact
 (`panel.csv`, `features.csv`, `nav.csv`, `weights.csv`, `hparams.csv`,
 `metrics.csv` and the plot data) back, cell by cell, for round-trip tests of
 their writers.
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dfolio.features import FeatureTensor
+from dfolio.features import FeatureTensor, IndicatorConfig
 from dfolio.market_data import MarketFrame
 from dfolio.metrics import MetricsRow
 from dfolio.solvers import MAX_RETURN, DecisionProblem
@@ -360,6 +362,103 @@ def lp_fee_min_turnover(coeff: np.ndarray, prob: DecisionProblem, value: float, 
     b_ub = np.append(b_ub, slack - value)
     _, turnover = solve_lp(np.concatenate([np.zeros(n), np.ones(n)]), a_ub, b_ub, a_eq, b_eq, maximize=False)
     return turnover
+
+
+def _ref_rolling_mean(x: np.ndarray, window: int) -> np.ndarray:
+    out = np.full_like(x, np.nan)
+    csum = np.cumsum(x, axis=0)
+    out[window - 1 :] = csum[window - 1 :].copy()
+    out[window:] -= csum[:-window]
+    out[window - 1 :] /= window
+    return out
+
+
+def _ref_rolling_std(x: np.ndarray, window: int) -> np.ndarray:
+    mean = _ref_rolling_mean(x, window)
+    mean_sq = _ref_rolling_mean(x * x, window)
+    var = np.maximum(mean_sq - mean * mean, 0.0)
+    return np.sqrt(var)
+
+
+def _ref_ema(x: np.ndarray, span: int) -> np.ndarray:
+    alpha = 2.0 / (span + 1.0)
+    out = np.empty_like(x)
+    out[0] = x[0]
+    for t in range(1, x.shape[0]):
+        out[t] = alpha * x[t] + (1.0 - alpha) * out[t - 1]
+    return out
+
+
+def _ref_wilder_rsi(prices: np.ndarray, period: int) -> np.ndarray:
+    delta = np.diff(prices, axis=0)
+    gain = np.maximum(delta, 0.0)
+    loss = np.maximum(-delta, 0.0)
+    t_total, n = prices.shape
+    avg_gain = np.full((t_total, n), np.nan)
+    avg_loss = np.full((t_total, n), np.nan)
+    if t_total <= period:
+        return np.full((t_total, n), np.nan)
+    avg_gain[period] = gain[:period].mean(axis=0)
+    avg_loss[period] = loss[:period].mean(axis=0)
+    for t in range(period + 1, t_total):
+        avg_gain[t] = (avg_gain[t - 1] * (period - 1) + gain[t - 1]) / period
+        avg_loss[t] = (avg_loss[t - 1] * (period - 1) + loss[t - 1]) / period
+    rsi = np.full((t_total, n), np.nan)
+    valid = ~np.isnan(avg_gain)
+    g, l = avg_gain[valid], avg_loss[valid]
+    vals = np.where(
+        l > 0,
+        100.0 - 100.0 / (1.0 + g / np.where(l > 0, l, 1.0)),
+        np.where(g > 0, 100.0, 50.0),
+    )
+    rsi[valid] = vals
+    return rsi
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def reference_indicators(frame: MarketFrame, config: IndicatorConfig = IndicatorConfig()) -> FeatureTensor:
+    """compute_indicators as one full-width pass: eight (dates, assets) arrays, stacked, warm-up rows cut."""
+    warmup = config.warmup
+    px = frame.adj_close
+    vol = frame.volume
+
+    log_ret = np.full_like(px, np.nan)
+    log_ret[1:] = np.log(px[1:] / px[:-1])
+
+    sma_s = _ref_rolling_mean(px, config.sma_short)
+    sma_l = _ref_rolling_mean(px, config.sma_long)
+    bias = (px - sma_l) / sma_l
+
+    rsi = (_ref_wilder_rsi(px, config.rsi_period) - 50.0) / 50.0
+
+    macd_line = _ref_ema(px, config.macd_fast) - _ref_ema(px, config.macd_slow)
+    macd_hist = (macd_line - _ref_ema(macd_line, config.macd_signal)) / px
+
+    boll_mid = _ref_rolling_mean(px, config.boll_window)
+    boll_width = 2.0 * config.boll_sigma * _ref_rolling_std(px, config.boll_window) / boll_mid
+
+    vol_ratio = vol / np.maximum(_ref_rolling_mean(vol, config.vol_window), 1e-12) - 1.0
+
+    names = (
+        "log_ret_1d",
+        f"sma{config.sma_short}_ratio",
+        f"sma{config.sma_long}_ratio",
+        "bias",
+        f"rsi{config.rsi_period}",
+        "macd_hist",
+        "boll_width",
+        "vol_ratio",
+    )
+    stacked = np.stack(
+        [log_ret, sma_s / px, sma_l / px, bias, rsi, macd_hist, boll_width, vol_ratio],
+        axis=-1,
+    )
+    return FeatureTensor(
+        dates=frame.dates[warmup:],
+        tickers=frame.tickers,
+        features=stacked[warmup:],
+        feature_names=names,
+    )
 
 
 def read_features_csv(path) -> FeatureTensor:

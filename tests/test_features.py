@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfolio.features import (
+    BLOCK_CELLS,
     FeatureTensor,
     IndicatorConfig,
     WarmupError,
@@ -16,7 +19,7 @@ from dfolio.features import (
 from dfolio.market_data import SyntheticSpec, UniverseError, generate_synthetic
 
 from conftest import make_frame
-from oracles import read_features_csv
+from oracles import read_features_csv, reference_indicators
 
 SMALL = IndicatorConfig(sma_short=3, sma_long=5, rsi_period=4, macd_fast=3,
                         macd_slow=5, macd_signal=2, boll_window=5, vol_window=5)
@@ -111,6 +114,135 @@ class TestIndicators:
         assert np.all(rsi >= -1.0 - 1e-12) and np.all(rsi <= 1.0 + 1e-12)
         assert np.all(boll >= 0.0)
         assert np.all(np.isfinite(tensor.features))
+
+
+def random_frame(t, n, seed):
+    rng = np.random.default_rng(seed)
+    prices = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=(t, n)), axis=0))
+    volume = np.exp(rng.normal(13, 0.5, size=(t, n)))
+    return make_frame(prices, volume)
+
+
+def spiked_frame(t, n, seed):
+    """random_frame whose last asset jumps from 1 to 200 and back, then creeps up by 1e-9 a day.
+
+    Its RSI seed mean of gains sums one large and many tiny terms, so numpy's
+    pairwise sum of a lone column rounds differently from the row-by-row sum of
+    a wider block.
+    """
+    frame = random_frame(t, n, seed)
+    prices = frame.adj_close.copy()
+    prices[:, -1] = 1.0 + 1e-9 * np.arange(t)
+    prices[1, -1] = 200.0
+    return make_frame(prices, frame.volume)
+
+
+class TestBlockedIndicators:
+    """compute_indicators fills its result one asset block at a time; the bits are the full-width pass's."""
+
+    T = 2600
+    STEP = max(2, BLOCK_CELLS // T)  # assets per block at T dates
+
+    @pytest.mark.parametrize(
+        "config", [IndicatorConfig(), SMALL, IndicatorConfig(rsi_period=40)], ids=["default", "small", "rsi40"]
+    )
+    @pytest.mark.parametrize("width", [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1])
+    def test_matches_full_width_reference(self, width, config):
+        # At 2·STEP + 1 assets a plain split leaves a one-asset block. With
+        # rsi40 the RSI seed lands on the first row, where that block's
+        # pairwise seed sum would show.
+        frame = spiked_frame(self.T, width, seed=width)
+        got = compute_indicators(frame, config)
+        want = reference_indicators(frame, config)
+        assert got.dates == want.dates and got.feature_names == want.feature_names
+        assert got.features.tobytes() == want.features.tobytes()
+
+    def test_shortest_history(self):
+        warm = IndicatorConfig().warmup
+        frame = random_frame(warm + 1, 3, seed=2)
+        got = compute_indicators(frame)
+        assert got.features.shape == (1, 3, 8)
+        assert got.features.tobytes() == reference_indicators(frame).features.tobytes()
+
+    def test_first_non_finite_cell_is_named_as_before(self):
+        # Overflowing volumes in both blocks: the second block's asset turns
+        # non-finite on an earlier date, so it is the one named.
+        frame = random_frame(self.T, 2 * self.STEP + 1, seed=9)
+        volume = frame.volume.copy()
+        volume[900:, 3] = 1e308
+        volume[700:, self.STEP + 2] = 1e308
+        poisoned = make_frame(frame.adj_close, volume)
+        with pytest.raises(UniverseError) as want:
+            reference_indicators(poisoned)
+        assert str(want.value).startswith(f"feature vol_ratio of T{self.STEP + 2:02d} is not finite on ")
+        with pytest.raises(UniverseError, match=f"^{re.escape(str(want.value))}$"):
+            compute_indicators(poisoned)
+
+    def test_peak_memory_within_twice_the_result(self):
+        # The full-width pass held eight indicator arrays, their stack and a
+        # frozen copy at once: 3.3x the result.
+        frame = random_frame(2552, 100, seed=5)
+        tracemalloc.start()
+        try:
+            tensor = compute_indicators(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * tensor.features.nbytes
+
+    def test_result_is_read_only_and_owned(self):
+        tensor = compute_indicators(random_frame(300, 4, seed=1))
+        assert not tensor.features.flags.writeable
+        assert tensor.features.flags.owndata and tensor.features.flags.c_contiguous
+
+
+class TestFeatureTensorAdoption:
+    def _labels(self, t=6, n=2, d=3):
+        from dfolio.market_data import business_days
+
+        return business_days(date(2020, 1, 6), t), tuple(f"A{i}" for i in range(n)), tuple(f"f{i}" for i in range(d))
+
+    def test_writable_input_is_copied(self):
+        dates, tickers, names = self._labels()
+        feats = np.ones((6, 2, 3))
+        tensor = FeatureTensor(dates, tickers, feats, names)
+        feats[0, 0, 0] = 7.0
+        assert tensor.features[0, 0, 0] == 1.0
+        assert not tensor.features.flags.writeable
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        dates, tickers, names = self._labels()
+        base = np.ones((8, 2, 3))
+        view = base[1:7]
+        view.setflags(write=False)
+        tensor = FeatureTensor(dates, tickers, view, names)
+        assert not np.shares_memory(tensor.features, base)
+        base[1, 0, 0] = 7.0
+        assert tensor.features[0, 0, 0] == 1.0
+
+    def test_read_only_owner_is_adopted(self):
+        dates, tickers, names = self._labels()
+        feats = np.ones((6, 2, 3))
+        feats.setflags(write=False)
+        tensor = FeatureTensor(dates, tickers, feats, names)
+        assert tensor.features is feats
+
+    def test_row_window_of_a_tensor_is_adopted(self):
+        dates, tickers, names = self._labels(t=8)
+        whole = FeatureTensor(dates, tickers, np.arange(48.0).reshape(8, 2, 3), names)
+        window = FeatureTensor(dates[2:5], tickers, whole.features[2:5], names)
+        assert np.shares_memory(window.features, whole.features)
+        assert not window.features.flags.writeable
+
+    def test_standardize_result_is_read_only(self):
+        dates, tickers, names = self._labels(t=8)
+        whole = FeatureTensor(dates, tickers, np.arange(48.0).reshape(8, 2, 3) ** 1.5, names)
+        out = standardize(whole, dates[0], dates[5])
+        assert not out.features.flags.writeable
+        assert not np.shares_memory(out.features, whole.features)
+        mean = whole.features[:5].mean(axis=0)
+        std = np.maximum(whole.features[:5].std(axis=0), 1e-8)
+        assert out.features.tobytes() == ((whole.features - mean) / std).tobytes()
 
 
 class TestStandardize:
