@@ -32,13 +32,6 @@ def test_ingest_and_backtest_stages(tmp_path, capsys):
         "load_series", "align_series", "compute_indicators", "write_panel_csv", "write_features_csv",
     ]
 
-    rows = script.run(["ingest", "--data", str(data), "--out", str(tmp_path / "again")])[1]
-    assert [(depth, name) for depth, name, _, _ in rows] == [
-        (0, "load_series"), (0, "align_series"), (0, "compute_indicators"),
-        (0, "write_panel_csv"), (0, "write_features_csv"),
-    ]
-    assert all(0 < before <= after for _, _, before, after in rows)
-
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "data_dir": str(data),
@@ -48,6 +41,7 @@ def test_ingest_and_backtest_stages(tmp_path, capsys):
     }))
     rc, rows = script.run(["backtest", "--config", str(config)])
     assert rc == 0
+    assert all(0 < before <= after for _, _, before, after in rows)
     names = [(depth, name) for depth, name, _, _ in rows]
     assert names[:4] == [(0, "load_series"), (0, "align_series"), (0, "run_backtest"), (1, "compute_indicators")]
     assert {name for _, name in names[4:]} == {
