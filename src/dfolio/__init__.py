@@ -12,7 +12,7 @@ from .market_data import (
     compute_returns,
     generate_synthetic,
 )
-from .features import FeatureTensor, IndicatorConfig, WarmupError, compute_indicators, standardize
+from .features import FeatureTensor, WarmupError, compute_indicators, standardize
 from .solvers import (
     CovarianceEstimate,
     DecisionProblem,

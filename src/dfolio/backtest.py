@@ -12,12 +12,12 @@ every rebalance, uniformly across strategies.
 from __future__ import annotations
 
 import calendar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import MINYEAR, date
 
 import numpy as np
 
-from .features import FeatureTensor, IndicatorConfig, compute_indicators, standardize
+from .features import FeatureTensor, compute_indicators, standardize
 from .market_data import MarketFrame, ReturnPanel, compute_returns
 from .solvers import (
     MAX_RETURN,
@@ -54,16 +54,17 @@ STRAT_SOFTMAX_RETURN = "softmax_max_return"
 STRAT_SOFTMAX_SHARPE = "softmax_max_sharpe"
 STRAT_PTO = "pto_markowitz"
 STRAT_MAX_SHARPE = "max_sharpe"
-STRATEGY_KINDS = (
-    STRAT_SPO_PLUS,
-    STRAT_SPO_FEE,
-    STRAT_SPO_FEE_L2,
-    STRAT_ROBUST,
-    STRAT_SOFTMAX_RETURN,
-    STRAT_SOFTMAX_SHARPE,
-    STRAT_PTO,
-    STRAT_MAX_SHARPE,
-)
+# The StrategySpec fields each kind reads; every other field must keep its default.
+KIND_FIELDS = {
+    STRAT_SPO_PLUS: (),
+    STRAT_SPO_FEE: ("gamma",),
+    STRAT_SPO_FEE_L2: ("gamma", "lam"),
+    STRAT_ROBUST: ("rho",),
+    STRAT_SOFTMAX_RETURN: ("hidden",),
+    STRAT_SOFTMAX_SHARPE: ("hidden",),
+    STRAT_PTO: (),
+    STRAT_MAX_SHARPE: (),
+}
 
 
 class AccountingError(DfolioError, RuntimeError):
@@ -80,8 +81,12 @@ class StrategySpec:
     hidden: int = 32
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
+        if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        read = ("name", "kind", *KIND_FIELDS[self.kind])
+        unread = [f.name for f in fields(self) if f.name not in read and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"strategy {self.name}: {self.kind} does not read {', '.join(unread)}")
         if self.gamma < 0 or self.lam < 0:
             raise ValueError(f"strategy {self.name}: gamma/lam must be >= 0")
         if self.kind == STRAT_ROBUST and self.rho <= 0:
@@ -115,13 +120,8 @@ class BacktestConfig:
     validation_months: int = 3
     fee_rate: float = 0.005
     seed: int = 0
-    n_trials: int = 20
-    lr_min: float = 1e-4
-    lr_max: float = 5e-2
-    epochs_min: int = 20
-    epochs_max: int = 40
     batch_size: int = 63
-    indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
+    search: SearchSpace = SearchSpace()  # each window draws from a seed of (seed, strategy, date)
 
     def __post_init__(self):
         if self.start > self.end:
@@ -130,8 +130,6 @@ class BacktestConfig:
             raise ValueError("fee_rate must be >= 0")
         if self.train_months < 1 or self.validation_months < 1:
             raise ValueError("window months must be >= 1")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
 
     @property
     def lookback_months(self) -> int:
@@ -196,7 +194,7 @@ def prepare_data(frame: MarketFrame, config: BacktestConfig) -> BacktestData:
     return BacktestData(
         frame=frame,
         panel=compute_returns(frame),
-        features=compute_indicators(frame, config.indicators),
+        features=compute_indicators(frame),
     )
 
 
@@ -292,28 +290,18 @@ def run_window(
         raise ValueError(f"no feature row available before {t} (warm-up too long)")
     decision_slice = tensor.features[it - 1 - first]
 
-    space = SearchSpace(
-        lr_min=config.lr_min,
-        lr_max=config.lr_max,
-        epochs_min=config.epochs_min,
-        epochs_max=config.epochs_max,
-        n_trials=config.n_trials,
-        seed=stable_seed(config.seed, strategy.name, t, "search"),
-    )
+    seed = stable_seed(config.seed, strategy.name, t, "search")
 
     softmax = strategy.kind in (STRAT_SOFTMAX_RETURN, STRAT_SOFTMAX_SHARPE)
     if softmax:
         dfl_kind = MAX_RETURN_LOSS if strategy.kind == STRAT_SOFTMAX_RETURN else MAX_SHARPE_LOSS
-        est = estimate_covariance(y_train) if dfl_kind == MAX_SHARPE_LOSS else None
-        dfl_seed = stable_seed(space.seed, "softmax-train")
+        dfl_seed = stable_seed(seed, "softmax-train")
 
         def fit(lrs, epochs):
             # A stacked pass ignores config.epochs; it records the pass length
             # (the longest trial's epochs), which perfbench's trace counts.
             cfg = TrainConfig(epochs=int(epochs.max()), batch_size=config.batch_size, seed=dfl_seed)
-            return train_dfl(
-                x_train, y_train, dfl_kind, cfg, hidden=strategy.hidden, est=est, learning_rates=lrs, epochs=epochs
-            )
+            return train_dfl(x_train, y_train, dfl_kind, cfg, hidden=strategy.hidden, learning_rates=lrs, epochs=epochs)
 
         def score(model):
             # realized validation return of the allocator's weights
@@ -337,7 +325,7 @@ def run_window(
         def score(model):
             return validation_score(model, x_val, y_val, base)
 
-    result = hyperparameter_search(space, fit, score)
+    result = hyperparameter_search(config.search, seed, fit, score)
     best = result.best
     diag = replace(diag, learning_rate=best.learning_rate, epochs=best.epochs, score=best.score)
     if softmax:

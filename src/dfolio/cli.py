@@ -38,13 +38,17 @@ from .reports import (
     write_weights_csv,
     read_metrics_json,
 )
-from .training import MAX_EPOCHS
+from .training import MAX_EPOCHS, SearchSpace
 from .util import ConfigError, DfolioError, UsageError
 
 
-# The roster parser reads these straight off the dataclass, so it cannot drift from it.
+# The config parser reads these straight off the dataclasses, so it cannot drift from them.
 SPEC_FIELDS = tuple(f.name for f in fields(StrategySpec))
 SPEC_REQUIRED = tuple(f.name for f in fields(StrategySpec) if f.default is MISSING)
+DEFAULTS = {
+    "backtest": {f.name: f.default for f in fields(BacktestConfig)},
+    "search": {f.name: f.default for f in fields(SearchSpace)},
+}
 # Type checks ahead of StrategySpec's own value checks: a wrong type there fails
 # only at the first rebalance, or is coerced silently (True as rho 1.0).
 SPEC_NUMBERS = ("gamma", "lam", "rho")
@@ -194,7 +198,7 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
         _check_dir(data_dir, "data_dir", errors)
     output_dir = out_override or raw.get("output_dir", "dfolio_out")
     _check_dir(output_dir, "output_dir", errors)
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
+    seed = seed_override if seed_override is not None else raw.get("seed", DEFAULTS["backtest"]["seed"])
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         errors.append(f"seed: expected a non-negative integer, got {seed!r}")
         seed = 0
@@ -205,24 +209,30 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
         bt = {}
     start = _parse_iso(bt.get("start"), "backtest.start", errors)
     end = _parse_iso(bt.get("end"), "backtest.end", errors)
-    fee_rate = _check_number(bt.get("fee_rate", 0.005), "backtest.fee_rate", errors, minimum=0.0)
-    train_months = _check_number(bt.get("train_months", 9), "backtest.train_months", errors, 1, integer=True)
-    val_months = _check_number(bt.get("validation_months", 3), "backtest.validation_months", errors, 1, integer=True)
-    batch_size = _check_number(bt.get("batch_size", 63), "backtest.batch_size", errors, 1, integer=True)
+
+    def number(section: dict, key: str, name: str, **check):
+        return _check_number(section.get(name, DEFAULTS[key][name]), f"{key}.{name}", errors, **check)
+
+    backtest = {
+        "fee_rate": number(bt, "backtest", "fee_rate", minimum=0.0),
+        "train_months": number(bt, "backtest", "train_months", minimum=1, integer=True),
+        "validation_months": number(bt, "backtest", "validation_months", minimum=1, integer=True),
+        "batch_size": number(bt, "backtest", "batch_size", minimum=1, integer=True),
+    }
 
     search = raw.get("search", {})
     if not isinstance(search, dict):
         errors.append("search: expected an object")
         search = {}
-    lr_min = _check_number(search.get("lr_min", 1e-4), "search.lr_min", errors, minimum=0.0)
-    lr_max = _check_number(search.get("lr_max", 5e-2), "search.lr_max", errors, minimum=0.0)
+    lr_min = number(search, "search", "lr_min", minimum=0.0)
+    lr_max = number(search, "search", "lr_max", minimum=0.0)
     if lr_min is not None and lr_max is not None and not 0 < lr_min <= lr_max:
         errors.append("search.lr_min: need 0 < lr_min <= lr_max")
-    epochs_min = _check_number(search.get("epochs_min", 20), "search.epochs_min", errors, 1, True, MAX_EPOCHS)
-    epochs_max = _check_number(search.get("epochs_max", 40), "search.epochs_max", errors, 1, True, MAX_EPOCHS)
+    epochs_min = number(search, "search", "epochs_min", minimum=1, integer=True, maximum=MAX_EPOCHS)
+    epochs_max = number(search, "search", "epochs_max", minimum=1, integer=True, maximum=MAX_EPOCHS)
     if epochs_min is not None and epochs_max is not None and epochs_min > epochs_max:
         errors.append("search.epochs_min: must be <= search.epochs_max")
-    n_trials = _check_number(search.get("n_trials", 20), "search.n_trials", errors, 1, integer=True)
+    n_trials = number(search, "search", "n_trials", minimum=1, integer=True)
 
     roster = _build_roster(raw.get("strategies", "default"), errors)
     if strategy_filter:
@@ -241,6 +251,8 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
     ):
         errors.append("universe: expected a list of ticker strings")
         universe = None
+    elif universe == []:
+        errors.append("universe: empty list; leave the key out to use every ticker in data_dir")
 
     spans = {}
     raw_spans = raw.get("report_spans", {})
@@ -277,20 +289,8 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
     if start > end:
         raise ConfigError("backtest.start: must be <= backtest.end")
 
-    config = BacktestConfig(
-        start=start,
-        end=end,
-        train_months=train_months,
-        validation_months=val_months,
-        fee_rate=fee_rate,
-        seed=seed,
-        n_trials=n_trials,
-        lr_min=lr_min,
-        lr_max=lr_max,
-        epochs_min=epochs_min,
-        epochs_max=epochs_max,
-        batch_size=batch_size,
-    )
+    space = SearchSpace(lr_min=lr_min, lr_max=lr_max, epochs_min=epochs_min, epochs_max=epochs_max, n_trials=n_trials)
+    config = BacktestConfig(start=start, end=end, seed=seed, search=space, **backtest)
     return RunConfig(
         data_dir=Path(data_dir),
         output_dir=Path(output_dir),

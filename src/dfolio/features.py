@@ -29,29 +29,24 @@ class WarmupError(DfolioError, ValueError):
     """The price history is shorter than the indicator warm-up window."""
 
 
-@dataclass(frozen=True)
-class IndicatorConfig:
-    sma_short: int = 5
-    sma_long: int = 20
-    rsi_period: int = 14
-    macd_fast: int = 12
-    macd_slow: int = 26
-    macd_signal: int = 9
-    boll_window: int = 20
-    boll_sigma: float = 2.0
-    vol_window: int = 20
-
-    @property
-    def warmup(self) -> int:
-        """First frame index at which every indicator is defined."""
-        return max(
-            self.sma_long - 1,
-            self.rsi_period,
-            self.macd_slow + self.macd_signal - 2,
-            self.boll_window - 1,
-            self.vol_window - 1,
-            1,
-        )
+# Indicator windows in trading days; the Bollinger band spans BOLL_SIGMA standard deviations each way.
+SMA_SHORT, SMA_LONG = 5, 20
+RSI_PERIOD = 14
+MACD_FAST, MACD_SLOW, MACD_SIGNAL = 12, 26, 9
+BOLL_WINDOW, BOLL_SIGMA = 20, 2.0
+VOL_WINDOW = 20
+# First frame index at which every indicator is defined: the MACD signal line's, 33.
+WARMUP = max(SMA_LONG - 1, RSI_PERIOD, MACD_SLOW + MACD_SIGNAL - 2, BOLL_WINDOW - 1, VOL_WINDOW - 1)
+FEATURE_NAMES = (
+    "log_ret_1d",
+    f"sma{SMA_SHORT}_ratio",
+    f"sma{SMA_LONG}_ratio",
+    "bias",
+    f"rsi{RSI_PERIOD}",
+    "macd_hist",
+    "boll_width",
+    "vol_ratio",
+)
 
 
 @dataclass(frozen=True)
@@ -112,14 +107,14 @@ def _rolling_std(x: np.ndarray, window: int) -> np.ndarray:
     return np.sqrt(var)
 
 
-def _macd_hist(px: np.ndarray, config: IndicatorConfig) -> np.ndarray:
+def _macd_hist(px: np.ndarray) -> np.ndarray:
     """MACD line minus its signal line, not yet divided by price.
 
     The fast, slow and signal EMAs run in one time loop. Each is seeded at its
     input's first row and steps alpha * x[t] + (1 - alpha) * ema[t - 1], with
     alpha = 2/(span+1).
     """
-    a_fast, a_slow, a_sig = (2.0 / (span + 1.0) for span in (config.macd_fast, config.macd_slow, config.macd_signal))
+    a_fast, a_slow, a_sig = (2.0 / (span + 1.0) for span in (MACD_FAST, MACD_SLOW, MACD_SIGNAL))
     fast_x, slow_x = a_fast * px, a_slow * px
     fast = slow = px[0]
     line = sig = fast - slow
@@ -164,12 +159,13 @@ def _wilder_rsi(prices: np.ndarray, period: int) -> np.ndarray:
 # Overflow and NaN are left to FeatureTensor, which names the first non-finite
 # cell, so numpy does not warn ahead of that error.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def compute_indicators(frame: MarketFrame, config: IndicatorConfig = IndicatorConfig()) -> FeatureTensor:
-    """Per-asset indicator features with leading warm-up rows dropped uniformly.
+def compute_indicators(frame: MarketFrame) -> FeatureTensor:
+    """Per-asset indicator features with the leading WARMUP rows dropped uniformly.
 
-    Columns: 1-day log return, SMA(short)/price, SMA(long)/price, price bias vs
-    SMA(long), RSI rescaled to [-1, 1], MACD histogram / price, Bollinger band
-    width, volume / SMA(volume) - 1.
+    Columns (FEATURE_NAMES): 1-day log return, SMA(5)/price, SMA(20)/price,
+    price bias vs SMA(20), RSI(14) rescaled to [-1, 1], MACD(12, 26, 9)
+    histogram / price, Bollinger(20, 2 sigma) band width, volume /
+    SMA(volume, 20) - 1.
 
     The result is allocated once and filled one block of assets at a time, so
     every temporary is sized to the block. Each indicator is per-asset, so the
@@ -177,45 +173,35 @@ def compute_indicators(frame: MarketFrame, config: IndicatorConfig = IndicatorCo
     seed mean, sums a lone column pairwise but a wider block row by row, so no
     block holds a single asset unless the frame does.
     """
-    warmup = config.warmup
-    if frame.n_dates <= warmup:
+    if frame.n_dates <= WARMUP:
         raise WarmupError(
-            f"need at least {warmup + 1} dates for indicator warm-up, got {frame.n_dates}"
+            f"need at least {WARMUP + 1} dates for indicator warm-up, got {frame.n_dates}"
         )
-    names = (
-        "log_ret_1d",
-        f"sma{config.sma_short}_ratio",
-        f"sma{config.sma_long}_ratio",
-        "bias",
-        f"rsi{config.rsi_period}",
-        "macd_hist",
-        "boll_width",
-        "vol_ratio",
-    )
     n = frame.n_assets
-    out = np.empty((frame.n_dates - warmup, n, len(names)))
+    out = np.empty((frame.n_dates - WARMUP, n, len(FEATURE_NAMES)))
     step = max(2, BLOCK_CELLS // frame.n_dates)
     starts = range(0, max(n - 1, 1), step)  # a one-asset tail joins the block before it
     for a, b in zip(starts, [*starts[1:], n]):
-        _indicator_block(out[:, a:b], frame.adj_close[:, a:b], frame.volume[:, a:b], config, warmup)
+        _indicator_block(out[:, a:b], frame.adj_close[:, a:b], frame.volume[:, a:b])
     out.setflags(write=False)
-    return FeatureTensor(dates=frame.dates[warmup:], tickers=frame.tickers, features=out, feature_names=names)
+    return FeatureTensor(dates=frame.dates[WARMUP:], tickers=frame.tickers, features=out, feature_names=FEATURE_NAMES)
 
 
-def _indicator_block(out: np.ndarray, px: np.ndarray, vol: np.ndarray, config: IndicatorConfig, w: int) -> None:
-    """Writes rows w: of one asset block's eight indicators into out, (dates - w, block, 8)."""
+def _indicator_block(out: np.ndarray, px: np.ndarray, vol: np.ndarray) -> None:
+    """Writes rows WARMUP: of one asset block's eight indicators into out, (dates - WARMUP, block, 8)."""
+    w = WARMUP
     log_ret, sma_s, sma_l, bias, rsi, macd_hist, boll_width, vol_ratio = np.moveaxis(out, -1, 0)
     p = px[w:]
-    mean_l = _rolling_mean(px, config.sma_long)[w:]
+    mean_l = _rolling_mean(px, SMA_LONG)[w:]
     np.log(p / px[w - 1 : -1], out=log_ret)
-    np.divide(_rolling_mean(px, config.sma_short)[w:], p, out=sma_s)
+    np.divide(_rolling_mean(px, SMA_SHORT)[w:], p, out=sma_s)
     np.divide(mean_l, p, out=sma_l)
     np.divide(p - mean_l, mean_l, out=bias)
-    np.divide(_wilder_rsi(px, config.rsi_period)[w:] - 50.0, 50.0, out=rsi)
-    np.divide(_macd_hist(px, config)[w:], p, out=macd_hist)
-    boll_std = 2.0 * config.boll_sigma * _rolling_std(px, config.boll_window)[w:]
-    np.divide(boll_std, _rolling_mean(px, config.boll_window)[w:], out=boll_width)
-    np.subtract(vol[w:] / np.maximum(_rolling_mean(vol, config.vol_window)[w:], 1e-12), 1.0, out=vol_ratio)
+    np.divide(_wilder_rsi(px, RSI_PERIOD)[w:] - 50.0, 50.0, out=rsi)
+    np.divide(_macd_hist(px)[w:], p, out=macd_hist)
+    boll_std = 2.0 * BOLL_SIGMA * _rolling_std(px, BOLL_WINDOW)[w:]
+    np.divide(boll_std, _rolling_mean(px, BOLL_WINDOW)[w:], out=boll_width)
+    np.subtract(vol[w:] / np.maximum(_rolling_mean(vol, VOL_WINDOW)[w:], 1e-12), 1.0, out=vol_ratio)
 
 
 def standardize(

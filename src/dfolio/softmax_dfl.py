@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import CovarianceEstimate, Portfolio, estimate_covariance
+from .solvers import Portfolio, estimate_covariance
 from .training import LinearPredictor, TrainConfig, check_finite, check_samples, fit_adam
 from .util import derived_rng
 
@@ -162,29 +162,23 @@ def train_dfl(
     kind: str,
     config: TrainConfig,
     hidden: int = 32,
-    est: CovarianceEstimate | None = None,
     learning_rates=None,
     epochs=None,
 ):
     """Adam training of the allocator on realized-performance losses.
 
     For the Sharpe loss, Sigma is estimated once from the training-window
-    returns (unless an estimate is supplied) and held fixed. Returns
-    (SoftmaxAllocator, per-epoch mean loss trace). Given learning_rates and
-    epochs, trains one trial per pair in a single stacked pass from the same
-    seeded init (config's own learning rate and epochs are not used) and
-    returns a list of allocators and a list of traces; each equals the
-    one-trial result bit for bit.
+    returns and held fixed. Returns (SoftmaxAllocator, per-epoch mean loss
+    trace). Given learning_rates and epochs, trains one trial per pair in a
+    single stacked pass from the same seeded init (config's own learning rate
+    and epochs are not used) and returns a list of allocators and a list of
+    traces; each equals the one-trial result bit for bit.
     """
     if kind not in DFL_LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     x, y = check_samples(features, returns, config.batch_size)
     t_total, n, d = x.shape
-    sigma = None
-    if kind == MAX_SHARPE_LOSS:
-        if est is None:
-            est = estimate_covariance(y)
-        sigma = est.loaded
+    sigma = estimate_covariance(y).loaded if kind == MAX_SHARPE_LOSS else None
 
     def batch_grads(params, rows, epoch, batch):
         return batch_gradients(params, x[rows], y[rows], kind, sigma)

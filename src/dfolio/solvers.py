@@ -113,11 +113,11 @@ class CovarianceEstimate:
         return self.sigma + self.ridge * np.eye(self.mean.size)
 
 
-def estimate_covariance(returns: np.ndarray, ridge: float | None = None) -> CovarianceEstimate:
+def estimate_covariance(returns: np.ndarray) -> CovarianceEstimate:
     """Sample mean and covariance (N-1 denominator) plus ridge loading.
 
-    ridge=None uses the default 1e-6 * trace(sigma) / n, floored at 1e-12 so a
-    flat (zero-variance) window still yields a positive-definite estimate.
+    The ridge is 1e-6 * trace(sigma) / n, floored at 1e-12 so a flat
+    (zero-variance) window still yields a positive-definite estimate.
     """
     x = np.asarray(returns, dtype=float)
     t, n = x.shape
@@ -126,8 +126,7 @@ def estimate_covariance(returns: np.ndarray, ridge: float | None = None) -> Cova
     mean = x.mean(axis=0)
     xc = x - mean
     sigma = (xc.T @ xc) / (t - 1)
-    if ridge is None:
-        ridge = max(1e-6 * np.trace(sigma) / n, 1e-12)
+    ridge = max(1e-6 * np.trace(sigma) / n, 1e-12)
     return CovarianceEstimate(mean=mean, sigma=sigma, ridge=float(ridge))
 
 
@@ -156,12 +155,11 @@ def solve_fee(r_hat: np.ndarray, prob: DecisionProblem) -> Portfolio:
     return Portfolio(_fee_argmax_batch(r_hat[None, :], prob.gamma, prob.w_prev.weights)[0])
 
 
-def solve_fee_l2(r_hat: np.ndarray, prob: DecisionProblem, full_output: bool = False):
+def solve_fee_l2(r_hat: np.ndarray, prob: DecisionProblem) -> Portfolio:
     """Maximize r_hat . w - gamma * ||w - w_prev||_1 - lam * ||w||_2^2 over the simplex.
 
     Solved exactly by the breakpoint-root oracle, then certified: raises
-    SolverError if the duality gap (fee_l2_gap) exceeds 1e-9. With
-    full_output=True also returns {"gap", "objective"}.
+    SolverError if the duality gap (fee_l2_gap) exceeds 1e-9.
     """
     if prob.kind != MAX_RETURN_FEE_L2:
         raise ValueError(f"solve_fee_l2 requires kind={MAX_RETURN_FEE_L2}, got {prob.kind}")
@@ -170,11 +168,7 @@ def solve_fee_l2(r_hat: np.ndarray, prob: DecisionProblem, full_output: bool = F
     gap = fee_l2_gap(r_hat, prob, w)
     if not gap <= _GAP_TOL:
         raise SolverError(f"fee+ridge decision not certified: duality gap {gap:.3g} > {_GAP_TOL:g}")
-    port = Portfolio(w)
-    if full_output:
-        obj = float(r_hat @ port.weights + penalty_batch(port.weights, prob)[0])
-        return port, {"gap": gap, "objective": obj}
-    return port
+    return Portfolio(w)
 
 
 def fee_l2_gap(r_hat: np.ndarray, prob: DecisionProblem, w: np.ndarray) -> float:

@@ -269,7 +269,6 @@ class SearchSpace:
     epochs_min: int = 20
     epochs_max: int = 40
     n_trials: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.lr_min <= self.lr_max:
@@ -313,8 +312,8 @@ def validation_score(model: LinearPredictor, x_val, y_val, config: TrainConfig) 
     return float(decision_value(np.asarray(y_val), w_rows, config.problem).mean())
 
 
-def hyperparameter_search(space: SearchSpace, fit, score) -> SearchResult:
-    """Seeded random search over (learning rate, epochs) that keeps the winning model.
+def hyperparameter_search(space: SearchSpace, seed: int, fit, score) -> SearchResult:
+    """Random search over (learning rate, epochs), drawn from seed, that keeps the winning model.
 
     fit(learning_rates, epochs) trains every drawn trial, in one stacked pass
     for both model families, and returns their models and per-epoch loss
@@ -325,7 +324,7 @@ def hyperparameter_search(space: SearchSpace, fit, score) -> SearchResult:
     Callers are responsible for the validation span lying strictly after the
     training span; the backtest enforces that ordering by construction.
     """
-    rng = derived_rng(space.seed, "hparam-search")
+    rng = derived_rng(seed, "hparam-search")
     lrs = np.exp(rng.uniform(np.log(space.lr_min), np.log(space.lr_max), space.n_trials))
     epoch_draws = rng.integers(space.epochs_min, space.epochs_max + 1, space.n_trials)
     models, traces = fit(lrs, epoch_draws)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 from datetime import date
 from pathlib import Path
 
@@ -47,3 +48,12 @@ def tmp_csv_dir(tmp_path):
 
 def weekdays(start: date, n: int):
     return list(business_days(start, n))
+
+
+def load_script(name: str):
+    """scripts/<name>.py imported as a module, so a test can call its functions."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

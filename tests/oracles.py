@@ -22,7 +22,19 @@ from pathlib import Path
 
 import numpy as np
 
-from dfolio.features import FeatureTensor, IndicatorConfig
+from dfolio.features import (
+    BOLL_SIGMA,
+    BOLL_WINDOW,
+    MACD_FAST,
+    MACD_SIGNAL,
+    MACD_SLOW,
+    RSI_PERIOD,
+    SMA_LONG,
+    SMA_SHORT,
+    VOL_WINDOW,
+    WARMUP,
+    FeatureTensor,
+)
 from dfolio.market_data import MarketFrame
 from dfolio.metrics import MetricsRow
 from dfolio.solvers import MAX_RETURN, DecisionProblem
@@ -416,35 +428,35 @@ def _ref_wilder_rsi(prices: np.ndarray, period: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def reference_indicators(frame: MarketFrame, config: IndicatorConfig = IndicatorConfig()) -> FeatureTensor:
+def reference_indicators(frame: MarketFrame) -> FeatureTensor:
     """compute_indicators as one full-width pass: eight (dates, assets) arrays, stacked, warm-up rows cut."""
-    warmup = config.warmup
+    warmup = WARMUP
     px = frame.adj_close
     vol = frame.volume
 
     log_ret = np.full_like(px, np.nan)
     log_ret[1:] = np.log(px[1:] / px[:-1])
 
-    sma_s = _ref_rolling_mean(px, config.sma_short)
-    sma_l = _ref_rolling_mean(px, config.sma_long)
+    sma_s = _ref_rolling_mean(px, SMA_SHORT)
+    sma_l = _ref_rolling_mean(px, SMA_LONG)
     bias = (px - sma_l) / sma_l
 
-    rsi = (_ref_wilder_rsi(px, config.rsi_period) - 50.0) / 50.0
+    rsi = (_ref_wilder_rsi(px, RSI_PERIOD) - 50.0) / 50.0
 
-    macd_line = _ref_ema(px, config.macd_fast) - _ref_ema(px, config.macd_slow)
-    macd_hist = (macd_line - _ref_ema(macd_line, config.macd_signal)) / px
+    macd_line = _ref_ema(px, MACD_FAST) - _ref_ema(px, MACD_SLOW)
+    macd_hist = (macd_line - _ref_ema(macd_line, MACD_SIGNAL)) / px
 
-    boll_mid = _ref_rolling_mean(px, config.boll_window)
-    boll_width = 2.0 * config.boll_sigma * _ref_rolling_std(px, config.boll_window) / boll_mid
+    boll_mid = _ref_rolling_mean(px, BOLL_WINDOW)
+    boll_width = 2.0 * BOLL_SIGMA * _ref_rolling_std(px, BOLL_WINDOW) / boll_mid
 
-    vol_ratio = vol / np.maximum(_ref_rolling_mean(vol, config.vol_window), 1e-12) - 1.0
+    vol_ratio = vol / np.maximum(_ref_rolling_mean(vol, VOL_WINDOW), 1e-12) - 1.0
 
     names = (
         "log_ret_1d",
-        f"sma{config.sma_short}_ratio",
-        f"sma{config.sma_long}_ratio",
+        f"sma{SMA_SHORT}_ratio",
+        f"sma{SMA_LONG}_ratio",
         "bias",
-        f"rsi{config.rsi_period}",
+        f"rsi{RSI_PERIOD}",
         "macd_hist",
         "boll_width",
         "vol_ratio",

@@ -20,7 +20,7 @@ from dfolio.backtest import (
     rebalance_dates,
     run_backtest,
 )
-from dfolio.market_data import MarketFrame, SyntheticSpec, business_days, compute_returns, generate_synthetic
+from dfolio.market_data import MarketFrame, SyntheticSpec, business_days, generate_synthetic
 from dfolio.metrics import compute_metrics
 from dfolio.solvers import (
     MAX_RETURN,
@@ -30,15 +30,16 @@ from dfolio.solvers import (
     DecisionProblem,
     Portfolio,
     argmax_batch,
+    fee_l2_gap,
     solve_fee,
     solve_fee_l2,
     solve_max_sharpe,
 )
 from dfolio.softmax_dfl import MAX_RETURN_LOSS, MAX_SHARPE_LOSS, _stack, allocate_batch, batch_gradients, init_allocator
-from dfolio.spo import RobustConfig, spo_plus_batch
-from dfolio.training import MSE, ROBUST_SPO, SPO_PLUS, TrainConfig, predict, train
-from dfolio.util import derived_rng
+from dfolio.spo import spo_plus_batch
+from dfolio.training import SearchSpace
 
+from conftest import load_script
 from oracles import grid_argmax, grid_regret, objective_values, sharpe_grid_best
 
 
@@ -235,9 +236,10 @@ def test_criterion_3_solver_oracles():
             w_prev=Portfolio(rng.dirichlet(np.ones(3))),
         )
         r = rng.normal(0, 0.05, 3)
-        port, info = solve_fee_l2(r, prob, full_output=True)
-        assert info["gap"] <= 1e-7
-        worst_gap = max(worst_gap, info["gap"])
+        port = solve_fee_l2(r, prob)
+        gap = fee_l2_gap(r, prob, port.weights)
+        assert gap <= 1e-7
+        worst_gap = max(worst_gap, gap)
         obj = float(objective_values(port.weights[None, :], r, prob)[0])
         _, grid_val = grid_argmax(r, prob, refine=True)
         worst_l2 = max(worst_l2, abs(obj - grid_val))
@@ -303,9 +305,7 @@ def test_criterion_5_no_leakage_all_strategies():
         start=frame.dates[270],
         end=frame.dates[-1],
         seed=5,
-        n_trials=2,
-        epochs_min=2,
-        epochs_max=3,
+        search=SearchSpace(n_trials=2, epochs_min=2, epochs_max=3),
     )
     roster = default_roster()
     rebs = rebalance_dates(frame, config)
@@ -344,70 +344,18 @@ def test_criterion_5_no_leakage_all_strategies():
 # ---------------------------------------------------------------------------
 
 
-def _burst_breaks(seed, lo, hi, mult, width, gap, start=20):
-    rng = derived_rng(seed, "bursts", lo)
-    breaks, day = [], lo + start
-    while True:
-        day += int(rng.integers(*gap))
-        if day >= hi - width:
-            break
-        breaks.append((day, mult))
-        breaks.append((day + width, 1.0))
-        day += width
-    return breaks
-
-
-def _benchmark_seed(seed: int):
-    """Train MSE / SPO+ / RobustSPO on a burst-contaminated span; return OOS regrets.
-
-    The decision problem is fee-aware (gamma = 0.005 against uniform prior
-    holdings), so prediction scale matters and the robust hedge can act; the
-    test span carries moderate volatility bursts (adverse regimes).
-    """
-    n_assets, n_train, n_test = 6, 378, 600
-    n_days = n_train + n_test
-    breaks = _burst_breaks(seed, 0, n_train, 120.0, 3, (6, 28))
-    breaks += _burst_breaks(seed + 999, n_train, n_days, 6.0, 5, (10, 30), start=5)
-    spec = SyntheticSpec(
-        n_assets=n_assets,
-        n_days=n_days,
-        seed=seed,
-        signal_coefficients=(0.012, -0.008, 0.005),
-        noise_scale=0.003,
-        regime_breaks=tuple(breaks),
-    )
-    frame, tensor, _ = generate_synthetic(spec)
-    x = tensor.features[:-1]
-    y = compute_returns(frame).simple_returns
-    xtr, ytr, xte, yte = x[:n_train], y[:n_train], x[n_train:], y[n_train:]
-    prob = DecisionProblem(kind=MAX_RETURN_FEE, gamma=0.005, w_prev=Portfolio.uniform(n_assets))
-    base = dict(epochs=40, learning_rate=0.01, batch_size=63, seed=seed, fit_intercept=False)
-
-    w_star = argmax_batch(yte, prob)
-    fee = lambda W: prob.gamma * np.abs(W - prob.w_prev.weights).sum(axis=1)
-    best_val = (yte * w_star).sum(axis=1) - fee(w_star)
-
-    regrets = {}
-    for key, kind, extra in (
-        ("mse", MSE, {}),
-        ("spo", SPO_PLUS, {}),
-        ("rob", ROBUST_SPO, {"robust": RobustConfig(rho=0.1, n_samples=8, seed=seed)}),
-    ):
-        model, _ = train(xtr, ytr, TrainConfig(loss_kind=kind, problem=prob, **extra, **base))
-        W = argmax_batch(predict(model, xte), prob)
-        regrets[key] = best_val - ((yte * W).sum(axis=1) - fee(W))
-    return regrets
-
-
 def test_criterion_6_decision_quality_benchmark():
+    # The script trains MSE / SPO+ / robust SPO+ on a burst-contaminated span
+    # and returns each one's out-of-sample regrets on a fee-aware decision.
+    run_seed = load_script("run_decision_quality").run_seed
     t0 = time.perf_counter()
     tail = lambda v: float(v[v >= np.quantile(v, 0.9)].mean())
     spo_wins = 0
     robust_wins = 0
     for s in range(20):
-        r = _benchmark_seed(1000 + s)
+        r = run_seed(1000 + s)
         spo_wins += r["spo"].mean() <= r["mse"].mean()
-        robust_wins += tail(r["rob"]) <= tail(r["spo"])
+        robust_wins += tail(r["robust"]) <= tail(r["spo"])
     elapsed = time.perf_counter() - t0
     ok = spo_wins >= 15 and robust_wins >= 12 and elapsed < 600.0
     _report(

@@ -18,8 +18,9 @@ from dfolio.backtest import (
 )
 from dfolio.market_data import MarketFrame, SyntheticSpec, business_days, generate_synthetic
 from dfolio.solvers import Portfolio
+from dfolio.training import SearchSpace
 
-FAST = dict(n_trials=2, epochs_min=2, epochs_max=3)
+FAST = dict(search=SearchSpace(n_trials=2, epochs_min=2, epochs_max=3))
 
 
 def synthetic_frame(n_assets=4, n_days=480, seed=11, **kw):
@@ -321,7 +322,7 @@ class TestRunBacktest:
         frame = synthetic_frame(n_assets=50, n_days=400, seed=3)
         cfg = BacktestConfig(
             start=date(2015, 6, 1), end=frame.dates[-1], train_months=1, validation_months=1,
-            batch_size=10, n_trials=1, epochs_min=1, epochs_max=1,
+            batch_size=10, search=SearchSpace(n_trials=1, epochs_min=1, epochs_max=1),
         )
         roster = (
             StrategySpec("max_sharpe", "max_sharpe"),

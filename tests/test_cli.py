@@ -5,13 +5,15 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import asdict, fields
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 import dfolio
 from dfolio import backtest, cli
-from dfolio.backtest import BacktestLedger
+from dfolio.backtest import BacktestConfig, BacktestLedger, default_roster
 from dfolio.reports import read_metrics_json
 
 from oracles import (
@@ -571,6 +573,39 @@ class TestErrorPolicy:
         assert capsys.readouterr().err == f"config error: {detail}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_empty_universe_fails_before_reading_data(self, tmp_path, monkeypatch, capsys):
+        # An empty list ran every ticker in data_dir, as if the key were absent.
+        def no_reading(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_series", no_reading)
+        cfg = write_config(tmp_path, tmp_path / "data", tmp_path / "o", universe=[])
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: universe: empty list; leave the key out to use every ticker in data_dir\n"
+        )
+
+    @pytest.mark.parametrize(
+        "strategy, detail",
+        [
+            ({"name": "lin", "kind": "spo_plus", "gamma": 0.5, "rho": 3.0, "lam": 2.0}, "spo_plus does not read gamma, lam, rho"),
+            ({"name": "spo_plus_fee", "lam": 0.42}, "spo_plus_fee does not read lam"),
+            ({"name": "rob", "kind": "robust_spo", "rho": 0.1, "gamma": 0.005}, "robust_spo does not read gamma"),
+            ({"name": "spo_plus_fee_l2", "hidden": 8}, "spo_plus_fee_l2 does not read hidden"),
+            ({"name": "softmax_max_sharpe", "rho": 0.1}, "softmax_max_sharpe does not read rho"),
+            ({"name": "max_sharpe", "hidden": 4}, "max_sharpe does not read hidden"),
+        ],
+    )
+    def test_field_the_kind_does_not_read_fails_before_reading_data(self, tmp_path, monkeypatch, capsys, strategy, detail):
+        # These ran, with weights identical to the strategy's without the field.
+        def no_reading(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_series", no_reading)
+        cfg = write_config(tmp_path, tmp_path / "data", tmp_path / "o", strategies=["max_sharpe", strategy])
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: strategies[1]: strategy {strategy['name']}: {detail}\n"
+
     def test_overflowing_indicator_error_comes_first(self, tmp_path):
         # numpy printed two RuntimeWarnings to stderr ahead of the located error.
         data = tmp_path / "data"
@@ -622,3 +657,18 @@ def test_every_error_class_derives_from_dfolio_error():
     for cls in found:
         assert issubclass(cls, dfolio.DfolioError), cls
         assert getattr(dfolio, cls.__name__) is cls
+
+
+def test_config_defaults_are_the_dataclass_defaults(tmp_path):
+    # Every key left out takes its dataclass default, and every default-roster
+    # entry written out in full is accepted as it is.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"data_dir": "data", "backtest": {"start": "2016-02-01", "end": "2016-10-31"}}))
+    run = cli.load_run_config(path)
+    want = BacktestConfig(start=date(2016, 2, 1), end=date(2016, 10, 31))
+    for config, default in ((run.backtest.search, want.search), (run.backtest, want)):
+        for f in fields(default):
+            assert getattr(config, f.name) == getattr(default, f.name), f.name
+    assert (run.universe, run.roster, run.report_spans) == (None, default_roster(), {})
+    path.write_text(json.dumps({**json.loads(path.read_text()), "strategies": [asdict(s) for s in default_roster()]}))
+    assert cli.load_run_config(path).roster == default_roster()

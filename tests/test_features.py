@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dfolio.features import (
     BLOCK_CELLS,
+    WARMUP,
     FeatureTensor,
-    IndicatorConfig,
     WarmupError,
     compute_indicators,
     standardize,
@@ -20,10 +20,6 @@ from dfolio.market_data import SyntheticSpec, UniverseError, generate_synthetic
 
 from conftest import make_frame
 from oracles import read_features_csv, reference_indicators
-
-SMALL = IndicatorConfig(sma_short=3, sma_long=5, rsi_period=4, macd_fast=3,
-                        macd_slow=5, macd_signal=2, boll_window=5, vol_window=5)
-
 
 def feature_index(tensor, name):
     return tensor.feature_names.index(name)
@@ -65,17 +61,12 @@ class TestIndicators:
             compute_indicators(make_frame(frame.adj_close, volume))
 
     def test_sma_ratio_on_linear_ramp(self):
-        # prices 1..30; SMA(5) on day 30 = mean(26..30) = 28
-        prices = np.arange(1.0, 31.0)[:, None]
-        tensor = compute_indicators(make_frame(prices), SMALL)
-        col = feature_index(tensor, "sma3_ratio")
-        cfg5 = IndicatorConfig(sma_short=5, sma_long=10, rsi_period=4, macd_fast=3,
-                               macd_slow=5, macd_signal=2, boll_window=10, vol_window=10)
-        tensor5 = compute_indicators(make_frame(prices), cfg5)
-        col5 = feature_index(tensor5, "sma5_ratio")
-        assert tensor5.features[-1, 0, col5] == pytest.approx(28.0 / 30.0, abs=1e-12)
+        # prices 1..60; on day 60 SMA(5) = mean(56..60) = 58 and SMA(20) = mean(41..60) = 50.5
+        prices = np.arange(1.0, 61.0)[:, None]
+        tensor = compute_indicators(make_frame(prices))
+        assert tensor.features[-1, 0, feature_index(tensor, "sma5_ratio")] == pytest.approx(58.0 / 60.0, abs=1e-12)
+        assert tensor.features[-1, 0, feature_index(tensor, "sma20_ratio")] == pytest.approx(50.5 / 60.0, abs=1e-12)
         assert tensor.dates[-1] == make_frame(prices).dates[-1]
-        assert col >= 0
 
     def test_causality_bit_exact(self):
         rng = np.random.default_rng(0)
@@ -99,9 +90,9 @@ class TestIndicators:
     def test_warmup_truncation_aligns_axes(self):
         frame = make_frame(np.full((60, 2), 9.0))
         tensor = compute_indicators(frame)
-        warm = IndicatorConfig().warmup
-        assert tensor.dates == frame.dates[warm:]
-        assert tensor.features.shape == (60 - warm, 2, 8)
+        assert WARMUP == 33
+        assert tensor.dates == frame.dates[WARMUP:]
+        assert tensor.features.shape == (60 - WARMUP, 2, 8)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(deadline=None, max_examples=25)
@@ -124,15 +115,16 @@ def random_frame(t, n, seed):
 
 
 def spiked_frame(t, n, seed):
-    """random_frame whose last asset jumps from 1 to 200 and back, then creeps up by 1e-9 a day.
+    """random_frame whose last asset jumps from 1 to 200 and back, then creeps up by 1e-8 a day.
 
     Its RSI seed mean of gains sums one large and many tiny terms, so numpy's
     pairwise sum of a lone column rounds differently from the row-by-row sum of
-    a wider block.
+    a wider block. The creep is one at which the difference lasts to the first
+    RSI row after the warm-up: at 1e-9 it rounds away.
     """
     frame = random_frame(t, n, seed)
     prices = frame.adj_close.copy()
-    prices[:, -1] = 1.0 + 1e-9 * np.arange(t)
+    prices[:, -1] = 1.0 + 1e-8 * np.arange(t)
     prices[1, -1] = 200.0
     return make_frame(prices, frame.volume)
 
@@ -143,23 +135,18 @@ class TestBlockedIndicators:
     T = 2600
     STEP = max(2, BLOCK_CELLS // T)  # assets per block at T dates
 
-    @pytest.mark.parametrize(
-        "config", [IndicatorConfig(), SMALL, IndicatorConfig(rsi_period=40)], ids=["default", "small", "rsi40"]
-    )
     @pytest.mark.parametrize("width", [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1])
-    def test_matches_full_width_reference(self, width, config):
-        # At 2·STEP + 1 assets a plain split leaves a one-asset block. With
-        # rsi40 the RSI seed lands on the first row, where that block's
-        # pairwise seed sum would show.
+    def test_matches_full_width_reference(self, width):
+        # At 2·STEP + 1 assets a plain split leaves a one-asset block, whose
+        # pairwise RSI seed sum would show in every later RSI row.
         frame = spiked_frame(self.T, width, seed=width)
-        got = compute_indicators(frame, config)
-        want = reference_indicators(frame, config)
+        got = compute_indicators(frame)
+        want = reference_indicators(frame)
         assert got.dates == want.dates and got.feature_names == want.feature_names
         assert got.features.tobytes() == want.features.tobytes()
 
     def test_shortest_history(self):
-        warm = IndicatorConfig().warmup
-        frame = random_frame(warm + 1, 3, seed=2)
+        frame = random_frame(WARMUP + 1, 3, seed=2)
         got = compute_indicators(frame)
         assert got.features.shape == (1, 3, 8)
         assert got.features.tobytes() == reference_indicators(frame).features.tobytes()

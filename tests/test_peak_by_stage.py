@@ -1,27 +1,18 @@
 """scripts/peak_by_stage.py reports the memory high-water mark around each CLI stage."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import dfolio.backtest
 import dfolio.cli
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("peak_by_stage", ROOT / "scripts" / "peak_by_stage.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_ingest_and_backtest_stages(tmp_path, capsys):
     data = tmp_path / "data"
     assert dfolio.cli.main(["synth", "--out", str(data), "--assets", "3", "--days", "300", "--seed", "2"]) == 0
     originals = {name: getattr(dfolio.cli, name) for name in ("load_series", "compute_indicators", "run_backtest")}
-    script = load_script()
+    script = load_script("peak_by_stage")
     capsys.readouterr()
 
     assert script.main(["--", "ingest", "--data", str(data), "--out", str(tmp_path / "ingested")]) == 0

@@ -1,10 +1,8 @@
 """scripts/run_drift.py reports per-strategy drift between two run directories."""
 
-import importlib.util
 import shutil
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import load_script
 
 FILES = {
     "weights.csv": [
@@ -29,13 +27,6 @@ FILES = {
 }
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("run_drift", ROOT / "scripts" / "run_drift.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_one_changed_weight_cell(tmp_path, capsys):
     run_a = tmp_path / "a"
     run_a.mkdir()
@@ -46,7 +37,7 @@ def test_one_changed_weight_cell(tmp_path, capsys):
     weights = run_b / "weights.csv"
     weights.write_text(weights.read_text().replace("a,Y,0.75,", "a,Y,0.7500000000000001,"))
 
-    script = load_script()
+    script = load_script("run_drift")
     rows = script.drift(run_a, run_b)
     assert rows["a"] == {"weight": 0.7500000000000001 - 0.75, "nav": 0.0, "moved": 0, "rebalances": 1,
                          "identical": False}

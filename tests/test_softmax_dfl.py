@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dfolio import softmax_dfl
 from dfolio.solvers import CovarianceEstimate, Portfolio, estimate_covariance
 from dfolio.softmax_dfl import (
     MAX_RETURN_LOSS,
@@ -90,16 +91,23 @@ class TestDflLoss:
                 np.array([[0.5, 0.5]]), np.array([[0.1, 0.0]]), MAX_SHARPE_LOSS, np.zeros((2, 2))
             )
 
-    def test_sharpe_requires_estimate(self):
-        # without a supplied estimate, the Sharpe loss estimates Sigma from the training returns
+    def test_sharpe_requires_estimate(self, monkeypatch):
+        # the Sharpe loss estimates Sigma once, from the training returns
         rng = np.random.default_rng(6)
         x = rng.normal(size=(70, 3, 2))
         y = rng.normal(0, 0.01, size=(70, 3))
         cfg = TrainConfig(epochs=2, learning_rate=0.01, batch_size=63, seed=4)
-        m1, t1 = train_dfl(x, y, MAX_SHARPE_LOSS, cfg)
-        m2, t2 = train_dfl(x, y, MAX_SHARPE_LOSS, cfg, est=estimate_covariance(y))
-        assert m1.w1.tobytes() == m2.w1.tobytes()
-        assert t1 == t2
+        seen = []
+
+        def spy(returns):
+            seen.append(returns)
+            return estimate_covariance(returns)
+
+        monkeypatch.setattr(softmax_dfl, "estimate_covariance", spy)
+        train_dfl(x, y, MAX_SHARPE_LOSS, cfg)
+        assert len(seen) == 1 and seen[0].tobytes() == y.tobytes()
+        train_dfl(x, y, MAX_RETURN_LOSS, cfg)
+        assert len(seen) == 1
 
 
 def flatten_params(model):
@@ -241,23 +249,20 @@ class TestTrainDfl:
         x = rng.normal(size=(130, 4, 3))
         y = rng.normal(0.0005, 0.01, size=(130, 4))
         xtr, ytr, xv, yv = x[:90], y[:90], x[90:], y[90:]
-        est = estimate_covariance(ytr) if kind == MAX_SHARPE_LOSS else None
-
         def config(lr, epochs):
             return TrainConfig(learning_rate=lr, epochs=epochs, batch_size=63, seed=11)
 
         def score(model):
             return float((yv * allocate_batch(model, xv)).sum(axis=1).mean())
 
-        space = SearchSpace(n_trials=3, seed=8, epochs_min=2, epochs_max=4)
+        space = SearchSpace(n_trials=3, epochs_min=2, epochs_max=4)
         res = hyperparameter_search(
             space,
-            lambda lrs, epochs: train_dfl(
-                xtr, ytr, kind, config(0.0, 1), hidden=8, est=est, learning_rates=lrs, epochs=epochs
-            ),
+            8,
+            lambda lrs, epochs: train_dfl(xtr, ytr, kind, config(0.0, 1), hidden=8, learning_rates=lrs, epochs=epochs),
             score,
         )
-        model, trace = train_dfl(xtr, ytr, kind, config(res.best.learning_rate, res.best.epochs), hidden=8, est=est)
+        model, trace = train_dfl(xtr, ytr, kind, config(res.best.learning_rate, res.best.epochs), hidden=8)
         kept, again = flatten_params(res.model), flatten_params(model)
         assert {k: v.tobytes() for k, v in kept.items()} == {k: v.tobytes() for k, v in again.items()}
         assert res.traces[res.trials.index(res.best)] == tuple(trace)

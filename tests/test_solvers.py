@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -291,10 +293,10 @@ class TestSolveFeeL2:
                     gamma=float(rng.uniform(0, 0.05)),
                     lam=float(rng.uniform(0.05, 1.0)),
                 )
-                port, info = solve_fee_l2(r, prob, full_output=True)
+                port = solve_fee_l2(r, prob)
                 obj = float(objective_values(port.weights[None, :], r, prob)[0])
                 _, grid_val = grid_argmax(r, prob, refine=True)
-                assert grid_val - obj <= info["gap"] + 1e-9
+                assert grid_val - obj <= fee_l2_gap(r, prob, port.weights) + 1e-9
                 assert abs(grid_val - obj) <= 1e-5
 
     def test_batch_oracle_agrees(self):
@@ -305,11 +307,11 @@ class TestSolveFeeL2:
             prob = l2_problem(rng.dirichlet(np.ones(n)), gamma=float(rng.uniform(0, 0.05)),
                               lam=float(rng.uniform(0.001, 1.0)))
             w_fast = argmax_batch(r[None, :], prob)[0]
-            port, info = solve_fee_l2(r, prob, full_output=True)
+            port = solve_fee_l2(r, prob)
             np.testing.assert_array_equal(port.weights, w_fast)
             lp_gap = lp_fee_l2_gap(r, prob, w_fast)
             assert lp_gap <= 1e-9
-            assert abs(info["gap"] - lp_gap) <= 1e-9
+            assert abs(fee_l2_gap(r, prob, w_fast) - lp_gap) <= 1e-9
 
     def test_tie_heavy_and_vertex_priors(self):
         rng = np.random.default_rng(17)
@@ -319,11 +321,11 @@ class TestSolveFeeL2:
             if k % 2:
                 p = vertex_prior(rng, n)
             prob = l2_problem(p, gamma, lam=float(rng.choice([0.05, 0.42, 1.0])))
-            port, info = solve_fee_l2(r, prob, full_output=True)
+            port = solve_fee_l2(r, prob)
             assert lp_fee_l2_gap(r, prob, port.weights) <= 1e-9
             if n == 3:
                 _, grid_val = grid_argmax(r, prob, refine=True)
-                assert grid_val - info["objective"] <= 1e-9
+                assert grid_val - objective_values(port.weights[None, :], r, prob)[0] <= 1e-9
 
     def test_gap_certifies_suboptimal_point(self):
         # At the prior (no trade) the gap must be positive and bound the
@@ -450,7 +452,7 @@ class TestEstimateCovariance:
         truth = np.array([[4.0, 1.0], [1.0, 2.0]]) * 1e-4
         chol = np.linalg.cholesky(truth)
         x = rng.standard_normal((10000, 2)) @ chol.T
-        est = estimate_covariance(x, ridge=0.0)
+        est = replace(estimate_covariance(x), ridge=0.0)
         scale = truth.max()
         assert np.all(np.abs(est.sigma - truth) <= 0.05 * scale)
 
@@ -458,7 +460,7 @@ class TestEstimateCovariance:
         rng = np.random.default_rng(12)
         base = rng.normal(0, 0.02, 50)
         returns = np.stack([base, base], axis=1)  # singular
-        est = estimate_covariance(returns, ridge=1e-6)
+        est = replace(estimate_covariance(returns), ridge=1e-6)
         np.linalg.cholesky(est.loaded)
 
     def test_short_window_rejected(self):
@@ -467,7 +469,7 @@ class TestEstimateCovariance:
 
     def test_sample_denominator(self):
         x = np.array([[0.0, 0.1], [2.0, 4.0], [1.0, -3.0], [0.5, 0.5]])
-        est = estimate_covariance(x, ridge=0.0)
+        est = replace(estimate_covariance(x), ridge=0.0)
         xc = x - x.mean(axis=0)
         np.testing.assert_allclose(est.sigma, xc.T @ xc / 3.0, atol=1e-12)
 

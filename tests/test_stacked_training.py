@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 import dfolio.backtest as bt
 from dfolio.backtest import BacktestConfig, StrategySpec, run_backtest
 from dfolio.market_data import SyntheticSpec, generate_synthetic
-from dfolio.solvers import MAX_RETURN, MAX_RETURN_FEE, MAX_RETURN_FEE_L2, DecisionProblem, Portfolio, estimate_covariance
+from dfolio.solvers import MAX_RETURN, MAX_RETURN_FEE, MAX_RETURN_FEE_L2, DecisionProblem, Portfolio
 from dfolio.softmax_dfl import MAX_RETURN_LOSS, MAX_SHARPE_LOSS, train_dfl
 from dfolio.spo import RobustConfig
-from dfolio.training import MSE, ROBUST_SPO, SPO_PLUS, LinearPredictor, TrainConfig, TrainingError, fit_adam, train
+from dfolio.training import MSE, ROBUST_SPO, SPO_PLUS, LinearPredictor, SearchSpace, TrainConfig, TrainingError, fit_adam, train
 
 KINDS = (
     "mse",
@@ -60,14 +60,13 @@ def trainer(kind: str, x, y, batch_size: int, seed: int, rho: float = 0.1, fit_i
     n = y.shape[1]
     if kind.startswith("softmax"):
         loss = MAX_RETURN_LOSS if kind == "softmax_max_return" else MAX_SHARPE_LOSS
-        est = estimate_covariance(y) if loss == MAX_SHARPE_LOSS else None
         cfg = TrainConfig(batch_size=batch_size, seed=seed)
 
         def fit(lrs, epochs):
-            return train_dfl(x, y, loss, cfg, hidden=5, est=est, learning_rates=lrs, epochs=epochs)
+            return train_dfl(x, y, loss, cfg, hidden=5, learning_rates=lrs, epochs=epochs)
 
         def one(lr, epochs):
-            return train_dfl(x, y, loss, replace(cfg, learning_rate=lr, epochs=epochs), hidden=5, est=est)
+            return train_dfl(x, y, loss, replace(cfg, learning_rate=lr, epochs=epochs), hidden=5)
 
         return fit, one
     loss_kind = MSE if kind == "mse" else ROBUST_SPO if kind.startswith("robust") else SPO_PLUS
@@ -247,7 +246,9 @@ def test_diverging_search_fails_the_strategy_like_a_trial_loop(monkeypatch, kind
     # The backtest's ledger line for a search whose trial 1 diverges at once
     # while trial 0 meets a poisoned training day later, stacked and looped.
     frame, _, _ = generate_synthetic(SyntheticSpec(n_assets=4, n_days=480, seed=11))
-    config = BacktestConfig(start=frame.dates[260], end=frame.dates[280], n_trials=3, epochs_min=2, epochs_max=3)
+    config = BacktestConfig(
+        start=frame.dates[260], end=frame.dates[280], search=SearchSpace(n_trials=3, epochs_min=2, epochs_max=3)
+    )
     real = getattr(bt, name)
     at = 2 if name == "train" else 3  # position of the config argument
 

@@ -33,10 +33,11 @@ def planted_data(seed=3, n_assets=5, n_days=400, beta=(0.02, -0.01, 0.005), nois
     return tensor.features[:-1], rets
 
 
-def linear_search(xtr, ytr, xv, yv, space, base):
+def linear_search(xtr, ytr, xv, yv, space, seed, base):
     """The search as the backtest runs it for a linear strategy."""
     return hyperparameter_search(
         space,
+        seed,
         lambda lrs, epochs: train(xtr, ytr, base, learning_rates=lrs, epochs=epochs),
         lambda model: validation_score(model, xv, yv, base),
     )
@@ -230,17 +231,17 @@ class TestSearch:
 
     def test_single_trial_returned(self):
         xtr, ytr, xv, yv = self._data()
-        space = SearchSpace(n_trials=1, seed=0, epochs_min=2, epochs_max=3)
+        space = SearchSpace(n_trials=1, epochs_min=2, epochs_max=3)
         base = TrainConfig(loss_kind=MSE, batch_size=63)
-        res = linear_search(xtr, ytr, xv, yv, space, base)
+        res = linear_search(xtr, ytr, xv, yv, space, 0, base)
         assert len(res.trials) == 1
         assert res.best == res.trials[0]
 
     def test_best_is_max_score(self):
         xtr, ytr, xv, yv = self._data()
-        space = SearchSpace(n_trials=6, seed=1, epochs_min=2, epochs_max=5)
+        space = SearchSpace(n_trials=6, epochs_min=2, epochs_max=5)
         base = TrainConfig(loss_kind=SPO_PLUS, batch_size=63)
-        res = linear_search(xtr, ytr, xv, yv, space, base)
+        res = linear_search(xtr, ytr, xv, yv, space, 1, base)
         scores = [t.score for t in res.trials]
         top = max(scores)
         tied = [s >= top - SCORE_TIE_TOL * max(1.0, abs(top)) for s in scores]
@@ -249,17 +250,17 @@ class TestSearch:
 
     def test_same_seed_same_choice(self):
         xtr, ytr, xv, yv = self._data()
-        space = SearchSpace(n_trials=4, seed=7, epochs_min=2, epochs_max=4)
+        space = SearchSpace(n_trials=4, epochs_min=2, epochs_max=4)
         base = TrainConfig(loss_kind=MSE, batch_size=63)
-        r1 = linear_search(xtr, ytr, xv, yv, space, base)
-        r2 = linear_search(xtr, ytr, xv, yv, space, base)
+        r1 = linear_search(xtr, ytr, xv, yv, space, 7, base)
+        r2 = linear_search(xtr, ytr, xv, yv, space, 7, base)
         assert r1.best == r2.best
         assert r1.trials == r2.trials
 
     def test_draws_respect_ranges(self):
         xtr, ytr, xv, yv = self._data()
-        space = SearchSpace(lr_min=1e-4, lr_max=5e-2, epochs_min=2, epochs_max=6, n_trials=8, seed=3)
-        res = linear_search(xtr, ytr, xv, yv, space, TrainConfig(loss_kind=MSE, batch_size=63))
+        space = SearchSpace(lr_min=1e-4, lr_max=5e-2, epochs_min=2, epochs_max=6, n_trials=8)
+        res = linear_search(xtr, ytr, xv, yv, space, 3, TrainConfig(loss_kind=MSE, batch_size=63))
         for t in res.trials:
             assert 1e-4 <= t.learning_rate <= 5e-2
             assert 2 <= t.epochs <= 6
@@ -285,15 +286,15 @@ class TestSearch:
 
     def test_trace_dump_round_trips(self):
         xtr, ytr, xv, yv = self._data()
-        space = SearchSpace(n_trials=3, seed=2, epochs_min=2, epochs_max=4)
-        res = linear_search(xtr, ytr, xv, yv, space, TrainConfig(loss_kind=MSE, batch_size=63))
+        space = SearchSpace(n_trials=3, epochs_min=2, epochs_max=4)
+        res = linear_search(xtr, ytr, xv, yv, space, 2, TrainConfig(loss_kind=MSE, batch_size=63))
         assert len(res.traces) == 3
         assert all(len(tr) == t.epochs for tr, t in zip(res.traces, res.trials))
 
     def test_earliest_trial_wins_ties(self):
         # Scores within SCORE_TIE_TOL of the best tie with it; beyond it, the best wins.
         for scores, winner in [([0.25] * 5, 0), ([0.25, 0.25 + 1e-15], 0), ([0.25, 0.25 + 1e-9], 1)]:
-            space = SearchSpace(n_trials=len(scores), seed=4, epochs_min=2, epochs_max=6)
+            space = SearchSpace(n_trials=len(scores), epochs_min=2, epochs_max=6)
             fitted = []
 
             def fit(lrs, epochs):
@@ -301,7 +302,7 @@ class TestSearch:
                 fitted.extend(models)
                 return models, [[0.0] * ep for ep in epochs]
 
-            res = hyperparameter_search(space, fit, lambda model: scores[fitted.index(model)])
+            res = hyperparameter_search(space, 4, fit, lambda model: scores[fitted.index(model)])
             assert len(fitted) == len(scores)
             assert res.best == res.trials[winner]
             assert res.model is fitted[winner]
@@ -328,8 +329,8 @@ class TestSearch:
                 robust=RobustConfig(rho=0.1, n_samples=4, seed=3),
             ),
         }[loss]
-        space = SearchSpace(n_trials=3, seed=6, epochs_min=2, epochs_max=4)
-        res = linear_search(xtr, ytr, xv, yv, space, base)
+        space = SearchSpace(n_trials=3, epochs_min=2, epochs_max=4)
+        res = linear_search(xtr, ytr, xv, yv, space, 6, base)
         winner = replace(base, learning_rate=res.best.learning_rate, epochs=res.best.epochs)
         model, trace = train(xtr, ytr, winner)
         assert res.model.theta.tobytes() == model.theta.tobytes()
@@ -340,9 +341,9 @@ class TestSearch:
         # the trained model is a pure function of the train split
         xtr, ytr, xv, yv = self._data()
         base = TrainConfig(loss_kind=MSE, batch_size=63)
-        space = SearchSpace(n_trials=2, seed=5, epochs_min=2, epochs_max=3)
-        res1 = linear_search(xtr, ytr, xv, yv, space, base)
-        res2 = linear_search(xtr, ytr, xv * 100.0, yv * 100.0, space, base)
+        space = SearchSpace(n_trials=2, epochs_min=2, epochs_max=3)
+        res1 = linear_search(xtr, ytr, xv, yv, space, 5, base)
+        res2 = linear_search(xtr, ytr, xv * 100.0, yv * 100.0, space, 5, base)
         # same configs drawn; scores differ, but train-side artifacts identical
         assert [
             (t.learning_rate, t.epochs) for t in res1.trials
