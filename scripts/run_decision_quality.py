@@ -62,7 +62,7 @@ def run_seed(seed, n_assets=6, n_train=378, n_test=600):
     for key, kind, extra in (
         ("mse", MSE, {}),
         ("spo", SPO_PLUS, {}),
-        ("robust", ROBUST_SPO, {"robust": RobustConfig(rho=0.1, n_samples=8, seed=seed)}),
+        ("robust", ROBUST_SPO, {"robust": RobustConfig(rho=0.1)}),
     ):
         model, _ = train(xtr, ytr, TrainConfig(loss_kind=kind, problem=prob, **extra, **base))
         W = argmax_batch(predict(model, xte), prob)

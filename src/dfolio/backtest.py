@@ -190,7 +190,7 @@ class BacktestData:
         return self.frame.n_dates - len(self.features.dates)
 
 
-def prepare_data(frame: MarketFrame, config: BacktestConfig) -> BacktestData:
+def prepare_data(frame: MarketFrame) -> BacktestData:
     return BacktestData(
         frame=frame,
         panel=compute_returns(frame),
@@ -447,6 +447,6 @@ def run_backtest(
     if len(set(names)) != len(names):
         raise ValueError("duplicate strategy names in roster")
     frame.check_usable()
-    data = prepare_data(frame, config)
+    data = prepare_data(frame)
     rebs = rebalance_dates(frame, config)
     return {s.name: _run_strategy(s, rebs, data, config) for s in roster}

@@ -1,9 +1,9 @@
-"""Batch command line: ingest data, run backtests, compare reports, make synthetic data.
+"""Batch command line: ingest data, run backtests, compare two runs, make synthetic data.
 
 Commands:
   dfolio ingest   --data DIR --out DIR
   dfolio backtest --config cfg.json [--seed N] [--out DIR] [--strategies a,b]
-  dfolio compare  metrics_a.json metrics_b.json
+  dfolio compare  RUN_A RUN_B
   dfolio synth    --out DIR [--assets N] [--days N] [--seed N]
 
 The backtest config is a single JSON document; see README for the schema.
@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from pathlib import Path
@@ -26,9 +27,11 @@ from pathlib import Path
 from .backtest import BacktestConfig, StrategySpec, default_roster, rebalance_dates, run_backtest
 from .features import compute_indicators, write_features_csv
 from .market_data import SyntheticSpec, align_series, generate_synthetic, load_series, write_csv_dir
-from .metrics import span_bounds, subperiod_report
+from .metrics import MetricsRow, span_bounds, subperiod_report
 from .reports import (
     nav_series,
+    read_metrics_json,
+    run_drift,
     write_hparams_csv,
     write_metrics_csv,
     write_metrics_json,
@@ -36,7 +39,6 @@ from .reports import (
     write_panel_csv,
     write_plotdata,
     write_weights_csv,
-    read_metrics_json,
 )
 from .training import MAX_EPOCHS, SearchSpace
 from .util import ConfigError, DfolioError, UsageError
@@ -253,6 +255,8 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
         universe = None
     elif universe == []:
         errors.append("universe: empty list; leave the key out to use every ticker in data_dir")
+    elif universe:
+        errors.extend(f"universe: repeated ticker {t!r}" for t, n in Counter(universe).items() if n > 1)
 
     spans = {}
     raw_spans = raw.get("report_spans", {})
@@ -361,30 +365,36 @@ def cmd_backtest(args) -> int:
     return 1 if any(led.error is not None for led in ledgers.values()) else 0
 
 
+def _delta_cell(va, vb) -> str:
+    """One metric of `compare`: b - a, marked `!` where the sign flips."""
+    if va is None or vb is None:
+        return f"{'n/a':>13}"
+    return f"{vb - va:+12.4f}{'!' if (va < 0) != (vb < 0) else ' '}"
+
+
 def cmd_compare(args) -> int:
-    a = read_metrics_json(args.metrics_a)
-    b = read_metrics_json(args.metrics_b)
-    common = [s for s in a if s in b]
-    unmatched = sorted(set(a) ^ set(b))
-    metrics = ["annualized_return", "annualized_volatility", "sharpe", "sortino", "max_drawdown"]
+    a, b = (read_metrics_json(Path(run) / "metrics.json") for run in (args.run_a, args.run_b))
+    drift = run_drift(args.run_a, args.run_b)
+    metrics = [f.name for f in fields(MetricsRow)]
     print(f"{'strategy':<24} {'span':<10} " + " ".join(f"{m[:12]:>13}" for m in metrics))
-    for strategy in common:
-        for span in a[strategy]:
-            if span not in b[strategy]:
-                continue
-            ra, rb = a[strategy][span].as_dict(), b[strategy][span].as_dict()
-            cells = []
-            for m in metrics:
-                va, vb = ra[m], rb[m]
-                if va is None or vb is None:
-                    cells.append(f"{'n/a':>13}")
-                    continue
-                delta = vb - va
-                flip = "!" if (va < 0) != (vb < 0) else " "
-                cells.append(f"{delta:+12.4f}{flip}")
-            print(f"{strategy:<24} {span:<10} " + " ".join(cells))
+    unmatched_spans = []
+    for strategy in (s for s in a if s in b):
+        sa, sb = a[strategy], b[strategy]
+        unmatched_spans += [f"{strategy}.{span}" for span in [*sa, *sb] if (span in sa) != (span in sb)]
+        for span in (s for s in sa if s in sb):
+            pairs = ((getattr(sa[span], m), getattr(sb[span], m)) for m in metrics)
+            print(f"{strategy:<24} {span:<10} " + " ".join(_delta_cell(va, vb) for va, vb in pairs))
+    unmatched = sorted(set(a) ^ set(b))
     if unmatched:
         print("unmatched strategies: " + ", ".join(unmatched))
+    if unmatched_spans:
+        print("unmatched spans: " + ", ".join(unmatched_spans))
+
+    width = max([len("strategy"), *map(len, drift)])
+    print(f"\n{'strategy':<{width}}  {'max |dw|':>9}  {'max nav drift':>13}  {'winners moved':>13}  identical")
+    for strategy, s in drift.items():
+        moved = f"{s['moved']}/{s['rebalances']}"
+        print(f"{strategy:<{width}}  {s['weight']:>9.2g}  {s['nav']:>13.2g}  {moved:>13}  {'yes' if s['identical'] else 'no'}")
     return 0
 
 
@@ -417,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument("--strategies", default=None, help="comma list restricting the roster")
     p_bt.set_defaults(func=cmd_backtest)
 
-    p_cmp = sub.add_parser("compare", help="diff two metrics.json reports")
-    p_cmp.add_argument("metrics_a")
-    p_cmp.add_argument("metrics_b")
+    p_cmp = sub.add_parser("compare", help="diff two backtest output directories: metric deltas and drift")
+    p_cmp.add_argument("run_a", help="backtest output directory of the reference run")
+    p_cmp.add_argument("run_b", help="backtest output directory compared with it")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_synth = sub.add_parser("synth", help="write a seeded synthetic market as CSVs")

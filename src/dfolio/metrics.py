@@ -9,7 +9,7 @@ volatility / no downside days).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from typing import Sequence
 
@@ -27,13 +27,7 @@ class MetricsRow:
     max_drawdown: float
 
     def as_dict(self) -> dict:
-        return {
-            "annualized_return": self.annualized_return,
-            "annualized_volatility": self.annualized_volatility,
-            "sharpe": self.sharpe,
-            "sortino": self.sortino,
-            "max_drawdown": self.max_drawdown,
-        }
+        return asdict(self)
 
 
 def compute_metrics(dates: Sequence[date], nav: Sequence[float]) -> MetricsRow:

@@ -1,4 +1,4 @@
-"""Writers for every emitted artifact, and the metrics.json reader.
+"""Writers for every emitted artifact, and the readers of a run directory that `compare` uses.
 
 Every float is written as its shortest round-trip repr, so identical runs
 produce identical bytes. The backtest writers hand csv Python floats;
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import fields
 from datetime import date
@@ -119,35 +120,85 @@ def _is_metric(value) -> bool:
     return value is None or isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-METRICS_CSV_HEADER = [
-    "strategy",
-    "span",
-    "annualized_return",
-    "annualized_volatility",
-    "sharpe",
-    "sortino",
-    "max_drawdown",
-]
+# Per run file: the columns that name a row (the strategy is the second), and
+# the column that `run_drift` reads as numbers.
+RUN_FILES = {
+    "weights.csv": (("rebalance_date", "strategy", "ticker"), "weight"),
+    "nav.csv": (("date", "strategy"), "nav"),
+    "hparams.csv": (("rebalance_date", "strategy"), "lr"),
+}
+
+
+def _read_run_file(path: Path, key: tuple[str, ...], number: str) -> dict[tuple[str, ...], dict[str, str]]:
+    """The rows of one run CSV by their key cells; a fault is a UsageError `cannot read run (<path>[:<line>]: ...)`."""
+
+    def unreadable(reason: str, line: int | None = None) -> UsageError:
+        return UsageError(f"cannot read run ({path}{'' if line is None else f':{line}'}: {reason})")
+
+    rows = {}
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in (*key, number) if c not in (reader.fieldnames or ())]
+            if missing:
+                raise unreadable(f"no {', '.join(missing)} column")
+            for row in reader:
+                if None in row or None in row.values():
+                    raise unreadable(f"expected {len(reader.fieldnames)} cells", reader.line_num)
+                try:
+                    finite = math.isfinite(float(row[number]))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise unreadable(f"{number} {row[number]!r} is not a finite number", reader.line_num)
+                k = tuple(row[c] for c in key)
+                if k in rows:
+                    raise unreadable(f"repeated row {','.join(k)}", reader.line_num)
+                rows[k] = row
+    except OSError as exc:
+        raise unreadable(exc.strerror) from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a cell over csv's field size limit
+        raise unreadable(str(exc)) from None
+    return rows
+
+
+def run_drift(dir_a, dir_b) -> dict[str, dict]:
+    """{strategy: {"weight", "nav", "moved", "rebalances", "identical"}} of run B against run A.
+
+    The largest |weight difference|, the largest relative NAV difference
+    |nav_b - nav_a| / |nav_a|, the hparams.csv winners (lr, epochs) that moved
+    out of the rebalances, and whether the strategy's rows of all three files
+    are identical. A row that only one run has is an infinite drift and a move.
+    """
+    out = {}
+    for name, (key, number) in RUN_FILES.items():
+        a, b = (_read_run_file(Path(d) / name, key, number) for d in (dir_a, dir_b))
+        for k in [*a, *(k for k in b if k not in a)]:
+            s = out.setdefault(k[1], {"weight": 0.0, "nav": 0.0, "moved": 0, "rebalances": 0, "identical": True})
+            ra, rb = a.get(k), b.get(k)
+            s["identical"] &= ra == rb
+            if name == "hparams.csv":
+                s["rebalances"] += 1
+                s["moved"] += ra is None or rb is None or (ra["lr"], ra["epochs"]) != (rb["lr"], rb["epochs"])
+            elif ra is None or rb is None:
+                s[number] = math.inf
+            else:
+                va, vb = float(ra[number]), float(rb[number])
+                if name == "weights.csv":
+                    s["weight"] = max(s["weight"], abs(vb - va))
+                else:  # a zero NAV drifts infinitely unless both are zero
+                    s["nav"] = max(s["nav"], abs(vb - va) / abs(va) if va else math.inf if vb else 0.0)
+    return out
 
 
 def write_metrics_csv(report: dict[str, dict[str, MetricsRow]], path) -> Path:
     path = Path(path)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(METRICS_CSV_HEADER)
+        w.writerow(["strategy", "span", *(f.name for f in fields(MetricsRow))])
         for strategy, spans in report.items():
             for span, row in spans.items():
-                w.writerow(
-                    [
-                        strategy,
-                        span,
-                        float(row.annualized_return),
-                        float(row.annualized_volatility),
-                        "" if row.sharpe is None else float(row.sharpe),
-                        "" if row.sortino is None else float(row.sortino),
-                        float(row.max_drawdown),
-                    ]
-                )
+                w.writerow([strategy, span, *("" if v is None else float(v) for v in row.as_dict().values())])
     return path
 
 

@@ -37,7 +37,12 @@ from .util import derived_rng
 
 @dataclass(frozen=True)
 class RobustConfig:
-    """Multiplicative uncertainty box, and the Monte Carlo sampling plan of fee problems."""
+    """Multiplicative uncertainty box, and the Monte Carlo sampling plan of fee problems.
+
+    `training.train` replaces `seed` on every batch with one derived from
+    `TrainConfig.seed`, the epoch and the batch index; only a direct
+    `perturbation_set` call reads the seed given here.
+    """
 
     rho: float
     n_samples: int = 8

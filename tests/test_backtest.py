@@ -173,7 +173,7 @@ class TestRunWindow:
     def test_max_sharpe_needs_no_training(self):
         frame = synthetic_frame()
         cfg = fast_config(frame)
-        data = prepare_data(frame, cfg)
+        data = prepare_data(frame)
         t = rebalance_dates(frame, cfg)[0]
         strat = StrategySpec("max_sharpe", "max_sharpe")
         w, diag = run_window(strat, t, data, cfg, Portfolio.uniform(4))
@@ -183,7 +183,7 @@ class TestRunWindow:
     def test_window_arithmetic(self):
         frame = synthetic_frame()
         cfg = fast_config(frame)
-        data = prepare_data(frame, cfg)
+        data = prepare_data(frame)
         t = rebalance_dates(frame, cfg)[0]
         strat = StrategySpec("spo_plus", "spo_plus")
         _, diag = run_window(strat, t, data, cfg, Portfolio.uniform(4))
@@ -202,7 +202,7 @@ class TestRunWindow:
     def test_decision_ignores_future_data(self, kind, params):
         frame = synthetic_frame()
         cfg = fast_config(frame)
-        data = prepare_data(frame, cfg)
+        data = prepare_data(frame)
         t = rebalance_dates(frame, cfg)[2]
         it = frame.index_of(t)
         strat = StrategySpec(f"s_{kind}", kind, **params)
@@ -216,7 +216,7 @@ class TestRunWindow:
             dates=frame.dates, tickers=frame.tickers,
             adj_close=poisoned_prices, volume=poisoned_vol,
         )
-        data_p = prepare_data(frame_p, cfg)
+        data_p = prepare_data(frame_p)
         w2, _ = run_window(strat, t, data_p, cfg, Portfolio.uniform(4))
         assert w1.weights.tobytes() == w2.weights.tobytes()
 
@@ -360,7 +360,7 @@ class TestRunBacktest:
         roster = (StrategySpec("spo_plus", "spo_plus"),)
         led = run_backtest(frame, roster, cfg)["spo_plus"]
         # drifted weights at rebalance k equal previous target drifted through the month
-        data = prepare_data(frame, cfg)
+        data = prepare_data(frame)
         for k in range(1, len(led.rebalances)):
             prev, cur = led.rebalances[k - 1], led.rebalances[k]
             i0, i1 = frame.index_of(prev.day), frame.index_of(cur.day)

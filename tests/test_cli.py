@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -14,7 +15,8 @@ import pytest
 import dfolio
 from dfolio import backtest, cli
 from dfolio.backtest import BacktestConfig, BacktestLedger, default_roster
-from dfolio.reports import read_metrics_json
+from dfolio.metrics import MetricsRow
+from dfolio.reports import read_metrics_json, run_drift
 
 from oracles import (
     read_hparams_csv,
@@ -329,48 +331,160 @@ class TestBacktestCommand:
         assert (out / "plotdata" / "nav_late.csv").exists()
 
 
+# A two-strategy run directory: its three run files and an empty metrics.json.
+RUN_FILES = {
+    "weights.csv": [
+        "rebalance_date,strategy,ticker,weight,turnover,fee",
+        "2016-02-01,a,X,0.25,0.5,0.001",
+        "2016-02-01,a,Y,0.75,0.5,0.001",
+        "2016-02-01,b,X,1.0,1.0,0.002",
+        "2016-02-01,b,Y,0.0,1.0,0.002",
+    ],
+    "nav.csv": [
+        "date,strategy,nav",
+        "2016-01-29,a,1.0",
+        "2016-02-01,a,0.998",
+        "2016-01-29,b,1.0",
+        "2016-02-01,b,0.996",
+    ],
+    "hparams.csv": [
+        "rebalance_date,strategy,lr,epochs,score",
+        "2016-02-01,a,0.01,20,0.5",
+        "2016-02-01,b,0.02,30,0.25",
+    ],
+}
+
+
+def write_run(path, metrics=None, files=RUN_FILES):
+    path.mkdir()
+    for name, lines in files.items():
+        (path / name).write_text("\r\n".join(lines) + "\r\n")
+    (path / "metrics.json").write_text(json.dumps(metrics or {}))
+    return path
+
+
+def drift_table(out: str) -> list[list[str]]:
+    """The cells of `compare`'s drift rows, below its header."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if "winners moved" in line)
+    return [line.split() for line in lines[start + 1 :]]
+
+
 class TestCompareCommand:
-    def _metrics(self, synth_dir, tmp_path):
+    def _run(self, synth_dir, tmp_path):
         out = tmp_path / "m"
         cfg = write_config(tmp_path, synth_dir, out, strategies=["max_sharpe"])
         assert run_cli(["backtest", "--config", str(cfg)]) == 0
-        return out / "metrics.json"
+        return out
+
+    def _with_metrics(self, run, path, payload):
+        shutil.copytree(run, path)
+        (path / "metrics.json").write_text(json.dumps(payload))
+        return path
 
     def test_self_compare_zero_deltas(self, synth_dir, tmp_path, capsys):
-        m = self._metrics(synth_dir, tmp_path)
+        m = self._run(synth_dir, tmp_path)
+        capsys.readouterr()
         assert run_cli(["compare", str(m), str(m)]) == 0
         out = capsys.readouterr().out
-        assert "max_sharpe" in out
-        assert "+0.0000" in out
+        row = next(l for l in out.splitlines() if l.startswith("max_sharpe "))
+        assert row.split()[2:] == ["+0.0000"] * 5
+        assert drift_table(out) == [["max_sharpe", "0", "0", "0/0", "yes"]]
 
     def test_unmatched_strategies_listed(self, synth_dir, tmp_path, capsys):
-        m = self._metrics(synth_dir, tmp_path)
-        other = tmp_path / "other.json"
-        payload = json.loads(Path(m).read_text())
+        m = self._run(synth_dir, tmp_path)
+        payload = json.loads((m / "metrics.json").read_text())
         payload["ghost"] = payload["max_sharpe"]
-        other.write_text(json.dumps(payload))
+        other = self._with_metrics(m, tmp_path / "other", payload)
         assert run_cli(["compare", str(m), str(other)]) == 0
         assert "unmatched strategies: ghost" in capsys.readouterr().out
 
+    def test_unmatched_spans_listed(self, tmp_path, capsys):
+        # A span that only one report had was skipped without a word.
+        row = dict.fromkeys([f.name for f in fields(MetricsRow)], 1.0)
+        a = write_run(tmp_path / "a", {"s": {"full": row, "early": row}})
+        b = write_run(tmp_path / "b", {"s": {"full": row, "late": row}})
+        assert run_cli(["compare", str(a), str(b)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [l.split()[:2] for l in out if l.startswith("s ")] == [["s", "full"]]
+        assert "unmatched spans: s.early, s.late" in out
+
     def test_sign_flip_marked(self, synth_dir, tmp_path, capsys):
-        m = self._metrics(synth_dir, tmp_path)
-        payload = json.loads(Path(m).read_text())
+        m = self._run(synth_dir, tmp_path)
+        payload = json.loads((m / "metrics.json").read_text())
         row = payload["max_sharpe"]["full"]
         flipped = dict(row)
         flipped["annualized_return"] = 5.0 if row["annualized_return"] < 0 else -5.0
-        other = tmp_path / "flip.json"
-        other.write_text(json.dumps({"max_sharpe": {"full": flipped}}))
+        other = self._with_metrics(m, tmp_path / "flip", {"max_sharpe": {"full": flipped}})
         assert run_cli(["compare", str(m), str(other)]) == 0
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("max_sharpe")]
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("max_sharpe ")]
         assert any("!" in l for l in lines)
 
+    def test_one_changed_weight_cell(self, tmp_path, capsys):
+        run_a = write_run(tmp_path / "a")
+        run_b = tmp_path / "b"
+        shutil.copytree(run_a, run_b)
+        weights = run_b / "weights.csv"
+        weights.write_text(weights.read_text().replace("a,Y,0.75,", "a,Y,0.7500000000000001,"))
+
+        rows = run_drift(run_a, run_b)
+        assert rows["a"] == {"weight": 0.7500000000000001 - 0.75, "nav": 0.0, "moved": 0, "rebalances": 1,
+                             "identical": False}
+        assert rows["b"] == {"weight": 0.0, "nav": 0.0, "moved": 0, "rebalances": 1, "identical": True}
+        assert run_cli(["compare", str(run_a), str(run_b)]) == 0
+        assert drift_table(capsys.readouterr().out) == [["a", "1.1e-16", "0", "0/1", "no"], ["b", "0", "0", "0/1", "yes"]]
+
+    def test_rows_of_one_run_and_zero_nav(self, tmp_path, capsys):
+        # A row that only one run has is an infinite drift and a moved winner;
+        # a NAV of zero in run A divides by nothing.
+        files = {name: list(lines) for name, lines in RUN_FILES.items()}
+        run_a = write_run(tmp_path / "a", files={**files, "nav.csv": [*files["nav.csv"], "2016-02-02,b,0.0"]})
+        files["weights.csv"] = files["weights.csv"][:3]
+        files["hparams.csv"] = files["hparams.csv"][:2]
+        run_b = write_run(tmp_path / "b", files={**files, "nav.csv": [*files["nav.csv"], "2016-02-02,b,0.0"]})
+        assert run_drift(run_a, run_b)["b"] == {
+            "weight": float("inf"), "nav": 0.0, "moved": 1, "rebalances": 1, "identical": False
+        }
+        (run_b / "nav.csv").write_text((run_b / "nav.csv").read_text().replace("b,0.0", "b,0.5"))
+        assert run_drift(run_a, run_b)["b"]["nav"] == float("inf")
+        assert run_cli(["compare", str(run_a), str(run_b)]) == 0
+        assert drift_table(capsys.readouterr().out)[1] == ["b", "inf", "inf", "1/1", "no"]
+
+    @pytest.mark.parametrize(
+        "file, edit, detail",
+        [
+            ("nav.csv", None, "No such file or directory"),
+            ("weights.csv", ("rebalance_date,strategy,ticker,", "rebalance_date,strategy,"), "no ticker column"),
+            ("hparams.csv", ("lr,", "rate,"), "no lr column"),
+            ("weights.csv", ("a,X,0.25,", "a,X,abc,"), "2: weight 'abc' is not a finite number"),
+            ("nav.csv", ("a,0.998", "a,inf"), "3: nav 'inf' is not a finite number"),
+            ("hparams.csv", ("b,0.02,", "b,nan,"), "3: lr 'nan' is not a finite number"),
+            ("hparams.csv", ("b,0.02,", "b,,"), "3: lr '' is not a finite number"),
+            ("nav.csv", ("2016-02-01,b,0.996", "2016-02-01,b"), "5: expected 3 cells"),
+            ("weights.csv", ("b,Y,0.0,", "b,X,0.0,"), "5: repeated row 2016-02-01,b,X"),
+        ],
+        ids=["missing-file", "missing-key-column", "missing-number-column", "weight-not-number", "nav-inf",
+             "lr-nan", "lr-empty", "short-row", "repeated-row"],
+    )
+    def test_unusable_run_file_names_file_and_line(self, tmp_path, file, edit, detail):
+        good = write_run(tmp_path / "good")
+        bad = tmp_path / "bad"
+        shutil.copytree(good, bad)
+        path = bad / file
+        if edit is None:
+            path.unlink()
+        else:
+            path.write_text(path.read_text().replace(*edit, 1))
+        code, err = run_cli_process(["compare", str(good), str(bad)], timeout=60)
+        assert code == 2
+        sep = ":" if detail[0].isdigit() else ": "
+        assert err == f"error: cannot read run ({path}{sep}{detail})\n"
+
     def test_schema_mismatch(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"s": {"full": {"wrong": 1}}}')
-        good = tmp_path / "good.json"
-        good.write_text("{}")
+        bad = write_run(tmp_path / "bad", {"s": {"full": {"wrong": 1}}})
+        good = write_run(tmp_path / "good")
         assert run_cli(["compare", str(bad), str(good)]) == 2
-        assert "cannot read metrics" in capsys.readouterr().err
+        assert f"cannot read metrics ({bad / 'metrics.json'}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload, detail",
@@ -384,20 +498,19 @@ class TestCompareCommand:
         ],
     )
     def test_malformed_report_names_file(self, tmp_path, payload, detail):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
-        good = tmp_path / "good.json"
-        good.write_text("{}")
+        good = write_run(tmp_path / "good")
+        bad = write_run(tmp_path / "bad")
+        (bad / "metrics.json").write_text(json.dumps(payload))
         code, err = run_cli_process(["compare", str(good), str(bad)])
         assert code == 2
-        assert err.startswith(f"error: cannot read metrics ({bad}: {detail}")
+        assert err.startswith(f"error: cannot read metrics ({bad / 'metrics.json'}: {detail}")
         assert "Traceback" not in err
 
     def test_invalid_json_names_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{")
+        bad = write_run(tmp_path / "bad")
+        (bad / "metrics.json").write_text("{")
         assert run_cli(["compare", str(bad), str(bad)]) == 2
-        assert f"error: cannot read metrics ({bad}: not valid JSON" in capsys.readouterr().err
+        assert f"error: cannot read metrics ({bad / 'metrics.json'}: not valid JSON" in capsys.readouterr().err
 
 
 class TestErrorPolicy:
@@ -413,8 +526,8 @@ class TestErrorPolicy:
             (["ingest", "--data", "{tmp}", "--out", "{file}/x"], "config error: --out: cannot create {file}/x"),
             (["ingest", "--data", "{tmp}", "--out", "{file}"], "config error: --out: cannot create {file}"),
             (["synth", "--out", "{tmp}/" + "x" * 300 + "/y"], "config error: --out: cannot create {tmp}/xxx"),
-            (["compare", "{tmp}/no.json", "{tmp}/no.json"], "error: cannot read metrics ({tmp}/no.json: No such file"),
-            (["compare", "{tmp}", "{tmp}"], "error: cannot read metrics ({tmp}: Is a directory"),
+            (["compare", "{tmp}/no", "{tmp}/no"], "error: cannot read metrics ({tmp}/no/metrics.json: No such file"),
+            (["compare", "{file}", "{file}"], "error: cannot read metrics ({file}/metrics.json: Not a directory"),
             (["backtest", "--config", "{tmp}/no.json"], "config error: cannot read config {tmp}/no.json (No such file"),
         ],
         ids=["synth-out-under-file", "synth-assets", "synth-days", "synth-seed", "ingest-out-under-file",
@@ -431,12 +544,12 @@ class TestErrorPolicy:
 
     def test_compare_integer_beyond_float_is_usage_error(self, tmp_path, capsys):
         # It passed the shape check and ended in an OverflowError traceback when subtracted.
-        names = ["annualized_return", "annualized_volatility", "sharpe", "sortino", "max_drawdown"]
-        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-        good.write_text(json.dumps({"s": {"full": dict.fromkeys(names, 1.0)}}))
-        bad.write_text(json.dumps({"s": {"full": {**dict.fromkeys(names, 1.0), "sharpe": 10**400}}}))
+        row = dict.fromkeys([f.name for f in fields(MetricsRow)], 1.0)
+        good = write_run(tmp_path / "good", {"s": {"full": row}})
+        bad = write_run(tmp_path / "bad", {"s": {"full": {**row, "sharpe": 10**400}}})
         assert run_cli(["compare", str(good), str(bad)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot read metrics ({bad}: s.full: expected numbers")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read metrics ({bad / 'metrics.json'}: s.full: expected numbers")
 
     @pytest.mark.parametrize(
         "argv, detail",
@@ -584,6 +697,16 @@ class TestErrorPolicy:
         assert capsys.readouterr().err == (
             "config error: universe: empty list; leave the key out to use every ticker in data_dir\n"
         )
+
+    def test_repeated_universe_ticker_fails_before_reading_data(self, tmp_path, monkeypatch, capsys):
+        # MarketFrame.select kept one column per ticker, so the run went on with fewer assets than listed.
+        def no_reading(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_series", no_reading)
+        cfg = write_config(tmp_path, tmp_path / "data", tmp_path / "o", universe=["SYN00", "SYN01", "SYN00"])
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: universe: repeated ticker 'SYN00'\n"
 
     @pytest.mark.parametrize(
         "strategy, detail",
