@@ -436,12 +436,13 @@ class TestCompareCommand:
 
     def test_rows_of_one_run_and_zero_nav(self, tmp_path, capsys):
         # A row that only one run has is an infinite drift and a moved winner;
-        # a NAV of zero in run A divides by nothing.
-        files = {name: list(lines) for name, lines in RUN_FILES.items()}
-        run_a = write_run(tmp_path / "a", files={**files, "nav.csv": [*files["nav.csv"], "2016-02-02,b,0.0"]})
-        files["weights.csv"] = files["weights.csv"][:3]
-        files["hparams.csv"] = files["hparams.csv"][:2]
-        run_b = write_run(tmp_path / "b", files={**files, "nav.csv": [*files["nav.csv"], "2016-02-02,b,0.0"]})
+        # a zero NAV in run A drifts infinitely unless run B's is zero too.
+        nav = [*RUN_FILES["nav.csv"], "2016-02-02,b,0.0"]
+        run_a = write_run(tmp_path / "a", files={**RUN_FILES, "nav.csv": nav})
+        # Run B lacks strategy b's weights and hparams rows.
+        run_b = write_run(tmp_path / "b", files={
+            "weights.csv": RUN_FILES["weights.csv"][:3], "nav.csv": nav, "hparams.csv": RUN_FILES["hparams.csv"][:2]
+        })
         assert run_drift(run_a, run_b)["b"] == {
             "weight": float("inf"), "nav": 0.0, "moved": 1, "rebalances": 1, "identical": False
         }
