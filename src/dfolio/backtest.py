@@ -130,6 +130,8 @@ class BacktestConfig:
             raise ValueError("fee_rate must be >= 0")
         if self.train_months < 1 or self.validation_months < 1:
             raise ValueError("window months must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
     @property
     def lookback_months(self) -> int:
@@ -295,13 +297,7 @@ def run_window(
     softmax = strategy.kind in (STRAT_SOFTMAX_RETURN, STRAT_SOFTMAX_SHARPE)
     if softmax:
         dfl_kind = MAX_RETURN_LOSS if strategy.kind == STRAT_SOFTMAX_RETURN else MAX_SHARPE_LOSS
-        dfl_seed = stable_seed(seed, "softmax-train")
-
-        def fit(lrs, epochs):
-            # A stacked pass ignores config.epochs; it records the pass length
-            # (the longest trial's epochs), which perfbench's trace counts.
-            cfg = TrainConfig(epochs=int(epochs.max()), batch_size=config.batch_size, seed=dfl_seed)
-            return train_dfl(x_train, y_train, dfl_kind, cfg, hidden=strategy.hidden, learning_rates=lrs, epochs=epochs)
+        base = TrainConfig(batch_size=config.batch_size, seed=stable_seed(seed, "softmax-train"))
 
         def score(model):
             # realized validation return of the allocator's weights
@@ -317,13 +313,16 @@ def run_window(
             robust=RobustConfig(rho=strategy.rho) if strategy.kind == STRAT_ROBUST else None,
         )
 
-        def fit(lrs, epochs):
-            # A stacked pass ignores config.epochs; it records the pass length
-            # (the longest trial's epochs), which perfbench's trace counts.
-            return train(x_train, y_train, replace(base, epochs=int(epochs.max())), learning_rates=lrs, epochs=epochs)
-
         def score(model):
             return validation_score(model, x_val, y_val, base)
+
+    def fit(lrs, epochs):
+        # A stacked pass ignores config.epochs; it records the pass length
+        # (the longest trial's epochs), which perfbench's trace counts.
+        cfg = replace(base, epochs=int(epochs.max()))
+        if softmax:
+            return train_dfl(x_train, y_train, dfl_kind, cfg, hidden=strategy.hidden, learning_rates=lrs, epochs=epochs)
+        return train(x_train, y_train, cfg, learning_rates=lrs, epochs=epochs)
 
     result = hyperparameter_search(config.search, seed, fit, score)
     best = result.best
@@ -429,9 +428,7 @@ def _run_strategy(strategy, rebs, data, config) -> BacktestLedger:
 
 
 def run_backtest(
-    frame: MarketFrame,
-    roster: tuple[StrategySpec, ...] | None = None,
-    config: BacktestConfig | None = None,
+    frame: MarketFrame, roster: tuple[StrategySpec, ...], config: BacktestConfig
 ) -> dict[str, BacktestLedger]:
     """Run every strategy over identical rebalance dates and fee regime.
 
@@ -439,10 +436,6 @@ def run_backtest(
     message, located by rebalance date and stage, and the remaining strategies
     still complete.
     """
-    if config is None:
-        raise ValueError("config is required")
-    if roster is None:
-        roster = default_roster()
     names = [s.name for s in roster]
     if len(set(names)) != len(names):
         raise ValueError("duplicate strategy names in roster")

@@ -123,10 +123,11 @@ class MarketFrame:
 
     def select(self, tickers: Sequence[str]) -> "MarketFrame":
         """Restrict to a subset of tickers (kept in this frame's sorted order)."""
-        missing = [t for t in tickers if t not in self.tickers]
+        wanted, known = set(tickers), set(self.tickers)
+        missing = [t for t in tickers if t not in known]
         if missing:
             raise UniverseError(f"unknown tickers: {', '.join(missing)}")
-        keep = [i for i, t in enumerate(self.tickers) if t in set(tickers)]
+        keep = [i for i, t in enumerate(self.tickers) if t in wanted]
         return MarketFrame(
             dates=self.dates,
             tickers=tuple(self.tickers[i] for i in keep),

@@ -169,10 +169,8 @@ def train_dfl(
 
     For the Sharpe loss, Sigma is estimated once from the training-window
     returns and held fixed. Returns (SoftmaxAllocator, per-epoch mean loss
-    trace). Given learning_rates and epochs, trains one trial per pair in a
-    single stacked pass from the same seeded init (config's own learning rate
-    and epochs are not used) and returns a list of allocators and a list of
-    traces; each equals the one-trial result bit for bit.
+    trace), or given learning_rates and epochs, one stacked pass's allocators
+    and traces from the same seeded init (fit_adam).
     """
     if kind not in DFL_LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -184,15 +182,4 @@ def train_dfl(
         return batch_gradients(params, x[rows], y[rows], kind, sigma)
 
     init = {k: v[0] for k, v in _stack(init_allocator(n, d, hidden=hidden, seed=config.seed)).items()}
-    stacked = learning_rates is not None
-    models, traces = fit_adam(
-        init,
-        batch_grads,
-        _allocator,
-        t_total,
-        config.batch_size,
-        learning_rates if stacked else [config.learning_rate],
-        epochs if stacked else [config.epochs],
-        kind,
-    )
-    return (models, traces) if stacked else (models[0], traces[0])
+    return fit_adam(init, batch_grads, _allocator, t_total, config, kind, learning_rates, epochs)

@@ -11,9 +11,10 @@ leading trial axis, each trial has its own learning rate and epoch count, and
 every batch makes one oracle call on all trials' rows. The trial axis stays a
 batch axis of every matmul and einsum (flattening trials into rows before a
 BLAS call changes the rounding), so each trial of a stacked pass equals its
-one-trial run bit for bit. The stacked pass has no failure handling: if it
-raises, the trials train again one at a time in trial order, and the first
-one-trial run that fails raises its own error.
+one-trial run bit for bit. The stacked pass is the only training path: a
+failing pass raises the first fault it meets in training order (by epoch,
+then batch, then a trial's end-of-training check), which is the one-trial
+error of a failing trial.
 """
 
 from __future__ import annotations
@@ -125,7 +126,9 @@ def check_samples(features, targets, batch_size: int) -> tuple[np.ndarray, np.nd
     return x, y
 
 
-def fit_adam(init: dict, batch_grads, build, t_total: int, batch_size: int, learning_rates, epochs, label: str):
+def fit_adam(
+    init: dict, batch_grads, build, t_total: int, config: TrainConfig, label: str, learning_rates=None, epochs=None
+):
     """Mini-batch Adam over chronological batches for a stack of trials, shared by both model families.
 
     Every trial starts from the one-trial parameters init and differs only in
@@ -133,35 +136,24 @@ def fit_adam(init: dict, batch_grads, build, t_total: int, batch_size: int, lear
     returns the (trials, rows) losses of the rows slice and a dict of
     (trials, ...) gradients; a parameter without a gradient stays fixed.
     build(parameters) makes a trial's model after its last epoch, and a
-    non-finite batch loss raises TrainingError. Returns the models and
-    per-epoch mean loss traces in trial order.
-
-    The trials train in one stacked pass, where each equals its one-trial run
-    bit for bit. If that pass raises, they train again one at a time in trial
-    order, so a failing search raises the earliest failing trial's own error,
-    as a loop over the trials would.
-    """
-    lrs = np.asarray(learning_rates, dtype=float).reshape(-1)
-    ends = np.asarray(epochs, dtype=int).reshape(-1)
-    if lrs.size == 0 or lrs.size != ends.size or ends.min() < 1:
-        raise ValueError(f"need matching learning rates and epochs >= 1, got {lrs.size} and {ends.tolist()}")
-    try:
-        return _fit_stack(init, batch_grads, build, t_total, batch_size, lrs, ends, label)
-    except Exception:
-        if lrs.size == 1:
-            raise
-    runs = [fit_adam(init, batch_grads, build, t_total, batch_size, [lr], [end], label) for lr, end in zip(lrs, ends)]
-    return [model for (model,), _ in runs], [trace for _, (trace,) in runs]
-
-
-def _fit_stack(init: dict, batch_grads, build, t_total: int, batch_size: int, lrs, ends, label: str):
-    """fit_adam's stacked pass, with no failure handling of its own.
+    non-finite batch loss raises TrainingError. Without learning_rates and
+    epochs, trains config's one trial and returns (model, per-epoch mean loss
+    trace); with them, trains one trial per pair (config's own learning rate
+    and epochs are not used) and returns the models and traces in trial order.
 
     Parameters carry a leading trial axis, and the trials sit in descending
     order of epochs, so those still training are always a prefix of the stack.
     Until the first Adam step every trial holds init, so that batch is
-    evaluated for one trial only.
+    evaluated for one trial only. A failing pass raises the first fault it
+    meets by epoch, then batch, then a trial's build; among trials whose
+    losses turn non-finite in the same batch, the lowest trial index's loss is
+    reported. The error is that trial's own one-trial error.
     """
+    stacked = learning_rates is not None
+    lrs = np.asarray(learning_rates if stacked else [config.learning_rate], dtype=float).reshape(-1)
+    ends = np.asarray(epochs if stacked else [config.epochs], dtype=int).reshape(-1)
+    if lrs.size == 0 or lrs.size != ends.size or ends.min() < 1:
+        raise ValueError(f"need matching learning rates and epochs >= 1, got {lrs.size} and {ends.tolist()}")
     order = np.argsort(-ends, kind="stable")
     lrs, ends = lrs[order], ends[order]
     params = {k: np.repeat(np.asarray(v, dtype=float)[None], order.size, axis=0) for k, v in init.items()}
@@ -171,15 +163,15 @@ def _fit_stack(init: dict, batch_grads, build, t_total: int, batch_size: int, lr
     live, epoch = order.size, 0
     while live:
         total = np.zeros(live)
-        for bi, start in enumerate(range(0, t_total, batch_size)):
-            rows = slice(start, start + batch_size)
+        for bi, start in enumerate(range(0, t_total, config.batch_size)):
+            rows = slice(start, start + config.batch_size)
             # The first batch's one-trial losses and gradients broadcast over the stack.
             stack = params if epoch or bi else {k: v[:1] for k, v in params.items()}
             losses, grads = batch_grads(stack, rows, epoch, bi)
             batch_loss = losses.mean(axis=1)
             bad = np.flatnonzero(~np.isfinite(batch_loss))
             if bad.size:
-                loss = float(batch_loss[bad[0]])
+                loss = float(batch_loss[bad[np.argmin(order[bad])]])
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {bi} ({label})")
             total += losses.sum(axis=1)
             for k, g in grads.items():
@@ -193,18 +185,15 @@ def _fit_stack(init: dict, batch_grads, build, t_total: int, batch_size: int, lr
         params = {k: v[:live] for k, v in params.items()}
         for st in states.values():
             st.m, st.v = st.m[:live], st.v[:live]
-    return models, traces
+    return (models, traces) if stacked else (models[0], traces[0])
 
 
 def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig, learning_rates=None, epochs=None):
     """Mini-batch Adam on the configured per-sample loss.
 
     features: (T, n_assets, n_features); targets: (T, n_assets) next-day simple
-    returns. Returns (LinearPredictor, per-epoch mean loss trace). Given
-    learning_rates and epochs, trains one trial per pair in a single stacked
-    pass (config's own learning rate and epochs are not used) and returns a
-    list of models and a list of traces; each equals the one-trial result bit
-    for bit.
+    returns. Returns (LinearPredictor, per-epoch mean loss trace), or given
+    learning_rates and epochs, one stacked pass's models and traces (fit_adam).
     """
     x, y = check_samples(features, targets, config.batch_size)
     t_total, n, d = x.shape
@@ -243,18 +232,8 @@ def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig, learni
             raise TrainingError("non-finite parameters after training")
         return LinearPredictor(theta=theta, intercept=float(intercept))
 
-    stacked = learning_rates is not None
-    models, traces = fit_adam(
-        {"theta": np.zeros(d), "intercept": np.zeros(1)},
-        batch_grads,
-        build,
-        t_total,
-        config.batch_size,
-        learning_rates if stacked else [config.learning_rate],
-        epochs if stacked else [config.epochs],
-        config.loss_kind,
-    )
-    return (models, traces) if stacked else (models[0], traces[0])
+    init = {"theta": np.zeros(d), "intercept": np.zeros(1)}
+    return fit_adam(init, batch_grads, build, t_total, config, config.loss_kind, learning_rates, epochs)
 
 
 def _repeat_rows(a: np.ndarray, k: int) -> np.ndarray:
@@ -273,8 +252,8 @@ class SearchSpace:
     def __post_init__(self):
         if not 0 < self.lr_min <= self.lr_max:
             raise ValueError("need 0 < lr_min <= lr_max")
-        if not 1 <= self.epochs_min <= self.epochs_max:
-            raise ValueError("need 1 <= epochs_min <= epochs_max")
+        if not 1 <= self.epochs_min <= self.epochs_max <= MAX_EPOCHS:
+            raise ValueError(f"need 1 <= epochs_min <= epochs_max <= {MAX_EPOCHS}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
 

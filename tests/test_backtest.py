@@ -393,6 +393,11 @@ class TestRunBacktest:
         with pytest.raises(ValueError, match="duplicate"):
             run_backtest(frame, roster, cfg)
 
+    def test_config_validation(self):
+        day = date(2016, 1, 4)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            BacktestConfig(start=day, end=day, batch_size=0)
+
     def test_default_roster_has_nine(self):
         roster = default_roster()
         assert len(roster) == 9

@@ -3,8 +3,9 @@
 train and train_dfl with learning_rates/epochs run all trials through one
 mini-batch loop with a leading trial axis. The search keeps the winning
 trial's model, so the stacked result has to be the one-trial result bit for
-bit: parameters, intercept and loss trace, and on divergence the same error
-that a loop over the trials raises first.
+bit: parameters, intercept and loss trace. A failing pass raises the first
+fault it meets by epoch, then batch, then a trial's end-of-training check,
+and that error is the one-trial error of a failing trial.
 """
 
 from dataclasses import replace
@@ -100,15 +101,23 @@ def bits(model) -> dict:
     }
 
 
-def assert_trials_match(fit, one, lrs, epochs):
-    """The stacked call gives each trial's one-trial result, or the error a loop over the trials raises."""
+def error_of(call, *args):
+    """The exception call(*args) raises, or None."""
     try:
-        for lr, ep in zip(lrs, epochs):
-            one(lr, ep)
+        call(*args)
     except Exception as exc:  # noqa: BLE001
+        return exc
+    return None
+
+
+def assert_trials_match(fit, one, lrs, epochs):
+    """The stacked call gives each trial's one-trial result, or one failing trial's one-trial error."""
+    errors = [error_of(one, lr, ep) for lr, ep in zip(lrs, epochs)]
+    errors = {(type(e), str(e)) for e in errors if e is not None}
+    if errors:
         with pytest.raises(Exception) as info:
             fit(np.array(lrs), np.array(epochs))
-        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        assert (type(info.value), str(info.value)) in errors
         return
     models, traces = fit(np.array(lrs), np.array(epochs))
     assert len(models) == len(traces) == len(lrs)
@@ -190,123 +199,75 @@ def test_trial_does_not_depend_on_its_companions(kind, probe, first, second, at,
     assert results[0] == results[1]
 
 
-def first_error(one, lrs, epochs):
-    """The error a loop over the trials raises: the earliest failing trial's first one."""
-    for lr, ep in zip(lrs, epochs):
-        try:
-            one(lr, ep)
-        except Exception as exc:  # noqa: BLE001
-            return exc
-    raise AssertionError("no trial failed")
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["spo_plus", "robust_spo", "softmax_max_return"])
 def test_earliest_failing_trial_decides_the_error(kind):
-    # Day 40 (batch 2 of 16-day batches) is poisoned, so every trial that gets
-    # that far fails there. Trials 1 and 2 step to non-finite parameters at
-    # once and fail at batch 1, earlier in the pass than trial 0. A loop over
-    # the trials raises trial 0's error.
+    # Day 40 (batch 2 of 16-day batches) is poisoned, so trial 0 fails there.
+    # Trials 1 and 2 step to non-finite parameters at once and fail at batch
+    # 1, earlier in the pass, so the stacked pass raises trial 1's error.
     x, y = make_data(3, 60, 4, 3)
     x[40, 0, 0] = np.nan
     fit, one = trainer(kind, x, y, 16, 3)
     lrs, epochs = [0.01, np.inf, np.inf], [2, 3, 1]
-    expected = first_error(one, lrs, epochs)
-    assert isinstance(expected, TrainingError)
-    assert str(expected).startswith("non-finite loss nan at epoch 0, batch 2")
-    with pytest.raises(type(expected)) as info:
+    errors = [error_of(one, lr, ep) for lr, ep in zip(lrs, epochs)]
+    label = "max_return" if kind.startswith("softmax") else kind
+    assert str(errors[0]) == f"non-finite loss nan at epoch 0, batch 2 ({label})"
+    with pytest.raises(type(errors[1])) as info:
         fit(np.array(lrs), np.array(epochs))
-    assert str(info.value) == str(expected)
-    # without trial 0 the loop raises trial 1's error, the stacked pass too
-    expected = first_error(one, lrs[1:], epochs[1:])
-    with pytest.raises(type(expected)) as info:
-        fit(np.array(lrs[1:]), np.array(epochs[1:]))
-    assert str(info.value) == str(expected)
-    assert str(expected) != str(first_error(one, lrs, epochs))
+    assert str(info.value) == str(errors[1]) != str(errors[0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failure_after_training_ranks_by_trial():
-    # Trial 1 ends with non-finite parameters after its only batch; trial 0
-    # fails later in the pass, at its second epoch's loss.
+    # Trial 1 ends with non-finite parameters after its only batch, at the end
+    # of epoch 0; trial 0 fails later in the pass, at its second epoch's loss.
     x, y = make_data(4, 16, 3, 2)
     fit, one = trainer("spo_plus", x, y, 16, 4)
     lrs, epochs = [np.inf, np.inf], [2, 1]
-    expected = first_error(one, lrs, epochs)
-    assert str(expected).startswith("non-finite loss nan at epoch 1, batch 0")
-    with pytest.raises(TrainingError) as info:
+    assert str(error_of(one, lrs[0], epochs[0])) == "non-finite loss nan at epoch 1, batch 0 (spo_plus)"
+    assert str(error_of(one, lrs[1], epochs[1])) == "non-finite parameters after training"
+    with pytest.raises(TrainingError, match="^non-finite parameters after training$"):
         fit(np.array(lrs), np.array(epochs))
-    assert str(info.value) == str(expected)
-    assert str(first_error(one, lrs[1:], epochs[1:])) == "non-finite parameters after training"
+
+
+def test_same_batch_failures_report_the_lowest_trial():
+    # After one Adam step theta equals the learning rate: trial 2 then has an
+    # infinite loss, trial 1 a negative infinite one, trial 0 a finite one.
+    # Trial 2 trains longest, so it leads the stack, yet trial 1 is reported.
+    def batch_grads(params, rows, epoch, batch):
+        theta = params["theta"]
+        losses = np.where(theta > 0.5, np.inf, np.where(theta > 0.2, -np.inf, theta))
+        return losses, {"theta": -np.ones_like(theta)}
+
+    config = TrainConfig(batch_size=1)
+    with pytest.raises(TrainingError) as info:
+        fit_adam({"theta": np.zeros(1)}, batch_grads, lambda p: p, 2, config, "toy", [0.1, 0.3, 0.7], [1, 2, 3])
+    assert str(info.value) == "non-finite loss -inf at epoch 0, batch 1 (toy)"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind,name", [("spo_plus", "train"), ("softmax_max_return", "train_dfl")])
 def test_diverging_search_fails_the_strategy_like_a_trial_loop(monkeypatch, kind, name):
     # The backtest's ledger line for a search whose trial 1 diverges at once
-    # while trial 0 meets a poisoned training day later, stacked and looped.
+    # while trial 0 meets a poisoned training day later: trial 1 fails first.
     frame, _, _ = generate_synthetic(SyntheticSpec(n_assets=4, n_days=480, seed=11))
     config = BacktestConfig(
         start=frame.dates[260], end=frame.dates[280], search=SearchSpace(n_trials=3, epochs_min=2, epochs_max=3)
     )
     real = getattr(bt, name)
-    at = 2 if name == "train" else 3  # position of the config argument
 
-    def poison(args, kwargs):
+    def poisoned(*args, learning_rates, **kwargs):
         x = args[0].copy()
         x[140, 0, 0] = np.nan  # batch 2 of 63-day batches
-        lrs = np.array(kwargs.pop("learning_rates"))
+        lrs = np.array(learning_rates)
         lrs[1] = np.inf
-        return (x, *args[1:]), kwargs, lrs, kwargs.pop("epochs")
+        return real(x, *args[1:], **kwargs, learning_rates=lrs)
 
-    def stacked(*args, **kwargs):
-        args, kwargs, lrs, epochs = poison(args, kwargs)
-        return real(*args, **kwargs, learning_rates=lrs, epochs=epochs)
-
-    def looped(*args, **kwargs):
-        args, kwargs, lrs, epochs = poison(args, kwargs)
-        results = []
-        for lr, ep in zip(lrs, epochs):
-            one = list(args)
-            one[at] = replace(args[at], learning_rate=float(lr), epochs=int(ep))
-            results.append(real(*one, **kwargs))
-        return [m for m, _ in results], [t for _, t in results]
-
+    monkeypatch.setattr(bt, name, poisoned)
+    error = run_backtest(frame, (StrategySpec(kind, kind),), config)[kind].error
     first = bt.rebalance_dates(frame, config)[0]
-    errors = []
-    for wrapper in (stacked, looped):
-        monkeypatch.setattr(bt, name, wrapper)
-        ledgers = run_backtest(frame, (StrategySpec(kind, kind),), config)
-        errors.append(ledgers[kind].error)
-    assert errors[0] == errors[1]
-    label = kind if name == "train" else MAX_RETURN_LOSS
-    assert errors[0] == f"rebalance {first} (decide): TrainingError: non-finite loss nan at epoch 0, batch 2 ({label})"
-
-
-def test_a_failure_of_the_stack_alone_returns_the_trial_loop_results():
-    # batch_grads raises whenever it gets more than one trial and never for a
-    # trial alone, so fit_adam returns what the loop over the trials returns.
-    x, y = make_data(6, 40, 3, 2)
-
-    def least_squares(params, rows, epoch, batch):
-        xb, yb = x[rows], y[rows]
-        resid = (xb[None] @ params["theta"][:, None, :, None])[..., 0] - yb
-        return (resid * resid).sum(axis=2), {"theta": 2.0 * np.einsum("tbi,bid->td", resid, xb) / len(xb)}
-
-    def one_at_a_time(params, rows, epoch, batch):
-        if params["theta"].shape[0] > 1:
-            raise RuntimeError("stacked batch failed")
-        return least_squares(params, rows, epoch, batch)
-
-    def fit(batch_grads, lrs, epochs):
-        return fit_adam({"theta": np.zeros(2)}, batch_grads, lambda p: p["theta"], 40, 16, lrs, epochs, "lsq")
-
-    lrs, epochs = [0.01, 0.03, 0.002], [2, 3, 1]
-    models, traces = fit(one_at_a_time, lrs, epochs)
-    for i, (lr, ep) in enumerate(zip(lrs, epochs)):
-        (model,), (trace,) = fit(least_squares, [lr], [ep])
-        assert models[i].tobytes() == model.tobytes()
-        assert traces[i] == trace
-    # the same trials stacked without the failure give the same models
-    stacked, _ = fit(least_squares, lrs, epochs)
-    assert [m.tobytes() for m in stacked] == [m.tobytes() for m in models]
+    fault = {
+        "train": f"TrainingError: non-finite loss nan at epoch 0, batch 1 ({kind})",
+        "train_dfl": "ValueError: predictor parameters must be finite",
+    }[name]
+    assert error == f"rebalance {first} (decide): {fault}"

@@ -7,6 +7,7 @@ from dfolio.market_data import SyntheticSpec, compute_returns, generate_syntheti
 from dfolio.solvers import DecisionProblem, Portfolio, MAX_RETURN_FEE, MAX_RETURN_FEE_L2
 from dfolio.spo import RobustConfig
 from dfolio.training import (
+    MAX_EPOCHS,
     MSE,
     ROBUST_SPO,
     SCORE_TIE_TOL,
@@ -222,6 +223,9 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(loss_kind=ROBUST_SPO)  # missing robust config
+        with pytest.raises(ValueError, match="epochs_max <= 1000"):
+            SearchSpace(epochs_max=MAX_EPOCHS + 1)
+        assert SearchSpace(epochs_max=MAX_EPOCHS).epochs_max == MAX_EPOCHS
 
 
 class TestSearch:
