@@ -210,7 +210,7 @@ def test_earliest_failing_trial_decides_the_error(kind):
     fit, one = trainer(kind, x, y, 16, 3)
     lrs, epochs = [0.01, np.inf, np.inf], [2, 3, 1]
     errors = [error_of(one, lr, ep) for lr, ep in zip(lrs, epochs)]
-    label = "max_return" if kind.startswith("softmax") else kind
+    label = MAX_RETURN_LOSS if kind.startswith("softmax") else kind
     assert str(errors[0]) == f"non-finite loss nan at epoch 0, batch 2 ({label})"
     with pytest.raises(type(errors[1])) as info:
         fit(np.array(lrs), np.array(epochs))
