@@ -12,7 +12,7 @@ every rebalance, uniformly across strategies.
 from __future__ import annotations
 
 import calendar
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from datetime import MINYEAR, date
 
 import numpy as np
@@ -44,7 +44,7 @@ from .training import (
     train,
     validation_score,
 )
-from .util import ConfigError, DfolioError, span_indices, stable_seed
+from .util import ConfigError, DfolioError, at_least, check_fields, span_indices, stable_seed
 
 STRAT_SPO_PLUS = "spo_plus"
 STRAT_SPO_FEE = "spo_plus_fee"
@@ -79,22 +79,20 @@ class StrategySpec:
     lam: float = 0.0
     rho: float = 0.0
     hidden: int = 32
+    # (field, holds, reason) rules, all checked at once by util.check_fields. A
+    # field the kind does not read keeps its default (an unknown kind reads all).
+    CHECKS = (
+        ("kind", lambda v: v["kind"] in KIND_FIELDS, "unknown strategy kind {kind!r}"),
+        *((f, lambda v, f=f, d=d: v[f] == d or f in KIND_FIELDS.get(v["kind"], (f,)), "{kind} does not read it")
+          for f, d in (("gamma", gamma), ("lam", lam), ("rho", rho), ("hidden", hidden))),
+        *at_least(0.0, "gamma", "lam"),
+        ("lam", lambda v: v["kind"] != STRAT_SPO_FEE_L2 or v["lam"] > 0, "spo_plus_fee_l2 requires lam > 0"),
+        ("rho", lambda v: v["kind"] != STRAT_ROBUST or v["rho"] > 0, "robust_spo requires rho > 0"),
+        *at_least(1, "hidden"),
+    )
 
     def __post_init__(self):
-        if self.kind not in KIND_FIELDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        read = ("name", "kind", *KIND_FIELDS[self.kind])
-        unread = [f.name for f in fields(self) if f.name not in read and getattr(self, f.name) != f.default]
-        if unread:
-            raise ValueError(f"strategy {self.name}: {self.kind} does not read {', '.join(unread)}")
-        if self.gamma < 0 or self.lam < 0:
-            raise ValueError(f"strategy {self.name}: gamma/lam must be >= 0")
-        if self.kind == STRAT_ROBUST and self.rho <= 0:
-            raise ValueError(f"strategy {self.name}: robust_spo requires rho > 0")
-        if self.kind == STRAT_SPO_FEE_L2 and self.lam <= 0:
-            raise ValueError(f"strategy {self.name}: fee+l2 oracle requires lam > 0")
-        if self.hidden < 1:
-            raise ValueError(f"strategy {self.name}: hidden must be >= 1")
+        check_fields(vars(self), self.CHECKS)
 
 
 def default_roster() -> tuple[StrategySpec, ...]:
@@ -122,16 +120,14 @@ class BacktestConfig:
     seed: int = 0
     batch_size: int = 63
     search: SearchSpace = SearchSpace()  # each window draws from a seed of (seed, strategy, date)
+    CHECKS = (
+        ("start", lambda v: v["start"] <= v["end"], "must be <= end"),
+        *at_least(1, "train_months", "validation_months", "batch_size"),
+        *at_least(0.0, "fee_rate"),
+    )
 
     def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError("start must be <= end")
-        if self.fee_rate < 0:
-            raise ValueError("fee_rate must be >= 0")
-        if self.train_months < 1 or self.validation_months < 1:
-            raise ValueError("window months must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_fields(vars(self), self.CHECKS)
 
     @property
     def lookback_months(self) -> int:

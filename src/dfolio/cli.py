@@ -22,7 +22,9 @@ import sys
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
+from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 from .backtest import BacktestConfig, StrategySpec, default_roster, rebalance_dates, run_backtest
 from .features import compute_indicators, write_features_csv
@@ -40,21 +42,9 @@ from .reports import (
     write_plotdata,
     write_weights_csv,
 )
-from .training import MAX_EPOCHS, SearchSpace
-from .util import ConfigError, DfolioError, UsageError
+from .training import SearchSpace
+from .util import ConfigError, DfolioError, UsageError, check_fields
 
-
-# The config parser reads these straight off the dataclasses, so it cannot drift from them.
-SPEC_FIELDS = tuple(f.name for f in fields(StrategySpec))
-SPEC_REQUIRED = tuple(f.name for f in fields(StrategySpec) if f.default is MISSING)
-DEFAULTS = {
-    "backtest": {f.name: f.default for f in fields(BacktestConfig)},
-    "search": {f.name: f.default for f in fields(SearchSpace)},
-}
-# Type checks ahead of StrategySpec's own value checks: a wrong type there fails
-# only at the first rebalance, or is coerced silently (True as rho 1.0).
-SPEC_NUMBERS = ("gamma", "lam", "rho")
-SPEC_COUNTS = ("hidden",)
 # The longest file name most file systems take, in bytes.
 NAME_MAX = 255
 
@@ -77,7 +67,7 @@ def _parse_iso(value, key: str, errors: list[str]) -> date | None:
         return None
 
 
-def _check_number(value, key: str, errors: list[str], minimum=None, integer=False, maximum=None):
+def _check_number(value, key: str, errors: list[str], minimum=None, integer=False):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         errors.append(f"{key}: expected a number, got {value!r}")
         return None
@@ -90,10 +80,46 @@ def _check_number(value, key: str, errors: list[str], minimum=None, integer=Fals
     if minimum is not None and value < minimum:
         errors.append(f"{key}: must be >= {minimum}, got {value!r}")
         return None
-    if maximum is not None and value > maximum:
-        errors.append(f"{key}: must be <= {maximum}, got {value!r}")
-        return None
     return int(value) if integer else float(value)
+
+
+def _check_text(value, key: str, errors: list[str]) -> str | None:
+    # A lone surrogate from a JSON escape is the one str that UTF-8, which the writers need, cannot encode.
+    if isinstance(value, str) and not any("\ud800" <= c <= "\udfff" for c in value):
+        return value
+    errors.append(f"{key}: expected {'UTF-8 text' if isinstance(value, str) else 'a string'}, got {value!r}")
+    return None
+
+
+# The type check of a config value by its field's annotation: the value, or None after an error.
+READERS = {int: partial(_check_number, integer=True), float: _check_number, date: _parse_iso, str: _check_text}
+
+
+def _read_section(cls, raw, key: str, errors: list[str], set_elsewhere=()) -> dict | None:
+    """The keyword arguments of dataclass `cls` read from the JSON object `raw`, or None after errors.
+
+    Every key must name a field of `cls` outside `set_elsewhere`; a field left
+    out takes its default. Each value is checked by its field's annotation,
+    then all of them by `cls.CHECKS`, every fault reported as `<key>.<field>: ...`.
+    """
+    if not isinstance(raw, dict):
+        errors.append(f"{key}: expected an object")
+        return None
+    own = {f.name: f.default for f in fields(cls) if f.name not in set_elsewhere}
+    found = [f"{key}.{name}: unknown field" for name in raw if name not in own]
+    found += [f"{key}.{name}: required" for name, default in own.items() if default is MISSING and name not in raw]
+    values = {name: default for name, default in own.items() if default is not MISSING and name not in raw}
+    types = get_type_hints(cls)
+    for name in (name for name in own if name in raw):
+        value = READERS[types[name]](raw[name], f"{key}.{name}", found)
+        if value is not None:
+            values[name] = value
+    try:
+        check_fields(values, cls.CHECKS)
+    except ConfigError as exc:
+        found += [f"{key}.{fault}" for fault in exc.args]
+    errors += found
+    return None if found else values
 
 
 def _check_dir(value, key: str, errors: list[str]) -> None:
@@ -140,31 +166,10 @@ def _build_roster(raw, errors: list[str]) -> tuple[StrategySpec, ...]:
             errors.append(f"{key}: expected a name or an object")
             continue
         if "kind" not in item and isinstance(item.get("name"), str) and item["name"] in defaults:
-            base = defaults[item["name"]]
-            item = {**base.__dict__, **item}
-        for fld in SPEC_REQUIRED:
-            if fld not in item:
-                errors.append(f"{key}.{fld}: required")
-        for u in sorted(set(item) - set(SPEC_FIELDS)):
-            errors.append(f"{key}.{u}: unknown field")
-        kwargs = {fld: item[fld] for fld in SPEC_FIELDS if fld in item}
-        n_errors = len(errors)
-        name = kwargs.get("name", "")
-        if not isinstance(name, str):
-            errors.append(f"{key}.name: expected a string, got {name!r}")
-        else:
-            try:
-                name.encode()
-            except UnicodeEncodeError:  # a lone surrogate from a JSON escape; the writers need UTF-8
-                errors.append(f"{key}.name: expected UTF-8 text, got {name!r}")
-        for fld in SPEC_NUMBERS + SPEC_COUNTS:
-            if fld in kwargs:
-                kwargs[fld] = _check_number(kwargs[fld], f"{key}.{fld}", errors, integer=fld in SPEC_COUNTS)
-        if len(errors) == n_errors and all(fld in kwargs for fld in SPEC_REQUIRED):
-            try:
-                roster.append(StrategySpec(**kwargs))
-            except (TypeError, ValueError) as exc:
-                errors.append(f"{key}: {exc}")
+            item = {**vars(defaults[item["name"]]), **item}
+        values = _read_section(StrategySpec, item, key, errors)
+        if values is not None:
+            roster.append(StrategySpec(**values))
     names = [s.name for s in roster]
     if len(set(names)) != len(names):
         errors.append("strategies: duplicate names")
@@ -177,17 +182,23 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
     Returns the RunConfig, or raises one ConfigError that carries every fault
     found, one message each, keyed like `backtest.start` or `strategies[0].rho`.
     """
-    errors: list[str] = []
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path} ({exc.strerror})") from None
+    repeated = []  # json.loads alone keeps the last value of a key given twice in one object
+
+    def unique_keys(pairs):
+        repeated.extend(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        return dict(pairs)
+
     try:
-        raw = json.loads(data)
+        raw = json.loads(data, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    errors = [f"repeated key {key!r}" for key in repeated]
 
     known = {"data_dir", "output_dir", "universe", "seed", "backtest", "search", "strategies", "report_spans"}
     for u in sorted(set(raw) - known):
@@ -200,41 +211,11 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
         _check_dir(data_dir, "data_dir", errors)
     output_dir = out_override or raw.get("output_dir", "dfolio_out")
     _check_dir(output_dir, "output_dir", errors)
-    seed = seed_override if seed_override is not None else raw.get("seed", DEFAULTS["backtest"]["seed"])
+    seed = seed_override if seed_override is not None else raw.get("seed", BacktestConfig.seed)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         errors.append(f"seed: expected a non-negative integer, got {seed!r}")
-        seed = 0
-
-    bt = raw.get("backtest", {})
-    if not isinstance(bt, dict):
-        errors.append("backtest: expected an object")
-        bt = {}
-    start = _parse_iso(bt.get("start"), "backtest.start", errors)
-    end = _parse_iso(bt.get("end"), "backtest.end", errors)
-
-    def number(section: dict, key: str, name: str, **check):
-        return _check_number(section.get(name, DEFAULTS[key][name]), f"{key}.{name}", errors, **check)
-
-    backtest = {
-        "fee_rate": number(bt, "backtest", "fee_rate", minimum=0.0),
-        "train_months": number(bt, "backtest", "train_months", minimum=1, integer=True),
-        "validation_months": number(bt, "backtest", "validation_months", minimum=1, integer=True),
-        "batch_size": number(bt, "backtest", "batch_size", minimum=1, integer=True),
-    }
-
-    search = raw.get("search", {})
-    if not isinstance(search, dict):
-        errors.append("search: expected an object")
-        search = {}
-    lr_min = number(search, "search", "lr_min", minimum=0.0)
-    lr_max = number(search, "search", "lr_max", minimum=0.0)
-    if lr_min is not None and lr_max is not None and not 0 < lr_min <= lr_max:
-        errors.append("search.lr_min: need 0 < lr_min <= lr_max")
-    epochs_min = number(search, "search", "epochs_min", minimum=1, integer=True, maximum=MAX_EPOCHS)
-    epochs_max = number(search, "search", "epochs_max", minimum=1, integer=True, maximum=MAX_EPOCHS)
-    if epochs_min is not None and epochs_max is not None and epochs_min > epochs_max:
-        errors.append("search.epochs_min: must be <= search.epochs_max")
-    n_trials = number(search, "search", "n_trials", minimum=1, integer=True)
+    backtest = _read_section(BacktestConfig, raw.get("backtest", {}), "backtest", errors, ("seed", "search"))
+    search = _read_section(SearchSpace, raw.get("search", {}), "search", errors)
 
     roster = _build_roster(raw.get("strategies", "default"), errors)
     if strategy_filter:
@@ -290,16 +271,11 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
 
     if errors:
         raise ConfigError(*errors)
-    if start > end:
-        raise ConfigError("backtest.start: must be <= backtest.end")
-
-    space = SearchSpace(lr_min=lr_min, lr_max=lr_max, epochs_min=epochs_min, epochs_max=epochs_max, n_trials=n_trials)
-    config = BacktestConfig(start=start, end=end, seed=seed, search=space, **backtest)
     return RunConfig(
         data_dir=Path(data_dir),
         output_dir=Path(output_dir),
         universe=universe,
-        backtest=config,
+        backtest=BacktestConfig(**backtest, seed=seed, search=SearchSpace(**search)),
         roster=roster,
         report_spans=spans,
     )

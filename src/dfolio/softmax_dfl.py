@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solvers import Portfolio, estimate_covariance
-from .training import LinearPredictor, TrainConfig, check_finite, check_samples, fit_adam
+from .training import LinearPredictor, TrainConfig, check_samples, fit_adam
 from .util import derived_rng
 
 MAX_RETURN_LOSS = "max_return"
@@ -127,7 +127,12 @@ def batch_gradients(params: dict, xb: np.ndarray, yb: np.ndarray, kind: str, sig
 
     params is a stack of allocators (leading trial axis); so is every gradient.
     """
-    check_finite(params["theta"], params["intercept"])
+    finite = np.logical_and.reduce([np.isfinite(v).reshape(len(v), -1).all(axis=1) for v in params.values()])
+    if not finite.all():  # a diverged trial's loss is nan; fit_adam stops at this batch, so no gradients
+        losses = np.full((finite.size, xb.shape[0]), np.nan)
+        z = _forward({k: v[finite] for k, v in params.items()}, xb)[-1]
+        losses[finite] = _loss_and_weight_grad(z, yb, kind, sigma)[0]
+        return losses, {}
     r_hat, pre1, h, _, z = _forward(params, xb)
     losses, dz = _loss_and_weight_grad(z, yb, kind, sigma)
     b = xb.shape[0]

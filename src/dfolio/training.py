@@ -25,7 +25,7 @@ import numpy as np
 
 from .solvers import MAX_RETURN, DecisionProblem, argmax_batch
 from .spo import RobustConfig, perturbation_set, robust_max_return_batch, robust_spo_batch, spo_plus_batch
-from .util import DfolioError, derived_rng, stable_seed
+from .util import DfolioError, at_least, at_most, check_fields, derived_rng, stable_seed
 
 MSE = "mse"
 SPO_PLUS = "spo_plus"
@@ -34,7 +34,7 @@ LOSS_KINDS = (MSE, SPO_PLUS, ROBUST_SPO)
 
 # A search score within SCORE_TIE_TOL * max(1, |best|) of the best ties with it.
 SCORE_TIE_TOL = 1e-12
-# The most epochs a training run may take; the backtest config checks it too.
+# The most epochs a training run may take; SearchSpace checks it too.
 MAX_EPOCHS = 1000
 
 
@@ -49,13 +49,8 @@ class LinearPredictor:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float).reshape(-1)
-        check_finite(self.theta, self.intercept)
-
-
-def check_finite(theta, intercept) -> None:
-    """Reject non-finite predictor parameters (one predictor's or a stack's)."""
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(intercept))):
-        raise ValueError("predictor parameters must be finite")
+        if not (np.all(np.isfinite(self.theta)) and np.all(np.isfinite(self.intercept))):
+            raise ValueError("predictor parameters must be finite")
 
 
 def predict(model: LinearPredictor, features: np.ndarray) -> np.ndarray:
@@ -249,13 +244,15 @@ class SearchSpace:
     epochs_max: int = 40
     n_trials: int = 20
 
+    CHECKS = (
+        ("lr_min", lambda v: 0 < v["lr_min"] <= v["lr_max"], "need 0 < lr_min <= lr_max"),
+        *at_least(1, "epochs_min", "epochs_max", "n_trials"),
+        *at_most(MAX_EPOCHS, "epochs_min", "epochs_max"),
+        ("epochs_min", lambda v: v["epochs_min"] <= v["epochs_max"], "must be <= epochs_max"),
+    )
+
     def __post_init__(self):
-        if not 0 < self.lr_min <= self.lr_max:
-            raise ValueError("need 0 < lr_min <= lr_max")
-        if not 1 <= self.epochs_min <= self.epochs_max <= MAX_EPOCHS:
-            raise ValueError(f"need 1 <= epochs_min <= epochs_max <= {MAX_EPOCHS}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
+        check_fields(vars(self), self.CHECKS)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Small shared helpers: the error base classes, date spans, deterministic RNG derivation, the long-table CSV writer."""
+"""Small shared helpers: the error base classes, the config field rules, date spans, deterministic RNG derivation, the long-table CSV writer."""
 
 from __future__ import annotations
 
@@ -30,6 +30,31 @@ class ConfigError(UsageError):
 
     def __str__(self) -> str:
         return "\n".join(map(str, self.args))
+
+
+def check_fields(values: dict, rules) -> None:
+    """Raise one ConfigError with a `<field>: <reason>` line for every rule that `values` breaks.
+
+    A rule is (field, holds, reason): holds(values) is true for good values, and reason is formatted
+    with them. A rule that reads a value left out is skipped, so a reader can leave out what it rejected.
+    """
+    faults = []
+    for name, holds, reason in rules:
+        try:
+            if not holds(values):
+                faults.append(f"{name}: {reason.format(**values)}")
+        except KeyError:  # the rule reads a value left out
+            pass
+    if faults:
+        raise ConfigError(*faults)
+
+
+def at_least(minimum, *names: str) -> list[tuple]:
+    return [(n, lambda v, n=n: v[n] >= minimum, f"must be >= {minimum}, got {{{n}!r}}") for n in names]
+
+
+def at_most(maximum, *names: str) -> list[tuple]:
+    return [(n, lambda v, n=n: v[n] <= maximum, f"must be <= {maximum}, got {{{n}!r}}") for n in names]
 
 
 def span_indices(dates: Sequence[date], start: date | None, end: date | None) -> range:

@@ -19,6 +19,7 @@ from dfolio.backtest import (
 from dfolio.market_data import MarketFrame, SyntheticSpec, business_days, generate_synthetic
 from dfolio.solvers import Portfolio
 from dfolio.training import SearchSpace
+from dfolio.util import ConfigError
 
 FAST = dict(search=SearchSpace(n_trials=2, epochs_min=2, epochs_max=3))
 
@@ -395,8 +396,28 @@ class TestRunBacktest:
 
     def test_config_validation(self):
         day = date(2016, 1, 4)
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        with pytest.raises(ValueError, match="^batch_size: must be >= 1, got 0$"):
             BacktestConfig(start=day, end=day, batch_size=0)
+
+    @pytest.mark.parametrize(
+        "build, faults",
+        [
+            (lambda: BacktestConfig(start=date(2016, 1, 4), end=date(2015, 1, 2), validation_months=0, fee_rate=-1.0),
+             ["start: must be <= end", "validation_months: must be >= 1, got 0", "fee_rate: must be >= 0.0, got -1.0"]),
+            (lambda: SearchSpace(lr_min=0.1, lr_max=0.01, epochs_min=9, epochs_max=8, n_trials=0),
+             ["lr_min: need 0 < lr_min <= lr_max", "n_trials: must be >= 1, got 0", "epochs_min: must be <= epochs_max"]),
+            (lambda: StrategySpec("lin", "spo_plus", gamma=-0.5, rho=0.1),
+             ["gamma: spo_plus does not read it", "rho: spo_plus does not read it", "gamma: must be >= 0.0, got -0.5"]),
+            (lambda: StrategySpec("rob", "robust_spo", hidden=0),
+             ["hidden: robust_spo does not read it", "rho: robust_spo requires rho > 0", "hidden: must be >= 1, got 0"]),
+            (lambda: StrategySpec("x", "nope"), ["kind: unknown strategy kind 'nope'"]),
+        ],
+        ids=["backtest", "search", "strategy", "robust", "kind"],
+    )
+    def test_config_dataclass_reports_every_fault_by_field(self, build, faults):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert list(info.value.args) == faults
 
     def test_default_roster_has_nine(self):
         roster = default_roster()

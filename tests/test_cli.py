@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from dfolio import backtest, cli
 from dfolio.backtest import BacktestConfig, BacktestLedger, default_roster
 from dfolio.metrics import MetricsRow
 from dfolio.reports import read_metrics_json, run_drift
+from dfolio.training import SearchSpace
 
 from oracles import (
     read_hparams_csv,
@@ -728,7 +730,40 @@ class TestErrorPolicy:
         monkeypatch.setattr(cli, "load_series", no_reading)
         cfg = write_config(tmp_path, tmp_path / "data", tmp_path / "o", strategies=["max_sharpe", strategy])
         assert run_cli(["backtest", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"config error: strategies[1]: strategy {strategy['name']}: {detail}\n"
+        kind, unread = detail.split(" does not read ")
+        assert capsys.readouterr().err == "".join(
+            f"config error: strategies[1].{name}: {kind} does not read it\n" for name in unread.split(", ")
+        )
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("backtest", "fee_rte", 0.5), ("search", "n_trails", 1), ("backtest", "seed", 3)],
+        ids=["fee_rte", "n_trails", "backtest.seed"],
+    )
+    def test_unknown_section_key_fails_before_reading_data(self, tmp_path, monkeypatch, capsys, section, key, value):
+        # A misspelt key ran on the default it meant to change; seed belongs at the top level.
+        def no_reading(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_series", no_reading)
+        cfg = write_config(tmp_path, tmp_path / "data", tmp_path / "o")
+        raw = json.loads(cfg.read_text())
+        raw[section][key] = value
+        cfg.write_text(json.dumps(raw))
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {section}.{key}: unknown field\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_json_key_fails_before_reading_data(self, tmp_path, monkeypatch, capsys):
+        # json.loads kept the last of the two values without a word.
+        def no_reading(*args):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_series", no_reading)
+        cfg = write_config(tmp_path, tmp_path / "data", tmp_path / "o")
+        cfg.write_text(cfg.read_text().replace('"end": "2016-10-31"', '"end": "2016-10-31", "fee_rate": 0.1, "fee_rate": 0.2'))
+        assert run_cli(["backtest", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: repeated key 'fee_rate'\n"
 
     def test_overflowing_indicator_error_comes_first(self, tmp_path):
         # numpy printed two RuntimeWarnings to stderr ahead of the located error.
@@ -796,3 +831,17 @@ def test_config_defaults_are_the_dataclass_defaults(tmp_path):
     assert (run.universe, run.roster, run.report_spans) == (None, default_roster(), {})
     path.write_text(json.dumps({**json.loads(path.read_text()), "strategies": [asdict(s) for s in default_roster()]}))
     assert cli.load_run_config(path).roster == default_roster()
+
+
+def test_readme_config_schema_loads(tmp_path):
+    # The README's jsonc block, comments stripped, is a valid config, and the
+    # numbers it shows under backtest and search are the dataclass defaults.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(re.sub(r"//.*", "", block))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    cli.load_run_config(path)
+    shown = {k: v for k, v in {**raw["backtest"], **raw["search"]}.items() if k not in ("start", "end")}
+    defaults = {f.name: f.default for cls in (BacktestConfig, SearchSpace) for f in fields(cls)}
+    assert shown == {k: defaults[k] for k in shown}

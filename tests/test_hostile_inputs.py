@@ -8,7 +8,8 @@ SystemExit(2), is the only exception allowed out of `main`.
 `search.n_trials`, a strategy's `hidden`, and the `synth` sizes have no
 upper bound in the program, and a large one allocates until the machine runs
 out of memory, so they are drawn from small ranges. `robust_samples` is no
-longer a strategy field, so it stays among the keys as an unknown one.
+longer a strategy field, so it stays among the keys as an unknown one, as do
+`backtest.seed` (a top-level key) and a misspelt `search.n_trails`.
 """
 
 import contextlib
@@ -103,8 +104,8 @@ def path_values(scratch: Path):
 
 WHERE = (
     ["data_dir", "output_dir", "universe", "seed", "backtest", "search", "strategies", "report_spans"]
-    + [("backtest", k) for k in BASE["backtest"]]
-    + [("search", k) for k in BASE["search"]]
+    + [("backtest", k) for k in [*BASE["backtest"], "seed"]]
+    + [("search", k) for k in [*BASE["search"], "n_trails"]]
     + [("strategy", k) for k in SPEC_KEYS]
 )
 

@@ -223,7 +223,7 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(loss_kind=ROBUST_SPO)  # missing robust config
-        with pytest.raises(ValueError, match="epochs_max <= 1000"):
+        with pytest.raises(ValueError, match="^epochs_max: must be <= 1000, got 1001$"):
             SearchSpace(epochs_max=MAX_EPOCHS + 1)
         assert SearchSpace(epochs_max=MAX_EPOCHS).epochs_max == MAX_EPOCHS
 
