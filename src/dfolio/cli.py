@@ -110,7 +110,7 @@ def _read_section(cls, raw, key: str, errors: list[str], set_elsewhere=()) -> di
     found += [f"{key}.{name}: required" for name, default in own.items() if default is MISSING and name not in raw]
     values = {name: default for name, default in own.items() if default is not MISSING and name not in raw}
     types = get_type_hints(cls)
-    for name in (name for name in own if name in raw):
+    for name in (n for n in own if n in raw):
         value = READERS[types[name]](raw[name], f"{key}.{name}", found)
         if value is not None:
             values[name] = value
@@ -214,7 +214,7 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
     seed = seed_override if seed_override is not None else raw.get("seed", BacktestConfig.seed)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         errors.append(f"seed: expected a non-negative integer, got {seed!r}")
-    backtest = _read_section(BacktestConfig, raw.get("backtest", {}), "backtest", errors, ("seed", "search"))
+    backtest = _read_section(BacktestConfig, raw.get("backtest", {}), "backtest", errors, set_elsewhere=("seed", "search"))
     search = _read_section(SearchSpace, raw.get("search", {}), "search", errors)
 
     roster = _build_roster(raw.get("strategies", "default"), errors)

@@ -1,4 +1,4 @@
-"""Small shared helpers: the error base classes, the config field rules, date spans, deterministic RNG derivation, the long-table CSV writer."""
+"""Small shared helpers: the error base classes, config field rules, date spans, deterministic RNG derivation, the long-table CSV writer."""
 
 from __future__ import annotations
 
