@@ -12,6 +12,7 @@ every rebalance, uniformly across strategies.
 from __future__ import annotations
 
 import calendar
+import math
 from dataclasses import dataclass, field, replace
 from datetime import MINYEAR, date
 
@@ -374,14 +375,14 @@ def accrue(
         )
     )
     w = target.weights.copy()
-    for day, r in zip(day_dates, day_returns):
+    for day, r, gross in zip(day_dates, day_returns, 1.0 + day_returns):
         day_ret = float(w @ r)
         nav *= 1.0 + day_ret
-        if nav <= 0 or not np.isfinite(nav):
+        if not 0.0 < nav < math.inf:  # also a nan NAV
             raise AccountingError(f"NAV {nav} invalid on {day}")
-        w = w * (1.0 + r) / (1.0 + day_ret)
-        ledger.nav_dates.append(day)
+        w = w * gross / (1.0 + day_ret)
         ledger.nav.append(nav)
+    ledger.nav_dates.extend(day_dates)
     ledger.live_weights = w
 
 

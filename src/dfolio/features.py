@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .market_data import MarketFrame, UniverseError, _frozen
+from .market_data import MarketFrame, UniverseError, _adopt
 from .util import DfolioError, span_indices, write_long_csv
 
 # Floor on a fit span's standard deviation, so a constant feature z-scores to 0.
@@ -72,17 +72,9 @@ class FeatureTensor:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        # Adopt memory that a read-only array owns (the results of compute_indicators and
-        # standardize, or a row window of another tensor's features); copy every other
-        # array, which a caller could still write through.
-        owner = feats if feats.base is None else feats.base
-        adopt = (
-            not feats.flags.writeable
-            and isinstance(owner, np.ndarray)
-            and owner.flags.owndata
-            and not owner.flags.writeable
-        )
-        object.__setattr__(self, "features", feats if adopt else _frozen(feats))
+        # The results of compute_indicators and standardize, and row windows of
+        # another tensor's features, are adopted without a copy (`_adopt`).
+        object.__setattr__(self, "features", _adopt(feats))
 
     @property
     def n_features(self) -> int:

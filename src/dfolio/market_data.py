@@ -8,6 +8,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import filterfalse
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -40,6 +41,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
+
+
+def _adopt(a) -> np.ndarray:
+    """`a` itself when nothing can write to its memory, else a read-only copy.
+
+    Adopted are a read-only array that owns its memory and a read-only view
+    of such an array (a row window of another frame or tensor). Every other
+    array is copied, since a caller could still write through it.
+    """
+    a = np.asarray(a, dtype=float)
+    owner = a if a.base is None else a.base
+    if not a.flags.writeable and isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
+        return a
+    return _frozen(a)
 
 
 class AssetBar(NamedTuple):
@@ -103,8 +118,8 @@ class MarketFrame:
             raise ValueError("volume must be finite and >= 0")
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "adj_close", _frozen(ac))
-        object.__setattr__(self, "volume", _frozen(vol))
+        object.__setattr__(self, "adj_close", _adopt(ac))
+        object.__setattr__(self, "volume", _adopt(vol))
 
     @property
     def n_dates(self) -> int:
@@ -191,15 +206,20 @@ def _check_row(path, line_no: int, row: list[str], prev_day: date | None) -> dat
     return day
 
 
-def _parse_columns(rows: list[list[str]]) -> TickerBars:
+def _parse_columns(rows: list[list[str]], calendar: dict[str, date]) -> TickerBars:
     """All rows at once: one numeric conversion, then the bar checks as masks.
 
-    Raises ValueError, without a location, when any row fails any check.
+    `calendar` maps each date string seen so far to its date; the strings it
+    lacks are parsed and added, so tickers that share a calendar share its
+    date objects. Raises ValueError, without a location, when any row fails
+    any check.
     """
     if set(map(len, rows)) != {len(CSV_HEADER)}:
         raise ValueError("field count")
     cells = list(zip(*rows))
-    days = tuple(map(date.fromisoformat, cells[0]))
+    misses = list(filterfalse(calendar.__contains__, cells[0]))
+    calendar.update(zip(misses, map(date.fromisoformat, misses)))
+    days = tuple(map(calendar.__getitem__, cells[0]))
     values = np.array(cells[1:], dtype=float)
     open_, high, low, close, adj_close, volume = values
     ok = (
@@ -216,11 +236,12 @@ def _parse_columns(rows: list[list[str]]) -> TickerBars:
     return TickerBars(days, values)
 
 
-def read_ticker_csv(path) -> TickerBars:
+def read_ticker_csv(path, calendar: dict[str, date] | None = None) -> TickerBars:
     """Parse one per-ticker OHLCV file, validating header and every bar.
 
     The rows are converted and checked column by column; when that fails,
-    `_check_row` scans them in file order to name the first bad line.
+    `_check_row` scans them in file order to name the first bad line. Date
+    strings are looked up in, and added to, `calendar` (`_parse_columns`).
     """
     path = Path(path)
     try:
@@ -245,7 +266,7 @@ def read_ticker_csv(path) -> TickerBars:
     if not data:
         raise IngestionError(path, 2, "no data rows")
     try:
-        return _parse_columns(data)
+        return _parse_columns(data, {} if calendar is None else calendar)
     except ValueError:
         prev_day = None
         for line_no, row in enumerate(rows, start=2):
@@ -255,7 +276,11 @@ def read_ticker_csv(path) -> TickerBars:
 
 
 def load_series(path) -> dict[str, TickerBars]:
-    """Read every per-ticker CSV in a directory, keyed by filename stem."""
+    """Read every per-ticker CSV in a directory, keyed by filename stem.
+
+    The files share one calendar, so each distinct date string is parsed
+    once and every ticker's `days` holds the same date objects.
+    """
     path = Path(path)
     try:
         entries = list(path.iterdir())
@@ -264,18 +289,23 @@ def load_series(path) -> dict[str, TickerBars]:
     files = sorted(p for p in entries if p.suffix.lower() == ".csv")
     if not files:
         raise UniverseError(f"no input files in {path}")
-    return {f.stem: read_ticker_csv(f) for f in files}
+    calendar: dict[str, date] = {}
+    return {f.stem: read_ticker_csv(f, calendar) for f in files}
 
 
 def align_series(series: dict[str, TickerBars]) -> MarketFrame:
     """Restrict all tickers to their common trading dates, sorted ascending.
 
-    A date that a ticker repeats takes that ticker's last bar for it.
+    A date that a ticker repeats takes that ticker's last bar for it. The
+    dates are intersected one ticker at a time, and the two panels are
+    read-only, so the frame adopts them without a copy.
     """
     if not series:
         raise UniverseError("no ticker series to align")
     tickers = sorted(series)
-    common = set.intersection(*(set(series[t].days) for t in tickers))
+    common = set(series[tickers[0]].days)
+    for t in tickers[1:]:
+        common.intersection_update(series[t].days)
     if not common:
         raise UniverseError("empty date intersection across tickers")
     dates = tuple(sorted(common))
@@ -288,6 +318,8 @@ def align_series(series: dict[str, TickerBars]) -> MarketFrame:
         *_, adj_close_of, volume_of = bars.values
         adj_close[:, j] = adj_close_of[rows]
         volume[:, j] = volume_of[rows]
+    adj_close.setflags(write=False)
+    volume.setflags(write=False)
     return MarketFrame(dates=dates, tickers=tuple(tickers), adj_close=adj_close, volume=volume)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solvers import Portfolio, estimate_covariance
-from .training import LinearPredictor, TrainConfig, check_samples, fit_adam
+from .training import LinearPredictor, TrainConfig, TrainingError, check_samples, fit_adam
 from .util import derived_rng
 
 MAX_RETURN_LOSS = "max_return"
@@ -75,6 +75,8 @@ def _stack(model: SoftmaxAllocator) -> dict:
 
 def _allocator(params: dict) -> SoftmaxAllocator:
     """The allocator whose parameters are one trial's arrays (no copies)."""
+    if not all(np.isfinite(v).all() for v in params.values()):
+        raise TrainingError("non-finite parameters after training")
     inferencer = LinearPredictor(theta=params["theta"], intercept=float(params["intercept"][0]))
     return SoftmaxAllocator(inferencer, params["w1"], params["b1"], params["w2"], params["b2"])
 

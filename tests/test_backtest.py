@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dfolio.backtest import (
+    AccountingError,
     BacktestConfig,
     BacktestLedger,
     StrategySpec,
@@ -168,6 +169,15 @@ class TestAccrue:
         rets = np.array([[0.01], [0.02]])
         accrue(led, Portfolio(np.array([1.0])), days, rets, fee_rate=0.0)
         assert led.nav[-1] == pytest.approx(1.01 * 1.02, abs=1e-15)
+
+    @pytest.mark.parametrize("bad, nav", [(np.nan, "nan"), (-1.0, "0.0")], ids=["nan-return", "total-loss"])
+    def test_invalid_nav_names_its_day(self, bad, nav):
+        led = fresh_ledger(2, date(2020, 1, 3))
+        days = business_days(date(2020, 1, 6), 3)
+        rets = np.array([[0.01, 0.02], [bad, 0.0], [0.0, 0.0]])
+        with pytest.raises(AccountingError) as err:
+            accrue(led, Portfolio(np.array([1.0, 0.0])), days, rets, fee_rate=0.0)
+        assert str(err.value) == f"NAV {nav} invalid on 2020-01-07"
 
 
 class TestRunWindow:

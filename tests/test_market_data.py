@@ -5,12 +5,13 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfolio.market_data import (
     AssetBar,
     IngestionError,
+    MarketFrame,
     _check_row,
     SyntheticSpec,
     TickerBars,
@@ -319,6 +320,102 @@ class TestColumnarMatchesScalar:
             assert list(read_ticker_csv(path)) == expected
 
 
+class TestSharedCalendar:
+    def test_one_date_object_per_distinct_date_string(self, tmp_csv_dir):
+        days = weekdays(date(2020, 1, 6), 30)
+        calendars = [days[:20], days[5:25], days[10:] + weekdays(date(2021, 1, 4), 3), days[::2]]
+        for k, cal in enumerate(calendars):
+            write_ticker_csv(tmp_csv_dir / f"T{k}.csv", flat_bars(cal, 100.0 + k))
+        series = load_series(tmp_csv_dir)
+        parsed = [d for bars in series.values() for d in bars.days]
+        assert len(parsed) == sum(map(len, calendars))
+        assert len({id(d) for d in parsed}) == len({d.isoformat() for d in parsed}) == 33
+        for k, cal in enumerate(calendars):
+            assert series[f"T{k}"].days == tuple(cal)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2020-02-30", "bad date '2020-02-30': day is out of range for month"),
+            ("2020-01-06", "dates not strictly increasing at 2020-01-06"),
+        ],
+        ids=["bad-date", "repeated-known-date"],
+    )
+    def test_fault_in_a_later_file_keeps_its_location(self, tmp_csv_dir, line, message):
+        # A.csv fills the calendar first; B.csv's fault must still be named by B's own line.
+        days = weekdays(date(2020, 1, 6), 5)
+        write_ticker_csv(tmp_csv_dir / "A.csv", flat_bars(days))
+        lines = [HEADER, GOOD, row(), row(day=line), row(day="2020-01-09")]
+        bad = tmp_csv_dir / "B.csv"
+        bad.write_text("".join(text + "\n" for text in lines))
+        with pytest.raises(IngestionError) as alone:
+            read_ticker_csv(bad)
+        with pytest.raises(IngestionError) as err:
+            load_series(tmp_csv_dir)
+        assert str(err.value) == str(alone.value) == f"{bad}:4: {message}"
+        assert (err.value.path, err.value.line) == (str(bad), 4)
+
+
+@st.composite
+def calendars(draw):
+    """Per-ticker day offsets, unsorted, with repeats, as one ticker's bars would never be."""
+    n = draw(st.integers(1, 5))
+    return [draw(st.lists(st.integers(0, 12), min_size=1, max_size=15)) for _ in range(n)]
+
+
+def reference_align(series):
+    """set.intersection of every ticker's dates; each cell from its ticker's last bar on that date."""
+    tickers = sorted(series)
+    common = sorted(set.intersection(*(set(series[t].days) for t in tickers)))
+    last = [{d: i for i, d in enumerate(series[t].days)} for t in tickers]
+    pick = [[series[t].values[:, last[j][d]] for j, t in enumerate(tickers)] for d in common]
+    return common, np.array(pick)
+
+
+class TestAlignSeries:
+    @given(calendars())
+    @example([[0, 1, 0], [1, 0]])  # a repeated date takes its ticker's last bar
+    @settings(deadline=None, max_examples=300)
+    def test_matches_set_intersection(self, offsets):
+        series = {}
+        for k, days in enumerate(offsets):
+            # Every ticker builds its own date objects; each bar's cells are distinct.
+            cells = 1000.0 * k + np.arange(len(days), dtype=float) + 1.0
+            values = np.tile(cells, (6, 1))
+            values.setflags(write=False)
+            series[f"T{k}"] = TickerBars(tuple(date(2020, 1, 1) + timedelta(days=i) for i in days), values)
+        common, pick = reference_align(series)
+        if not common:
+            with pytest.raises(UniverseError, match="empty date intersection"):
+                align_series(series)
+            return
+        frame = align_series(series)
+        assert frame.dates == tuple(common)
+        assert frame.adj_close.tobytes() == np.ascontiguousarray(pick[:, :, 4]).tobytes()
+        assert frame.volume.tobytes() == np.ascontiguousarray(pick[:, :, 5]).tobytes()
+
+    def test_peak_memory_stays_near_the_two_panels(self, tmp_csv_dir):
+        # Besides the two panels, only one ticker's date set and row index and
+        # the frame's checks may be alive at once. All 40 date sets, or a copy
+        # of the panels, would each pass the 1.5x bound.
+        days = weekdays(date(2015, 1, 5), 600)
+        rng = np.random.default_rng(3)
+        for k in range(40):
+            kept = [d for d in days if rng.random() > 0.002]
+            write_ticker_csv(tmp_csv_dir / f"T{k:02d}.csv", flat_bars(kept, 100.0 + k))
+        series = load_series(tmp_csv_dir)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            frame = align_series(series)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        panels = frame.adj_close.nbytes + frame.volume.nbytes
+        assert frame.n_assets == 40 and frame.n_dates > 500
+        assert peak < 1.5 * panels
+
+
 class TestReturns:
     def test_up_move(self):
         frame = make_frame(np.array([[100.0], [110.0]]))
@@ -431,3 +528,33 @@ class TestMarketFrame:
         small = make_frame(np.full((10, 2), 10.0))
         with pytest.raises(UniverseError):
             small.check_usable()
+
+    def test_writable_input_is_copied(self):
+        prices = np.full((4, 2), 10.0)
+        frame = make_frame(prices)
+        prices[0, 0] = 7.0
+        assert frame.adj_close[0, 0] == 10.0
+        assert not frame.adj_close.flags.writeable and not frame.volume.flags.writeable
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        base = np.full((6, 2), 10.0)
+        view = base[1:5]
+        view.setflags(write=False)
+        frame = make_frame(view)
+        assert not np.shares_memory(frame.adj_close, base)
+        base[1, 0] = 7.0
+        assert frame.adj_close[0, 0] == 10.0
+
+    def test_read_only_owner_is_adopted(self):
+        prices, volume = np.full((4, 2), 10.0), np.full((4, 2), 5.0)
+        prices.setflags(write=False)
+        volume.setflags(write=False)
+        frame = make_frame(prices, volume)
+        assert frame.adj_close is prices and frame.volume is volume
+
+    def test_row_window_of_a_frame_is_adopted(self):
+        whole = make_frame(np.arange(1.0, 17.0).reshape(8, 2))
+        window = MarketFrame(whole.dates[2:5], whole.tickers, whole.adj_close[2:5], whole.volume[2:5])
+        assert np.shares_memory(window.adj_close, whole.adj_close)
+        assert np.shares_memory(window.volume, whole.volume)
+        assert not window.adj_close.flags.writeable

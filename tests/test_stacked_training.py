@@ -9,6 +9,7 @@ and that error is the one-trial error of a failing trial.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -268,3 +269,15 @@ def test_diverging_search_fails_the_strategy_like_a_trial_loop(monkeypatch, kind
     first = bt.rebalance_dates(frame, config)[0]
     label = MAX_RETURN_LOSS if kind.startswith("softmax") else kind
     assert error == f"rebalance {first} (decide): TrainingError: non-finite loss nan at epoch 0, batch 1 ({label})"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family", ["train", "train_dfl"])
+def test_parameters_that_diverge_at_the_last_step_fail_alike(family):
+    # One batch of 16 days and one epoch: the infinite step leaves non-finite
+    # parameters that no later batch's loss sees, so only the build reports them.
+    x, y = make_data(6, 16, 3, 2)
+    config = TrainConfig(batch_size=16)
+    fit = partial(train_dfl, kind=MAX_RETURN_LOSS) if family == "train_dfl" else train
+    with pytest.raises(TrainingError, match="^non-finite parameters after training$"):
+        fit(x, y, config=config, learning_rates=[np.inf], epochs=[1])
