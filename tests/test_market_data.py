@@ -397,7 +397,7 @@ class TestAlignSeries:
     def test_peak_memory_stays_near_the_two_panels(self, tmp_csv_dir):
         # Besides the two panels, only one ticker's date set and row index and
         # the frame's checks may be alive at once. All 40 date sets, or a copy
-        # of the panels, would each pass the 1.5x bound.
+        # of the panels, would each exceed the 1.5x bound.
         days = weekdays(date(2015, 1, 5), 600)
         rng = np.random.default_rng(3)
         for k in range(40):
