@@ -2,13 +2,14 @@
 
 Runs the command in this process and prints the process's resident-memory
 high-water mark (VmHWM) right before and right after each stage:
-load_series, align_series, compute_indicators, the artifact writers and
-run_backtest. Each stage is wrapped from outside, under the name its caller
-looks up, so dfolio itself runs unchanged; compute_indicators is wrapped in
-both dfolio.cli (ingest) and dfolio.backtest (inside run_backtest). A stage
-that runs inside another is indented under it. VmHWM is read from
-/proc/self/status, so this runs on Linux only. The command's own output comes
-first, then the table; the exit code is the command's.
+load_series, align_series, compute_returns, compute_indicators, the artifact
+writers and run_backtest. Each stage is wrapped from outside, under the name
+its caller looks up, so dfolio itself runs unchanged; compute_indicators is
+wrapped in both dfolio.cli (ingest) and dfolio.backtest (inside run_backtest,
+next to compute_returns). A stage that runs inside another is indented under
+it. VmHWM is read from /proc/self/status, so this runs on Linux only. The
+command's own output comes first, then the table; the exit code is the
+command's.
 
 Usage: python scripts/peak_by_stage.py -- ingest --data DIR --out DIR
        python scripts/peak_by_stage.py -- backtest --config cfg.json
@@ -36,7 +37,7 @@ STAGES = {
         "write_metrics_csv",
         "write_plotdata",
     ),
-    "backtest": ("compute_indicators",),
+    "backtest": ("compute_returns", "compute_indicators"),
 }
 
 

@@ -40,6 +40,7 @@ from .training import (
     SPO_PLUS,
     SearchSpace,
     TrainConfig,
+    TrialResult,
     hyperparameter_search,
     predict,
     train,
@@ -197,16 +198,6 @@ def prepare_data(frame: MarketFrame) -> BacktestData:
     )
 
 
-@dataclass(frozen=True)
-class WindowDiagnostics:
-    rebalance: date
-    train_start: date
-    val_start: date
-    learning_rate: float | None = None
-    epochs: int | None = None
-    score: float | None = None
-
-
 @dataclass
 class RebalanceRecord:
     day: date
@@ -216,7 +207,7 @@ class RebalanceRecord:
     fee: float
     nav_before: float
     nav_after_fee: float
-    diagnostics: WindowDiagnostics | None = None
+    trial: TrialResult | None = None  # the window search's winner; None when the strategy does not train
 
 
 @dataclass
@@ -257,24 +248,25 @@ def run_window(
     data: BacktestData,
     config: BacktestConfig,
     w_prev: Portfolio,
-):
+) -> tuple[Portfolio, TrialResult | None]:
     """Train (if the strategy trains), tune, and decide the portfolio held from t.
 
-    Uses only data strictly before t: features are standardized on the train
-    span, validation targets stop at the last return before t, and the
-    decision consumes the latest feature slice preceding t. Only the rows the
-    window reads, [train_start, t), are standardized.
+    Returns the portfolio and the winning trial of the window's search
+    (`hyperparameter_search(...).best`), or None for max_sharpe, which does
+    not train. Uses only data strictly before t: features are standardized on
+    the train span, validation targets stop at the last return before t, and
+    the decision consumes the latest feature slice preceding t. Only the rows
+    the window reads, [train_start, t), are standardized.
     """
     frame = data.frame
     it = frame.index_of(t)
     train_start = months_back(t, config.lookback_months)
     val_start = months_back(t, config.validation_months)
-    diag = WindowDiagnostics(rebalance=t, train_start=train_start, val_start=val_start)
 
     if strategy.kind == STRAT_MAX_SHARPE:
         rows = span_indices(data.panel.dates, train_start, t)
         est = estimate_covariance(data.panel.simple_returns[rows.start : rows.stop])
-        return solve_max_sharpe(est), diag
+        return solve_max_sharpe(est), None
 
     feats = data.features
     span = span_indices(feats.dates, train_start, t)
@@ -323,15 +315,14 @@ def run_window(
 
     result = hyperparameter_search(config.search, seed, fit, score)
     best = result.best
-    diag = replace(diag, learning_rate=best.learning_rate, epochs=best.epochs, score=best.score)
     if softmax:
-        return allocate(result.model, decision_slice), diag
+        return allocate(result.model, decision_slice), best
     r_hat = predict(result.model, decision_slice)
     if strategy.kind == STRAT_SPO_FEE:
-        return solve_fee(r_hat, problem), diag
+        return solve_fee(r_hat, problem), best
     if strategy.kind == STRAT_SPO_FEE_L2:
-        return solve_fee_l2(r_hat, problem), diag
-    return solve_max_return(r_hat), diag
+        return solve_fee_l2(r_hat, problem), best
+    return solve_max_return(r_hat), best
 
 
 def _loss_kind(strategy: StrategySpec) -> str:
@@ -348,12 +339,14 @@ def accrue(
     day_dates,
     day_returns: np.ndarray,
     fee_rate: float,
-    diagnostics: WindowDiagnostics | None = None,
+    trial: TrialResult | None = None,
 ) -> None:
     """Charge the rebalance fee against drifted holdings, then compound daily.
 
     day_returns rows cover the holding period (the rebalance day itself through
     the day before the next rebalance); weights drift buy-and-hold within it.
+    The rebalance record keeps `trial`, the window search's winner (None when
+    the strategy does not train), which `write_hparams_csv` reports.
     """
     drifted = ledger.live_weights
     turnover = float(np.abs(target.weights - drifted).sum())
@@ -371,7 +364,7 @@ def accrue(
             fee=fee,
             nav_before=nav_before,
             nav_after_fee=nav,
-            diagnostics=diagnostics,
+            trial=trial,
         )
     )
     w = target.weights.copy()
@@ -405,7 +398,7 @@ def _run_strategy(strategy, rebs, data, config) -> BacktestLedger:
     for k, t in enumerate(rebs):
         stage = "decide"
         try:
-            target, diag = run_window(strategy, t, data, config, w_prev=Portfolio(ledger.live_weights))
+            target, trial = run_window(strategy, t, data, config, w_prev=Portfolio(ledger.live_weights))
             stage = "accrue"
             it, it_end = boundaries[k], boundaries[k + 1]
             accrue(
@@ -414,7 +407,7 @@ def _run_strategy(strategy, rebs, data, config) -> BacktestLedger:
                 frame.dates[it:it_end],
                 data.panel.simple_returns[it - 1 : it_end - 1],
                 config.fee_rate,
-                diagnostics=diag,
+                trial=trial,
             )
         except Exception as exc:  # noqa: BLE001 - isolation contract
             return BacktestLedger(

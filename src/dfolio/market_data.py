@@ -37,12 +37,6 @@ class UniverseError(DfolioError, ValueError):
     assets/dates, or indicators that are not finite."""
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
-    return a
-
-
 def _adopt(a) -> np.ndarray:
     """`a` itself when nothing can write to its memory, else a read-only copy.
 
@@ -54,7 +48,9 @@ def _adopt(a) -> np.ndarray:
     owner = a if a.base is None else a.base
     if not a.flags.writeable and isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable:
         return a
-    return _frozen(a)
+    a = a.copy(order="K")
+    a.setflags(write=False)
+    return a
 
 
 class AssetBar(NamedTuple):
@@ -160,23 +156,27 @@ class MarketFrame:
 
 @dataclass(frozen=True)
 class ReturnPanel:
-    """Daily simple returns; dates drop the first frame date."""
+    """Daily simple returns, read-only (`_adopt`); dates drop the first frame date."""
 
     dates: tuple[date, ...]
     simple_returns: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "simple_returns", _frozen(self.simple_returns))
+        object.__setattr__(self, "simple_returns", _adopt(self.simple_returns))
 
 
 def compute_returns(frame: MarketFrame) -> ReturnPanel:
     """Simple return panel from adjusted closes.
 
-    Row t corresponds to the move into frame.dates[t + 1].
+    Row t corresponds to the move into frame.dates[t + 1]. The 1.0 is
+    subtracted in place, so the panel is one array, which ReturnPanel adopts.
     """
     if frame.n_dates < 2:
         raise ValueError("need at least 2 dates to compute returns")
-    return ReturnPanel(dates=frame.dates[1:], simple_returns=frame.adj_close[1:] / frame.adj_close[:-1] - 1.0)
+    returns = frame.adj_close[1:] / frame.adj_close[:-1]
+    returns -= 1.0
+    returns.setflags(write=False)
+    return ReturnPanel(dates=frame.dates[1:], simple_returns=returns)
 
 
 def _check_row(path, line_no: int, row: list[str], prev_day: date | None) -> date:

@@ -63,12 +63,8 @@ def write_hparams_csv(ledgers: dict[str, BacktestLedger], path) -> Path:
         w.writerow(["rebalance_date", "strategy", "lr", "epochs", "score"])
         for name, led in _ok(ledgers).items():
             for rec in led.rebalances:
-                diag = rec.diagnostics
-                if diag is None or diag.learning_rate is None:
-                    continue
-                w.writerow(
-                    [rec.day.isoformat(), name, float(diag.learning_rate), diag.epochs, float(diag.score)]
-                )
+                if (trial := rec.trial) is not None:
+                    w.writerow([rec.day.isoformat(), name, float(trial.learning_rate), trial.epochs, float(trial.score)])
     return path
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import _frozen
+from .market_data import _adopt
 from .util import DfolioError
 
 MAX_RETURN = "max_return"
@@ -44,7 +44,7 @@ class Portfolio:
         w = np.maximum(w, 0.0)
         if abs(w.sum() - 1.0) > 1e-8:
             raise ValueError(f"weights sum to {w.sum()}, expected 1")
-        object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "weights", _adopt(w))
 
     @property
     def n_assets(self) -> int:
@@ -105,8 +105,8 @@ class CovarianceEstimate:
             np.linalg.cholesky(sigma + self.ridge * np.eye(n))
         except np.linalg.LinAlgError:
             raise SolverError("covariance not positive definite after ridge loading") from None
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "sigma", _frozen(sigma))
+        object.__setattr__(self, "mean", _adopt(mean))
+        object.__setattr__(self, "sigma", _adopt(sigma))
 
     @property
     def loaded(self) -> np.ndarray:

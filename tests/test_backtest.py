@@ -1,4 +1,5 @@
 import calendar
+import csv
 from datetime import date, timedelta
 
 import numpy as np
@@ -17,7 +18,9 @@ from dfolio.backtest import (
     run_backtest,
     run_window,
 )
+from dfolio.features import standardize
 from dfolio.market_data import MarketFrame, SyntheticSpec, business_days, generate_synthetic
+from dfolio.reports import write_hparams_csv
 from dfolio.solvers import Portfolio
 from dfolio.training import SearchSpace
 from dfolio.util import ConfigError
@@ -187,20 +190,46 @@ class TestRunWindow:
         data = prepare_data(frame)
         t = rebalance_dates(frame, cfg)[0]
         strat = StrategySpec("max_sharpe", "max_sharpe")
-        w, diag = run_window(strat, t, data, cfg, Portfolio.uniform(4))
-        assert diag.learning_rate is None
+        w, trial = run_window(strat, t, data, cfg, Portfolio.uniform(4))
+        assert trial is None
         assert abs(w.weights.sum() - 1.0) <= 1e-8
 
-    def test_window_arithmetic(self):
+    def test_window_arithmetic(self, monkeypatch):
+        """Training sees the z-scored rows of [t - 12m, t - 3m); validation those of [t - 3m, t) with targets before t."""
+        import dfolio.backtest as bt
+
         frame = synthetic_frame()
         cfg = fast_config(frame)
         data = prepare_data(frame)
-        t = rebalance_dates(frame, cfg)[0]
-        strat = StrategySpec("spo_plus", "spo_plus")
-        _, diag = run_window(strat, t, data, cfg, Portfolio.uniform(4))
-        assert diag.train_start == months_back(t, 12)
-        assert diag.val_start == months_back(t, 3)
-        assert diag.train_start < diag.val_start < t
+        t = rebalance_dates(frame, cfg)[2]
+        train_start, val_start = months_back(t, 12), months_back(t, 3)
+        fitted, scored = [], []
+
+        def spy_train(x, y, *args, **kwargs):
+            fitted.append((x, y))
+            return train(x, y, *args, **kwargs)
+
+        def spy_score(model, x, y, *args):
+            scored.append((x, y))
+            return validation_score(model, x, y, *args)
+
+        train, validation_score = bt.train, bt.validation_score
+        monkeypatch.setattr(bt, "train", spy_train)
+        monkeypatch.setattr(bt, "validation_score", spy_score)
+        run_window(StrategySpec("spo_plus", "spo_plus"), t, data, cfg, Portfolio.uniform(4))
+
+        z = standardize(data.features, train_start, val_start).features
+        dates = data.features.dates
+        # The target of the feature row dated d is the return into the next frame date: panel row index_of(d).
+        train_rows = [k for k, d in enumerate(dates) if train_start <= d < val_start]
+        val_rows = [k for k, d in enumerate(dates) if val_start <= d < t and frame.dates[frame.index_of(d) + 1] < t]
+        assert train_rows and 0 < len(val_rows) < sum(val_start <= d < t for d in dates)
+
+        def samples(rows):
+            return z[rows].tobytes(), data.panel.simple_returns[[frame.index_of(dates[k]) for k in rows]].tobytes()
+
+        assert [(x.tobytes(), y.tobytes()) for x, y in fitted] == [samples(train_rows)]
+        assert [(x.tobytes(), y.tobytes()) for x, y in scored] == [samples(val_rows)] * cfg.search.n_trials
 
     @pytest.mark.parametrize("kind,params", [
         ("spo_plus", {}),
@@ -248,6 +277,50 @@ class TestRunBacktest:
             assert np.array(l1[name].nav).tobytes() == np.array(l2[name].nav).tobytes()
             for r1, r2 in zip(l1[name].rebalances, l2[name].rebalances):
                 assert r1.target.tobytes() == r2.target.tobytes()
+                assert r1.trial == r2.trial
+
+    def test_records_keep_each_window_search_winner(self, monkeypatch, tmp_path):
+        import dfolio.backtest as bt
+
+        frame = synthetic_frame()
+        cfg = fast_config(frame, seed=3)
+        roster = (
+            StrategySpec("spo_plus", "spo_plus"),
+            StrategySpec("softmax_max_return", "softmax_max_return"),
+            StrategySpec("max_sharpe", "max_sharpe"),
+        )
+        current, searches = {}, {}  # the (strategy, rebalance) in progress; each one's SearchResult
+
+        def spy_window(strategy, t, *args, **kwargs):
+            current["window"] = strategy.name, t
+            return real_window(strategy, t, *args, **kwargs)
+
+        def spy_search(*args):
+            result = searches[current["window"]] = real_search(*args)
+            return result
+
+        real_window, real_search = bt.run_window, bt.hyperparameter_search
+        monkeypatch.setattr(bt, "run_window", spy_window)
+        monkeypatch.setattr(bt, "hyperparameter_search", spy_search)
+        ledgers = bt.run_backtest(frame, roster, cfg)
+
+        trained = []
+        for name, led in ledgers.items():
+            assert led.error is None and led.rebalances
+            for rec in led.rebalances:
+                if name == "max_sharpe":
+                    assert rec.trial is None and (name, rec.day) not in searches
+                else:
+                    assert rec.trial is searches[name, rec.day].best
+                    trained.append((rec.day.isoformat(), name, rec.trial))
+        assert len(searches) == len(trained)
+
+        with write_hparams_csv(ledgers, tmp_path / "hparams.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["rebalance_date", "strategy", "lr", "epochs", "score"]
+        assert [(day, name, float(lr), int(ep), float(score)) for day, name, lr, ep, score in rows] == [
+            (day, name, trial.learning_rate, trial.epochs, trial.score) for day, name, trial in trained
+        ]
 
     def test_fee_identity_and_uniform_regime(self):
         frame = synthetic_frame()

@@ -12,6 +12,7 @@ from dfolio.market_data import (
     AssetBar,
     IngestionError,
     MarketFrame,
+    ReturnPanel,
     _check_row,
     SyntheticSpec,
     TickerBars,
@@ -25,6 +26,21 @@ from dfolio.market_data import (
 )
 
 from conftest import flat_bars, make_frame, weekdays, write_ticker_csv
+
+
+def frame_panels(a):
+    """The arrays a MarketFrame keeps when `a` is both its adj_close and its volume."""
+    frame = make_frame(a, a)
+    return frame.adj_close, frame.volume
+
+
+def return_panels(a):
+    """The array a ReturnPanel keeps when `a` is its simple_returns."""
+    return (ReturnPanel(tuple(weekdays(date(2020, 1, 6), len(a))), a).simple_returns,)
+
+
+# The read-only panel types, each as (input array -> the arrays it keeps).
+ADOPTERS = (frame_panels, return_panels)
 
 
 class TestIngest:
@@ -442,6 +458,12 @@ class TestReturns:
         panel = compute_returns(frame)
         assert panel.dates == frame.dates[1:]
 
+    def test_panel_is_one_read_only_array_with_the_out_of_place_bits(self):
+        frame = make_frame(np.exp(np.random.default_rng(3).normal(0.0, 0.02, (60, 4)).cumsum(axis=0)))
+        returns = compute_returns(frame).simple_returns
+        assert returns.flags.owndata and not returns.flags.writeable
+        assert returns.tobytes() == (frame.adj_close[1:] / frame.adj_close[:-1] - 1.0).tobytes()
+
     @given(
         st.lists(st.floats(min_value=0.1, max_value=1000.0), min_size=2, max_size=40),
     )
@@ -530,11 +552,13 @@ class TestMarketFrame:
             small.check_usable()
 
     def test_writable_input_is_copied(self):
-        prices = np.full((4, 2), 10.0)
-        frame = make_frame(prices)
-        prices[0, 0] = 7.0
-        assert frame.adj_close[0, 0] == 10.0
-        assert not frame.adj_close.flags.writeable and not frame.volume.flags.writeable
+        for kept_by in ADOPTERS:
+            prices = np.full((4, 2), 10.0)
+            kept = kept_by(prices)
+            prices[0, 0] = 7.0
+            for a in kept:
+                assert a[0, 0] == 10.0
+                assert not a.flags.writeable and not np.shares_memory(a, prices)
 
     def test_read_only_view_of_writable_array_is_copied(self):
         base = np.full((6, 2), 10.0)
@@ -546,11 +570,10 @@ class TestMarketFrame:
         assert frame.adj_close[0, 0] == 10.0
 
     def test_read_only_owner_is_adopted(self):
-        prices, volume = np.full((4, 2), 10.0), np.full((4, 2), 5.0)
-        prices.setflags(write=False)
-        volume.setflags(write=False)
-        frame = make_frame(prices, volume)
-        assert frame.adj_close is prices and frame.volume is volume
+        for kept_by in ADOPTERS:
+            prices = np.full((4, 2), 10.0)
+            prices.setflags(write=False)
+            assert all(a is prices for a in kept_by(prices))
 
     def test_row_window_of_a_frame_is_adopted(self):
         whole = make_frame(np.arange(1.0, 17.0).reshape(8, 2))

@@ -34,8 +34,10 @@ def test_ingest_and_backtest_stages(tmp_path, capsys):
     assert rc == 0
     assert all(0 < before <= after for _, _, before, after in rows)
     names = [(depth, name) for depth, name, _, _ in rows]
-    assert names[:4] == [(0, "load_series"), (0, "align_series"), (0, "run_backtest"), (1, "compute_indicators")]
-    assert {name for _, name in names[4:]} == {
+    assert names[:5] == [
+        (0, "load_series"), (0, "align_series"), (0, "run_backtest"), (1, "compute_returns"), (1, "compute_indicators"),
+    ]
+    assert {name for _, name in names[5:]} == {
         "write_nav_csv", "write_weights_csv", "write_hparams_csv", "write_metrics_json", "write_metrics_csv",
         "write_plotdata",
     }
@@ -43,3 +45,4 @@ def test_ingest_and_backtest_stages(tmp_path, capsys):
     for name, fn in originals.items():
         assert getattr(dfolio.cli, name) is fn
     assert dfolio.backtest.compute_indicators is dfolio.features.compute_indicators
+    assert dfolio.backtest.compute_returns is dfolio.market_data.compute_returns

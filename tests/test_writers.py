@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfolio import cli
-from dfolio.backtest import BacktestLedger, RebalanceRecord, WindowDiagnostics
+from dfolio.backtest import BacktestLedger, RebalanceRecord
 from dfolio.features import FeatureTensor, compute_indicators, write_features_csv
 from dfolio.market_data import (
     CSV_HEADER,
@@ -42,6 +42,7 @@ from dfolio.reports import (
     write_plotdata,
     write_weights_csv,
 )
+from dfolio.training import TrialResult
 from dfolio.util import write_long_csv
 
 TICKERS = ("A,B", "C")
@@ -105,8 +106,8 @@ def test_synth_csv_dir_matches_per_cell_repr_and_reads_back(tmp_path):
 
 def edge_ledgers() -> dict[str, BacktestLedger]:
     def record(day, target, turnover, fee, lr, score):
-        diag = WindowDiagnostics(rebalance=day, train_start=day, val_start=day, learning_rate=lr, epochs=7, score=score)
-        return RebalanceRecord(day, np.array(target), np.zeros(2), turnover, fee, 1.0, 1.0, diag)
+        trial = TrialResult(learning_rate=lr, epochs=7, score=score)
+        return RebalanceRecord(day, np.array(target), np.zeros(2), turnover, fee, 1.0, 1.0, trial)
 
     a = BacktestLedger(
         "a,b",
@@ -150,8 +151,8 @@ def test_hparams_csv_matches_per_cell_repr(tmp_path):
     rows = []
     for name in ("a,b", "c"):
         for rec in ledgers[name].rebalances:
-            diag = rec.diagnostics
-            rows.append([rec.day.isoformat(), name, diag.learning_rate, str(diag.epochs), diag.score])
+            trial = rec.trial
+            rows.append([rec.day.isoformat(), name, trial.learning_rate, str(trial.epochs), trial.score])
     assert path.read_bytes() == reference_csv(["rebalance_date", "strategy", "lr", "epochs", "score"], rows)
     assert b"2020-01-07,c,1e-07,7,647508.0\r\n" in path.read_bytes()
 
