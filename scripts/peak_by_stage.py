@@ -1,15 +1,18 @@
 """Peak memory of one dfolio command, stage by stage.
 
 Runs the command in this process and prints the process's resident-memory
-high-water mark (VmHWM) right before and right after each stage:
+high-water mark (VmHWM) right before and right after each stage, and its
+current resident memory (VmRSS) right after it:
 load_series, align_series, compute_returns, compute_indicators, the artifact
 writers and run_backtest. Each stage is wrapped from outside, under the name
 its caller looks up, so dfolio itself runs unchanged; compute_indicators is
 wrapped in both dfolio.cli (ingest) and dfolio.backtest (inside run_backtest,
 next to compute_returns). A stage that runs inside another is indented under
-it. VmHWM is read from /proc/self/status, so this runs on Linux only. The
-command's own output comes first, then the table; the exit code is the
-command's.
+it. Memory a stage freed but the allocator kept shows as VmRSS above what
+the later stages hold, and a later stage's temporaries can reuse it without
+raising VmHWM. Both are read from /proc/self/status, so this runs on Linux
+only. The command's own output comes first, then the table; the exit code is
+the command's.
 
 Usage: python scripts/peak_by_stage.py -- ingest --data DIR --out DIR
        python scripts/peak_by_stage.py -- backtest --config cfg.json
@@ -41,15 +44,21 @@ STAGES = {
 }
 
 
-def vm_hwm_mb() -> float:
+def vm_mb() -> tuple[float, float]:
+    """This process's (VmHWM, VmRSS) in MB, from one read of /proc/self/status, so VmRSS <= VmHWM."""
+    found = {}
     for line in Path("/proc/self/status").read_text().splitlines():
-        if line.startswith("VmHWM:"):
-            return int(line.split()[1]) / 1024.0
-    raise RuntimeError("no VmHWM line in /proc/self/status")
+        name, _, value = line.partition(":")
+        if name in ("VmHWM", "VmRSS"):
+            found[name] = int(value.split()[0]) / 1024.0
+    if len(found) < 2:
+        raise RuntimeError("no VmHWM or VmRSS line in /proc/self/status")
+    return found["VmHWM"], found["VmRSS"]
 
 
 def run(argv: list[str]) -> tuple[int, list[list]]:
-    """Run `dfolio argv`; returns (exit code, [[depth, stage, hwm_before_mb, hwm_after_mb], ...]) in call order."""
+    """Run `dfolio argv`; returns (exit code, [[depth, stage, hwm_before_mb, hwm_after_mb, rss_after_mb], ...])
+    in call order."""
     rows: list[list] = []
     depth = [0]
     saved = []
@@ -58,14 +67,14 @@ def run(argv: list[str]) -> tuple[int, list[list]]:
         inner = getattr(module, name)
 
         def stage(*args, **kwargs):
-            row = [depth[0], name, vm_hwm_mb(), None]
+            row = [depth[0], name, vm_mb()[0], None, None]
             rows.append(row)
             depth[0] += 1
             try:
                 return inner(*args, **kwargs)
             finally:
                 depth[0] -= 1
-                row[3] = vm_hwm_mb()
+                row[3:] = vm_mb()
 
         saved.append((module, name, inner))
         setattr(module, name, stage)
@@ -90,11 +99,12 @@ def main(argv=None) -> int:
     if not command:
         parser.error("give the dfolio command after --")
     rc, rows = run(command)
-    width = max([len("stage"), *(2 * depth + len(name) for depth, name, _, _ in rows)])
-    print(f"{'stage':<{width}}  {'hwm before MB':>13}  {'hwm after MB':>12}  {'rise MB':>7}")
-    for depth, name, before, after in rows:
-        print(f"{'  ' * depth + name:<{width}}  {before:>13.1f}  {after:>12.1f}  {after - before:>7.1f}")
-    print(f"{'end':<{width}}  {'':>13}  {vm_hwm_mb():>12.1f}")
+    width = max([len("stage"), *(2 * depth + len(name) for depth, name, *_ in rows)])
+    print(f"{'stage':<{width}}  {'hwm before MB':>13}  {'hwm after MB':>12}  {'rise MB':>7}  {'rss after MB':>12}")
+    for depth, name, before, after, rss in rows:
+        print(f"{'  ' * depth + name:<{width}}  {before:>13.1f}  {after:>12.1f}  {after - before:>7.1f}  {rss:>12.1f}")
+    hwm, rss = vm_mb()
+    print(f"{'end':<{width}}  {'':>13}  {hwm:>12.1f}  {'':>7}  {rss:>12.1f}")
     return rc
 
 

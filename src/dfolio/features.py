@@ -20,9 +20,11 @@ from .util import DfolioError, span_indices, write_long_csv
 
 # Floor on a fit span's standard deviation, so a constant feature z-scores to 0.
 STD_FLOOR = 1e-8
-# Cells per temporary of compute_indicators: it fills its result a block of
-# max(2, BLOCK_CELLS // dates) assets at a time, about 1 MB per temporary.
-BLOCK_CELLS = 1 << 17
+# Cells of compute_indicators' one scratch allocation (256 KB). Its windowed
+# pass splits it into SCRATCH_BUFFERS (dates, block) buffers, so a block is
+# BLOCK_CELLS // (SCRATCH_BUFFERS * dates) assets, at least one.
+BLOCK_CELLS = 1 << 15
+SCRATCH_BUFFERS = 4
 
 
 class WarmupError(DfolioError, ValueError):
@@ -81,71 +83,8 @@ class FeatureTensor:
         return len(self.feature_names)
 
 
-def _rolling_mean(x: np.ndarray, window: int) -> np.ndarray:
-    """Trailing mean over `window` rows; rows < window-1 are NaN."""
-    out = np.full_like(x, np.nan)
-    csum = np.cumsum(x, axis=0)
-    out[window - 1 :] = csum[window - 1 :].copy()
-    out[window:] -= csum[:-window]
-    out[window - 1 :] /= window
-    return out
-
-
-def _rolling_std(x: np.ndarray, window: int) -> np.ndarray:
-    """Trailing population std; NaN during warm-up."""
-    mean = _rolling_mean(x, window)
-    mean_sq = _rolling_mean(x * x, window)
-    var = np.maximum(mean_sq - mean * mean, 0.0)
-    return np.sqrt(var)
-
-
-def _macd_hist(px: np.ndarray) -> np.ndarray:
-    """MACD line minus its signal line, not yet divided by price.
-
-    The fast, slow and signal EMAs run in one time loop. Each is seeded at its
-    input's first row and steps alpha * x[t] + (1 - alpha) * ema[t - 1], with
-    alpha = 2/(span+1).
-    """
-    a_fast, a_slow, a_sig = (2.0 / (span + 1.0) for span in (MACD_FAST, MACD_SLOW, MACD_SIGNAL))
-    fast_x, slow_x = a_fast * px, a_slow * px
-    fast = slow = px[0]
-    line = sig = fast - slow
-    hist = np.empty_like(px)
-    hist[0] = line - sig
-    for t in range(1, px.shape[0]):
-        fast = fast_x[t] + (1.0 - a_fast) * fast
-        slow = slow_x[t] + (1.0 - a_slow) * slow
-        line = fast - slow
-        sig = a_sig * line + (1.0 - a_sig) * sig
-        hist[t] = line - sig
-    return hist
-
-
-def _wilder_rsi(prices: np.ndarray, period: int) -> np.ndarray:
-    """RSI with Wilder smoothing; defined from row `period`, NaN before."""
-    delta = np.diff(prices, axis=0)
-    gain = np.maximum(delta, 0.0)
-    loss = np.maximum(-delta, 0.0)
-    t_total, n = prices.shape
-    avg_gain = np.full((t_total, n), np.nan)
-    avg_loss = np.full((t_total, n), np.nan)
-    if t_total <= period:
-        return np.full((t_total, n), np.nan)
-    avg_gain[period] = gain[:period].mean(axis=0)
-    avg_loss[period] = loss[:period].mean(axis=0)
-    for t in range(period + 1, t_total):
-        avg_gain[t] = (avg_gain[t - 1] * (period - 1) + gain[t - 1]) / period
-        avg_loss[t] = (avg_loss[t - 1] * (period - 1) + loss[t - 1]) / period
-    rsi = np.full((t_total, n), np.nan)
-    valid = ~np.isnan(avg_gain)
-    g, l = avg_gain[valid], avg_loss[valid]
-    vals = np.where(
-        l > 0,
-        100.0 - 100.0 / (1.0 + g / np.where(l > 0, l, 1.0)),
-        np.where(g > 0, 100.0, 50.0),
-    )
-    rsi[valid] = vals
-    return rsi
+# The result slots that _recursions writes; the Wilder averages sit in the adjacent bias and rsi slots.
+_BIAS, _RSI, _MACD = map(FEATURE_NAMES.index, ("bias", f"rsi{RSI_PERIOD}", "macd_hist"))
 
 
 # Overflow and NaN are left to FeatureTensor, which names the first non-finite
@@ -159,41 +98,140 @@ def compute_indicators(frame: MarketFrame) -> FeatureTensor:
     histogram / price, Bollinger(20, 2 sigma) band width, volume /
     SMA(volume, 20) - 1.
 
-    The result is allocated once and filled one block of assets at a time, so
-    every temporary is sized to the block. Each indicator is per-asset, so the
-    values are the bits a full-width pass gives. The one reduction, the RSI's
-    seed mean, sums a lone column pairwise but a wider block row by row, so no
-    block holds a single asset unless the frame does.
+    The result is allocated once and written in two passes. `_recursions`
+    runs the MACD and Wilder time loops once, a row of every asset per step,
+    into the result's own slots. `_windowed` then fills every slot one asset
+    block at a time, through one scratch allocation of BLOCK_CELLS cells.
+    Each step is the full-width formula's elementwise arithmetic or a running
+    sum down a column, and the RSI seed mean is taken over all assets at
+    once, so the values are the bits of one full-width pass
+    (`tests/oracles.py::reference_indicators`), non-finite cells included.
     """
     if frame.n_dates <= WARMUP:
         raise WarmupError(
             f"need at least {WARMUP + 1} dates for indicator warm-up, got {frame.n_dates}"
         )
-    n = frame.n_assets
-    out = np.empty((frame.n_dates - WARMUP, n, len(FEATURE_NAMES)))
-    step = max(2, BLOCK_CELLS // frame.n_dates)
-    starts = range(0, max(n - 1, 1), step)  # a one-asset tail joins the block before it
-    for a, b in zip(starts, [*starts[1:], n]):
-        _indicator_block(out[:, a:b], frame.adj_close[:, a:b], frame.volume[:, a:b])
+    t, n = frame.n_dates, frame.n_assets
+    out = np.empty((t - WARMUP, n, len(FEATURE_NAMES)))
+    _recursions(out, frame.adj_close)
+    step = max(1, BLOCK_CELLS // (SCRATCH_BUFFERS * t))
+    scratch = np.empty((SCRATCH_BUFFERS, t * min(step, n)))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        block = scratch[:, : t * (b - a)].reshape(SCRATCH_BUFFERS, t, b - a)  # each buffer contiguous
+        _windowed(out[:, a:b], frame.adj_close[:, a:b], frame.volume[:, a:b], block)
     out.setflags(write=False)
     return FeatureTensor(dates=frame.dates[WARMUP:], tickers=frame.tickers, features=out, feature_names=FEATURE_NAMES)
 
 
-def _indicator_block(out: np.ndarray, px: np.ndarray, vol: np.ndarray) -> None:
-    """Writes rows WARMUP: of one asset block's eight indicators into out, (dates - WARMUP, block, 8)."""
+def _recursions(out: np.ndarray, px: np.ndarray) -> None:
+    """The two time recursions, one row of every asset per step, into out's rows t - WARMUP.
+
+    MACD: the fast, slow and signal EMAs are each seeded at their input's
+    first row and step alpha * x[t] + (1 - alpha) * ema[t - 1], with alpha =
+    2/(span+1); the histogram, not yet divided by price, goes to the
+    macd_hist slot. RSI: Wilder's average gain and loss, seeded at row
+    RSI_PERIOD (< WARMUP) by the mean of the first RSI_PERIOD moves, go to
+    the bias and rsi slots, where `_windowed` reads them.
+    """
+    alpha = np.array([[2.0 / (MACD_FAST + 1.0)], [2.0 / (MACD_SLOW + 1.0)]])
+    keep = 1.0 - alpha
+    a_sig = 2.0 / (MACD_SIGNAL + 1.0)
+    keep_sig = 1.0 - a_sig
+    hist_at = out[..., _MACD]
+    avg_at = out[..., _BIAS : _RSI + 1].transpose(0, 2, 1)  # (rows, 2, assets): gain, loss
+    move = np.diff(px[: RSI_PERIOD + 1], axis=0)
+    avg = np.stack((np.maximum(move, 0.0).mean(axis=0), np.maximum(-move, 0.0).mean(axis=0)))
+    ema = np.stack((px[0], px[0]))  # fast, slow
+    fast, slow = ema
+    line = fast - slow
+    sig = line.copy()
+    scaled, moves = np.empty_like(ema), np.empty_like(ema)
+    scaled_line, up, down = scaled[0], *moves
+    prev = px[0]
+    for t in range(1, px.shape[0]):
+        now, row = px[t], t - WARMUP
+        np.multiply(now, alpha, out=scaled)
+        ema *= keep
+        ema += scaled
+        np.subtract(fast, slow, out=line)
+        np.multiply(line, a_sig, out=scaled_line)
+        sig *= keep_sig
+        sig += scaled_line
+        if row >= 0:
+            np.subtract(line, sig, out=hist_at[row])
+        if t > RSI_PERIOD:
+            np.subtract(now, prev, out=up)
+            np.negative(up, out=down)
+            np.maximum(moves, 0.0, out=moves)
+            new = avg_at[row] if row >= 0 else avg
+            np.multiply(avg, RSI_PERIOD - 1, out=new)
+            new += moves
+            new /= RSI_PERIOD
+            avg = new
+        prev = now
+
+
+def _windowed(out: np.ndarray, px: np.ndarray, vol: np.ndarray, scratch: np.ndarray) -> None:
+    """Rows WARMUP: of one asset block, out (dates - WARMUP, block, 8): the RSI from
+    `_recursions`' averages, the price-relative MACD, and every windowed indicator.
+
+    `scratch` is four contiguous (dates, block) buffers: the block's prices,
+    a running sum down each column, and two temporaries. A trailing mean at
+    row t is (running[t] - running[t - window]) / window.
+    """
     w = WARMUP
-    log_ret, sma_s, sma_l, bias, rsi, macd_hist, boll_width, vol_ratio = np.moveaxis(out, -1, 0)
-    p = px[w:]
-    mean_l = _rolling_mean(px, SMA_LONG)[w:]
-    np.log(p / px[w - 1 : -1], out=log_ret)
-    np.divide(_rolling_mean(px, SMA_SHORT)[w:], p, out=sma_s)
-    np.divide(mean_l, p, out=sma_l)
-    np.divide(p - mean_l, mean_l, out=bias)
-    np.divide(_wilder_rsi(px, RSI_PERIOD)[w:] - 50.0, 50.0, out=rsi)
-    np.divide(_macd_hist(px)[w:], p, out=macd_hist)
-    boll_std = 2.0 * BOLL_SIGMA * _rolling_std(px, BOLL_WINDOW)[w:]
-    np.divide(boll_std, _rolling_mean(px, BOLL_WINDOW)[w:], out=boll_width)
-    np.subtract(vol[w:] / np.maximum(_rolling_mean(vol, VOL_WINDOW)[w:], 1e-12), 1.0, out=vol_ratio)
+    log_ret, sma_s, sma_l, bias, rsi, macd_hist, boll, vol_ratio = np.moveaxis(out, -1, 0)
+    price, running, mid, tmp = scratch
+    p, mid, tmp = price[w:], mid[w:], tmp[w:]
+
+    # RSI = 100 - 100 / (1 + gain / loss) where loss > 0, else 100 if gain > 0, else 50.
+    gain, loss = bias, rsi
+    np.copyto(tmp, loss)
+    no_loss = ~(tmp > 0)
+    np.copyto(tmp, 1.0, where=no_loss)
+    np.divide(gain, tmp, out=tmp)
+    tmp += 1.0
+    np.divide(100.0, tmp, out=tmp)
+    np.subtract(100.0, tmp, out=tmp)
+    np.copyto(tmp, np.where(gain > 0, 100.0, 50.0), where=no_loss)
+    tmp -= 50.0
+    np.divide(tmp, 50.0, out=rsi)
+
+    np.copyto(price, px)
+    macd_hist /= p
+    np.divide(p, price[w - 1 : -1], out=tmp)
+    np.log(tmp, out=log_ret)
+
+    np.cumsum(price, axis=0, out=running)
+    _trailing_mean(running, SMA_SHORT, out=tmp)
+    np.divide(tmp, p, out=sma_s)
+    _trailing_mean(running, SMA_LONG, out=tmp)
+    np.divide(tmp, p, out=sma_l)
+    np.subtract(p, tmp, out=mid)
+    np.divide(mid, tmp, out=bias)
+    _trailing_mean(running, BOLL_WINDOW, out=mid)
+    np.multiply(price, price, out=running)
+    np.cumsum(running, axis=0, out=running)
+    _trailing_mean(running, BOLL_WINDOW, out=tmp)  # the mean of squares
+    np.multiply(mid, mid, out=running[w:])
+    tmp -= running[w:]
+    np.maximum(tmp, 0.0, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp *= 2.0 * BOLL_SIGMA
+    np.divide(tmp, mid, out=boll)
+
+    np.cumsum(vol, axis=0, out=running)
+    _trailing_mean(running, VOL_WINDOW, out=tmp)
+    np.maximum(tmp, 1e-12, out=tmp)
+    np.divide(vol[w:], tmp, out=tmp)
+    np.subtract(tmp, 1.0, out=vol_ratio)
+
+
+def _trailing_mean(running: np.ndarray, window: int, out: np.ndarray) -> None:
+    """Rows WARMUP: of the trailing `window`-row mean, from the running sum down each column."""
+    np.subtract(running[WARMUP:], running[WARMUP - window : len(running) - window], out=out)
+    out /= window
 
 
 def standardize(

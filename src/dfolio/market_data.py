@@ -54,13 +54,9 @@ def _adopt(a) -> np.ndarray:
 
 
 class AssetBar(NamedTuple):
-    """One daily OHLCV bar for a single asset."""
+    """One daily bar of a single asset, as far as `TickerBars` keeps it."""
 
     day: date
-    open: float
-    high: float
-    low: float
-    close: float
     adj_close: float
     volume: float
 
@@ -70,9 +66,10 @@ class TickerBars:
     """One ticker's bars as columns, as `read_ticker_csv` returns them.
 
     `days` holds the dates, strictly increasing; `values` is the read-only
-    (6, n) float array of open, high, low, close, adj_close and volume, in
-    `CSV_HEADER[1:]` order. `len()` is the row count, and iterating yields
-    `AssetBar` rows, built one at a time.
+    (2, n) float array of adj_close and volume, the two columns that
+    alignment reads. Open, high, low and close are parsed and checked, then
+    dropped. `len()` is the row count, and iterating yields `AssetBar` rows,
+    built one at a time.
     """
 
     days: tuple[date, ...]
@@ -207,7 +204,8 @@ def _check_row(path, line_no: int, row: list[str], prev_day: date | None) -> dat
 
 
 def _parse_columns(rows: list[list[str]], calendar: dict[str, date]) -> TickerBars:
-    """All rows at once: one numeric conversion, then the bar checks as masks.
+    """All rows at once: one numeric conversion of the six columns, then the bar
+    checks as masks; the bars keep adj_close and volume.
 
     `calendar` maps each date string seen so far to its date; the strings it
     lacks are parsed and added, so tickers that share a calendar share its
@@ -232,8 +230,9 @@ def _parse_columns(rows: list[list[str]], calendar: dict[str, date]) -> TickerBa
     )
     if not ok:
         raise ValueError("bar check")
-    values.setflags(write=False)
-    return TickerBars(days, values)
+    kept = np.stack((adj_close, volume))
+    kept.setflags(write=False)
+    return TickerBars(days, kept)
 
 
 def read_ticker_csv(path, calendar: dict[str, date] | None = None) -> TickerBars:
@@ -315,7 +314,7 @@ def align_series(series: dict[str, TickerBars]) -> MarketFrame:
         bars = series[t]
         row_of = dict(zip(bars.days, range(len(bars))))
         rows = list(map(row_of.__getitem__, dates))
-        *_, adj_close_of, volume_of = bars.values
+        adj_close_of, volume_of = bars.values
         adj_close[:, j] = adj_close_of[rows]
         volume[:, j] = volume_of[rows]
     adj_close.setflags(write=False)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dfolio.features import (
     BLOCK_CELLS,
+    SCRATCH_BUFFERS,
     WARMUP,
     FeatureTensor,
     WarmupError,
@@ -119,7 +120,7 @@ def spiked_frame(t, n, seed):
 
     Its RSI seed mean of gains sums one large and many tiny terms, so numpy's
     pairwise sum of a lone column rounds differently from the row-by-row sum of
-    a wider block. The creep is one at which the difference lasts to the first
+    a wider array. The creep is one at which the difference lasts to the first
     RSI row after the warm-up: at 1e-9 it rounds away.
     """
     frame = random_frame(t, n, seed)
@@ -129,16 +130,23 @@ def spiked_frame(t, n, seed):
     return make_frame(prices, frame.volume)
 
 
+def block_step(t):
+    """Assets per block of compute_indicators' windowed pass at t dates."""
+    return max(1, BLOCK_CELLS // (SCRATCH_BUFFERS * t))
+
+
 class TestBlockedIndicators:
-    """compute_indicators fills its result one asset block at a time; the bits are the full-width pass's."""
+    """compute_indicators runs its recursions at full width and fills the rest one asset
+    block at a time; the bits are the full-width pass's."""
 
     T = 2600
-    STEP = max(2, BLOCK_CELLS // T)  # assets per block at T dates
+    STEP = block_step(T)
 
-    @pytest.mark.parametrize("width", [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1])
+    @pytest.mark.parametrize("width", [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1, 49, 50, 51, 101])
     def test_matches_full_width_reference(self, width):
-        # At 2·STEP + 1 assets a plain split leaves a one-asset block, whose
-        # pairwise RSI seed sum would show in every later RSI row.
+        # The RSI seed mean is taken over all assets at once: taken per block,
+        # a one-asset tail block's pairwise sum would show in every later RSI
+        # row. 49 to 101 assets span many blocks, with tails of every width.
         frame = spiked_frame(self.T, width, seed=width)
         got = compute_indicators(frame)
         want = reference_indicators(frame)
@@ -177,10 +185,57 @@ class TestBlockedIndicators:
             tracemalloc.stop()
         assert peak <= 2 * tensor.features.nbytes
 
+    def test_temporaries_stay_under_a_quarter_of_the_result(self):
+        # The recursions write into the result's own rows and the windowed
+        # pass reuses one BLOCK_CELLS scratch allocation, so the largest
+        # temporary is FeatureTensor's finiteness mask, an eighth of the result.
+        frame = random_frame(2552, 100, seed=5)
+        tracemalloc.start()
+        try:
+            tensor = compute_indicators(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - tensor.features.nbytes <= 0.25 * tensor.features.nbytes
+
     def test_result_is_read_only_and_owned(self):
         tensor = compute_indicators(random_frame(300, 4, seed=1))
         assert not tensor.features.flags.writeable
         assert tensor.features.flags.owndata and tensor.features.flags.c_contiguous
+
+
+HUGE = np.finfo(float).max
+
+
+@st.composite
+def hostile_frames(draw):
+    """Frames of WARMUP + 1 dates and up, 1 to 3 blocks wide, some with an RSI seed
+    spike, and some with prices or volumes whose rolling sums or squares overflow."""
+    t = draw(st.integers(WARMUP + 1, 400))
+    width = draw(st.integers(1, 3 * block_step(t)))
+    seed = draw(st.integers(0, 2**16))
+    frame = draw(st.sampled_from([random_frame, spiked_frame]))(t, width, seed)
+    prices, volume = frame.adj_close.copy(), frame.volume.copy()
+    for panel, cell in ((prices, 1e3), (volume, 1e7)):  # about a panel's largest cell
+        if draw(st.booleans()):
+            asset, start = draw(st.integers(0, width - 1)), draw(st.integers(0, t - 1))
+            scale = draw(st.sampled_from([1e150, 1e155, 1e300, HUGE / 20 / cell, HUGE / cell]))
+            panel[start:, asset] *= scale
+    return make_frame(prices, volume)
+
+
+def outcome(indicators, frame):
+    """The tensor's bytes, or the text of the UniverseError that names its first non-finite cell."""
+    try:
+        return indicators(frame).features.tobytes()
+    except UniverseError as exc:
+        return str(exc)
+
+
+@given(hostile_frames())
+@settings(deadline=None, max_examples=150)
+def test_hostile_frames_match_the_full_width_pass(frame):
+    assert outcome(compute_indicators, frame) == outcome(reference_indicators, frame)
 
 
 class TestFeatureTensorAdoption:

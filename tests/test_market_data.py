@@ -136,8 +136,8 @@ class TestIngest:
         assert frame.n_assets == 1 and frame.n_dates == 6
 
     def test_parsed_series_keep_under_128_bytes_per_row(self, tmp_csv_dir):
-        # One record per bar kept about 288 bytes per row; a date object and
-        # six float64 cells take about 88.
+        # One record per bar kept about 288 bytes per row; a pointer to a
+        # shared date and the two kept float64 cells take about 28.
         days = weekdays(date(2000, 1, 3), 5000)
         for k in range(10):
             write_ticker_csv(tmp_csv_dir / f"T{k}.csv", flat_bars(days, 100.0 + k, 1000.0 + k))
@@ -241,8 +241,8 @@ class TestParseErrors:
         quoted = '"2020-01-07","100.5"," 102.0 ",100.0,"101.0",101.0,"1_200"'
         path.write_bytes(f"{HEADER}\r\n\r\n{GOOD}\r\n\r\n{quoted}\r\n\r\n".encode())
         assert list(read_ticker_csv(path)) == [
-            AssetBar(date(2020, 1, 6), 100.0, 101.0, 99.0, 100.5, 100.5, 1000.0),
-            AssetBar(date(2020, 1, 7), 100.5, 102.0, 100.0, 101.0, 101.0, 1200.0),
+            AssetBar(date(2020, 1, 6), 100.5, 1000.0),
+            AssetBar(date(2020, 1, 7), 101.0, 1200.0),
         ]
 
     def test_crlf_fault_line(self, tmp_csv_dir):
@@ -272,24 +272,34 @@ class TestParseErrors:
 
     def test_records_hold_parsed_floats(self, tmp_csv_dir):
         path = tmp_csv_dir / "X.csv"
-        path.write_text(f"{HEADER}\n{GOOD}\n{row(l='-0.0', v='0')}\n")
+        path.write_text(f"{HEADER}\n{GOOD}\n{row(v='-0.0')}\n")
         columns = read_ticker_csv(path)
         assert len(columns) == 2 and not columns.values.flags.writeable
         bars = list(columns)
-        assert [type(v) for v in bars[1][1:]] == [float] * 6
-        assert bars[1].day == date(2020, 1, 7) and bars[1].volume == 0.0
-        assert math.copysign(1.0, bars[1].low) == -1.0
+        assert [type(v) for v in bars[1][1:]] == [float] * 2
+        assert bars[1].day == date(2020, 1, 7) and bars[1].adj_close == 101.0 and bars[1].volume == 0.0
+        assert math.copysign(1.0, bars[1].volume) == -1.0
+
+    def test_values_keep_only_adj_close_and_volume(self, tmp_csv_dir):
+        # Open, high, low and close are checked, then dropped: alignment reads the other two.
+        path = tmp_csv_dir / "X.csv"
+        lines = [HEADER, "2020-01-06,100.0,101.0,99.0,100.5,97.25,1000.0", row(a="98.5", v="0")]
+        path.write_text("".join(line + "\n" for line in lines))
+        values = read_ticker_csv(path).values
+        assert values.shape == (2, 2) and not values.flags.writeable
+        assert values.tobytes() == np.array([[97.25, 98.5], [1000.0, 0.0]]).tobytes()
 
 
 def scalar_read(path):
-    """Row-by-row reference reader: `_check_row` on every line, in file order."""
+    """Row-by-row reference reader: `_check_row` on every line, in file order; each bar keeps
+    the fields `TickerBars` keeps (day, adj_close, volume)."""
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     bars, day = [], None
     for line_no, cells in enumerate(rows, start=2):
         if cells:
             day = _check_row(path, line_no, cells, day)
-            bars.append(AssetBar(day, *map(float, cells[1:])))
+            bars.append(AssetBar(day, float(cells[5]), float(cells[6])))
     if not bars:
         raise IngestionError(path, 2, "no data rows")
     return bars
@@ -395,9 +405,9 @@ class TestAlignSeries:
     def test_matches_set_intersection(self, offsets):
         series = {}
         for k, days in enumerate(offsets):
-            # Every ticker builds its own date objects; each bar's cells are distinct.
+            # Every ticker builds its own date objects; every cell is distinct.
             cells = 1000.0 * k + np.arange(len(days), dtype=float) + 1.0
-            values = np.tile(cells, (6, 1))
+            values = np.stack((cells, cells + 0.5))  # adj_close, volume
             values.setflags(write=False)
             series[f"T{k}"] = TickerBars(tuple(date(2020, 1, 1) + timedelta(days=i) for i in days), values)
         common, pick = reference_align(series)
@@ -407,8 +417,8 @@ class TestAlignSeries:
             return
         frame = align_series(series)
         assert frame.dates == tuple(common)
-        assert frame.adj_close.tobytes() == np.ascontiguousarray(pick[:, :, 4]).tobytes()
-        assert frame.volume.tobytes() == np.ascontiguousarray(pick[:, :, 5]).tobytes()
+        assert frame.adj_close.tobytes() == np.ascontiguousarray(pick[:, :, 0]).tobytes()
+        assert frame.volume.tobytes() == np.ascontiguousarray(pick[:, :, 1]).tobytes()
 
     def test_peak_memory_stays_near_the_two_panels(self, tmp_csv_dir):
         # Besides the two panels, only one ticker's date set and row index and

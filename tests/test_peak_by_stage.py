@@ -1,4 +1,4 @@
-"""scripts/peak_by_stage.py reports the memory high-water mark around each CLI stage."""
+"""scripts/peak_by_stage.py reports the memory high-water mark around each CLI stage, and resident memory after it."""
 
 import json
 
@@ -18,7 +18,8 @@ def test_ingest_and_backtest_stages(tmp_path, capsys):
     assert script.main(["--", "ingest", "--data", str(data), "--out", str(tmp_path / "ingested")]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[3].startswith("wrote ")  # the command's own output comes first
-    assert out[4].split()[0] == "stage" and out[-1].split()[0] == "end"
+    assert out[4].split() == ["stage", "hwm", "before", "MB", "hwm", "after", "MB", "rise", "MB", "rss", "after", "MB"]
+    assert out[-1].split()[0] == "end" and len(out[-1].split()) == 3
     assert [line.split()[0] for line in out[5:-1]] == [
         "load_series", "align_series", "compute_indicators", "write_panel_csv", "write_features_csv",
     ]
@@ -32,8 +33,8 @@ def test_ingest_and_backtest_stages(tmp_path, capsys):
     }))
     rc, rows = script.run(["backtest", "--config", str(config)])
     assert rc == 0
-    assert all(0 < before <= after for _, _, before, after in rows)
-    names = [(depth, name) for depth, name, _, _ in rows]
+    assert all(0 < before <= after and 0 < rss <= after for _, _, before, after, rss in rows)
+    names = [(depth, name) for depth, name, *_ in rows]
     assert names[:5] == [
         (0, "load_series"), (0, "align_series"), (0, "run_backtest"), (1, "compute_returns"), (1, "compute_indicators"),
     ]
