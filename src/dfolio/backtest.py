@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import calendar
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from datetime import MINYEAR, date
 
@@ -56,16 +57,18 @@ STRAT_SOFTMAX_RETURN = "softmax_max_return"
 STRAT_SOFTMAX_SHARPE = "softmax_max_sharpe"
 STRAT_PTO = "pto_markowitz"
 STRAT_MAX_SHARPE = "max_sharpe"
-# The StrategySpec fields each kind reads; every other field must keep its default.
-KIND_FIELDS = {
-    STRAT_SPO_PLUS: (),
-    STRAT_SPO_FEE: ("gamma",),
-    STRAT_SPO_FEE_L2: ("gamma", "lam"),
-    STRAT_ROBUST: ("rho",),
-    STRAT_SOFTMAX_RETURN: ("hidden",),
-    STRAT_SOFTMAX_SHARPE: ("hidden",),
-    STRAT_PTO: (),
-    STRAT_MAX_SHARPE: (),
+# Per kind: the StrategySpec fields it reads (every other field must keep its
+# default), its training loss, and the decision problem its linear predictor
+# trains and decides on (None for the softmax allocators and max_sharpe).
+KINDS = {
+    STRAT_SPO_PLUS: ((), SPO_PLUS, MAX_RETURN),
+    STRAT_SPO_FEE: (("gamma",), SPO_PLUS, MAX_RETURN_FEE),
+    STRAT_SPO_FEE_L2: (("gamma", "lam"), SPO_PLUS, MAX_RETURN_FEE_L2),
+    STRAT_ROBUST: (("rho",), ROBUST_SPO, MAX_RETURN),
+    STRAT_SOFTMAX_RETURN: (("hidden",), MAX_RETURN_LOSS, None),
+    STRAT_SOFTMAX_SHARPE: (("hidden",), MAX_SHARPE_LOSS, None),
+    STRAT_PTO: ((), MSE, MAX_RETURN),
+    STRAT_MAX_SHARPE: ((), None, None),
 }
 
 
@@ -84,8 +87,9 @@ class StrategySpec:
     # (field, holds, reason) rules, all checked at once by util.check_fields. A
     # field the kind does not read keeps its default (an unknown kind reads all).
     CHECKS = (
-        ("kind", lambda v: v["kind"] in KIND_FIELDS, "unknown strategy kind {kind!r}"),
-        *((f, lambda v, f=f, d=d: v[f] == d or f in KIND_FIELDS.get(v["kind"], (f,)), "{kind} does not read it")
+        ("kind", lambda v: v["kind"] in KINDS, "unknown strategy kind {kind!r}"),
+        *((f, lambda v, f=f, d=d: v[f] == d or v["kind"] not in KINDS or f in KINDS[v["kind"]][0],
+           "{kind} does not read it")
           for f, d in (("gamma", gamma), ("lam", lam), ("rho", rho), ("hidden", hidden))),
         *at_least(0.0, "gamma", "lam"),
         ("lam", lambda v: v["kind"] != STRAT_SPO_FEE_L2 or v["lam"] > 0, "spo_plus_fee_l2 requires lam > 0"),
@@ -220,28 +224,6 @@ class BacktestLedger:
     error: str | None = None
 
 
-def _strategy_problem(strategy: StrategySpec, w_prev: Portfolio) -> DecisionProblem:
-    if strategy.kind == STRAT_SPO_FEE:
-        return DecisionProblem(kind=MAX_RETURN_FEE, gamma=strategy.gamma, w_prev=w_prev)
-    if strategy.kind == STRAT_SPO_FEE_L2:
-        return DecisionProblem(
-            kind=MAX_RETURN_FEE_L2, gamma=strategy.gamma, lam=strategy.lam, w_prev=w_prev
-        )
-    return DecisionProblem(kind=MAX_RETURN)
-
-
-def _window_samples(data: BacktestData, tensor: FeatureTensor, first: int, start: date, end: date, it: int):
-    """Feature/target rows with dates in [start, end) and targets strictly before t.
-
-    first is the frame index of tensor's first row.
-    """
-    rows = span_indices(tensor.dates, start, end)
-    keep = [k for k in rows if first + k + 1 < it]
-    x = tensor.features[keep]
-    y = data.panel.simple_returns[[first + k for k in keep]]
-    return x, y
-
-
 def run_window(
     strategy: StrategySpec,
     t: date,
@@ -253,13 +235,14 @@ def run_window(
 
     Returns the portfolio and the winning trial of the window's search
     (`hyperparameter_search(...).best`), or None for max_sharpe, which does
-    not train. Uses only data strictly before t: features are standardized on
-    the train span, validation targets stop at the last return before t, and
-    the decision consumes the latest feature slice preceding t. Only the rows
-    the window reads, [train_start, t), are standardized.
+    not train. Uses only data strictly before t. The window is the feature
+    rows dated in [train_start, t), z-scored on the train span; its last row,
+    the latest before t, is the decision row. The samples are the rows before
+    it, each with the return into the next date as its target, so every
+    target is dated before t: training takes the rows of [train_start,
+    val_start), validation the rest. Raises ValueError when either sample
+    set is empty.
     """
-    frame = data.frame
-    it = frame.index_of(t)
     train_start = months_back(t, config.lookback_months)
     val_start = months_back(t, config.validation_months)
 
@@ -269,23 +252,21 @@ def run_window(
         return solve_max_sharpe(est), None
 
     feats = data.features
-    span = span_indices(feats.dates, train_start, t)
-    window = FeatureTensor(
-        feats.dates[span.start : span.stop], feats.tickers, feats.features[span.start : span.stop], feats.feature_names
-    )
-    tensor = standardize(window, train_start, val_start)
-    first = span.start + data.warmup
-    x_train, y_train = _window_samples(data, tensor, first, train_start, val_start, it)
-    x_val, y_val = _window_samples(data, tensor, first, val_start, t, it)
-    if it - 1 < data.warmup:
-        raise ValueError(f"no feature row available before {t} (warm-up too long)")
-    decision_slice = tensor.features[it - 1 - first]
+    lo, mid, hi = (bisect_left(feats.dates, d) for d in (train_start, val_start, t))
+    cut = hi - lo - 1  # the decision row
+    if mid == lo:
+        raise ValueError("no training day in [train_start, val_start)")
+    if mid - lo >= cut:
+        raise ValueError("no validation day in [val_start, t) with a return before t")
+    window = FeatureTensor(feats.dates[lo:hi], feats.tickers, feats.features[lo:hi], feats.feature_names)
+    z = standardize(window, train_start, val_start).features
+    y = data.panel.simple_returns[data.warmup + lo :]  # row k: the return into the date after window row k
+    x_train, y_train = z[: mid - lo], y[: mid - lo]
+    x_val, y_val = z[mid - lo : cut], y[mid - lo : cut]
 
+    _, loss, problem_kind = KINDS[strategy.kind]
     seed = stable_seed(config.seed, strategy.name, t, "search")
-
-    softmax = strategy.kind in (STRAT_SOFTMAX_RETURN, STRAT_SOFTMAX_SHARPE)
-    if softmax:
-        dfl_kind = MAX_RETURN_LOSS if strategy.kind == STRAT_SOFTMAX_RETURN else MAX_SHARPE_LOSS
+    if problem_kind is None:
         base = TrainConfig(batch_size=config.batch_size, seed=stable_seed(seed, "softmax-train"))
 
         def score(model):
@@ -293,14 +274,9 @@ def run_window(
             return float((y_val * allocate_batch(model, x_val)).sum(axis=1).mean())
 
     else:
-        problem = _strategy_problem(strategy, w_prev)
-        base = TrainConfig(
-            loss_kind=_loss_kind(strategy),
-            batch_size=config.batch_size,
-            seed=stable_seed(config.seed, strategy.name, t, "train"),
-            problem=problem,
-            robust=RobustConfig(rho=strategy.rho) if strategy.kind == STRAT_ROBUST else None,
-        )
+        problem = DecisionProblem(problem_kind, gamma=strategy.gamma, lam=strategy.lam, w_prev=w_prev)
+        robust = RobustConfig(rho=strategy.rho) if loss == ROBUST_SPO else None
+        base = TrainConfig(loss_kind=loss, batch_size=config.batch_size, robust=robust, problem=problem)
 
         def score(model):
             return validation_score(model, x_val, y_val, base)
@@ -309,28 +285,19 @@ def run_window(
         # A stacked pass ignores config.epochs; it records the pass length
         # (the longest trial's epochs), which perfbench's trace counts.
         cfg = replace(base, epochs=int(epochs.max()))
-        if softmax:
-            return train_dfl(x_train, y_train, dfl_kind, cfg, hidden=strategy.hidden, learning_rates=lrs, epochs=epochs)
+        if problem_kind is None:
+            return train_dfl(x_train, y_train, loss, cfg, hidden=strategy.hidden, learning_rates=lrs, epochs=epochs)
         return train(x_train, y_train, cfg, learning_rates=lrs, epochs=epochs)
 
     result = hyperparameter_search(config.search, seed, fit, score)
-    best = result.best
-    if softmax:
-        return allocate(result.model, decision_slice), best
-    r_hat = predict(result.model, decision_slice)
-    if strategy.kind == STRAT_SPO_FEE:
-        return solve_fee(r_hat, problem), best
-    if strategy.kind == STRAT_SPO_FEE_L2:
-        return solve_fee_l2(r_hat, problem), best
-    return solve_max_return(r_hat), best
-
-
-def _loss_kind(strategy: StrategySpec) -> str:
-    if strategy.kind == STRAT_PTO:
-        return MSE
-    if strategy.kind == STRAT_ROBUST:
-        return ROBUST_SPO
-    return SPO_PLUS
+    if problem_kind is None:
+        return allocate(result.model, z[cut]), result.best
+    r_hat = predict(result.model, z[cut])
+    if problem_kind == MAX_RETURN_FEE:
+        return solve_fee(r_hat, problem), result.best
+    if problem_kind == MAX_RETURN_FEE_L2:
+        return solve_fee_l2(r_hat, problem), result.best
+    return solve_max_return(r_hat), result.best
 
 
 def accrue(

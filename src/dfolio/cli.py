@@ -211,9 +211,10 @@ def load_run_config(path, seed_override=None, out_override=None, strategy_filter
         _check_dir(data_dir, "data_dir", errors)
     output_dir = out_override or raw.get("output_dir", "dfolio_out")
     _check_dir(output_dir, "output_dir", errors)
-    seed = seed_override if seed_override is not None else raw.get("seed", BacktestConfig.seed)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append(f"seed: expected a non-negative integer, got {seed!r}")
+    if seed_override is None:
+        seed = _check_number(raw.get("seed", BacktestConfig.seed), "seed", errors, minimum=0, integer=True)
+    else:
+        seed = _check_number(seed_override, "--seed", errors, minimum=0, integer=True)
     backtest = _read_section(BacktestConfig, raw.get("backtest", {}), "backtest", errors, set_elsewhere=("seed", "search"))
     search = _read_section(SearchSpace, raw.get("search", {}), "search", errors)
 

@@ -26,6 +26,15 @@ from dfolio.training import SearchSpace
 from dfolio.util import ConfigError
 
 FAST = dict(search=SearchSpace(n_trials=2, epochs_min=2, epochs_max=3))
+# Every linear kind and one softmax kind, with the fields each reads.
+TRAINED_KINDS = [
+    ("spo_plus", {}),
+    ("spo_plus_fee", {"gamma": 0.005}),
+    ("spo_plus_fee_l2", {"gamma": 0.005, "lam": 0.42}),
+    ("robust_spo", {"rho": 0.1}),
+    ("softmax_max_return", {}),
+    ("pto_markowitz", {}),
+]
 
 
 def synthetic_frame(n_assets=4, n_days=480, seed=11, **kw):
@@ -39,6 +48,17 @@ def fast_config(frame, seed=0, **kw):
     base = dict(start=start, end=frame.dates[-1], seed=seed, **FAST)
     base.update(kw)
     return BacktestConfig(**base)
+
+
+def monthly_frame(n_months=300, drop=()):
+    """A frame of month-start dates from 2000-01-01, without the dates in drop."""
+    frame = synthetic_frame(n_days=n_months)
+    dates = [date(2000 + k // 12, k % 12 + 1, 1) for k in range(n_months)]
+    keep = np.array([d not in drop for d in dates])
+    return MarketFrame(
+        dates=tuple(d for d, k in zip(dates, keep) if k), tickers=frame.tickers,
+        adj_close=frame.adj_close[keep], volume=frame.volume[keep],
+    )
 
 
 def months_back_loop(day, months):
@@ -195,50 +215,83 @@ class TestRunWindow:
         assert abs(w.weights.sum() - 1.0) <= 1e-8
 
     def test_window_arithmetic(self, monkeypatch):
-        """Training sees the z-scored rows of [t - 12m, t - 3m); validation those of [t - 3m, t) with targets before t."""
+        """Training sees the z-scored rows of [t - 12m, t - 3m); validation those of [t - 3m, t) with targets before t.
+
+        On the full calendar and on one with random dates dropped, for every
+        linear kind and a softmax one; the decision reads the z-scored row of
+        the last frame date before t.
+        """
         import dfolio.backtest as bt
 
-        frame = synthetic_frame()
-        cfg = fast_config(frame)
-        data = prepare_data(frame)
-        t = rebalance_dates(frame, cfg)[2]
-        train_start, val_start = months_back(t, 12), months_back(t, 3)
-        fitted, scored = [], []
+        full = synthetic_frame()
+        keep = np.random.default_rng(4).random(full.n_dates) > 0.25
+        thinned = MarketFrame(
+            dates=tuple(d for d, k in zip(full.dates, keep) if k), tickers=full.tickers,
+            adj_close=full.adj_close[keep], volume=full.volume[keep],
+        )
+        seen = {}
 
-        def spy_train(x, y, *args, **kwargs):
-            fitted.append((x, y))
-            return train(x, y, *args, **kwargs)
+        def spy(name, arrays):
+            real = getattr(bt, name)
 
-        def spy_score(model, x, y, *args):
-            scored.append((x, y))
-            return validation_score(model, x, y, *args)
+            def wrapper(*args, **kwargs):
+                seen.setdefault(name, []).append(tuple(a.tobytes() for a in args[arrays]))
+                return real(*args, **kwargs)
 
-        train, validation_score = bt.train, bt.validation_score
-        monkeypatch.setattr(bt, "train", spy_train)
-        monkeypatch.setattr(bt, "validation_score", spy_score)
-        run_window(StrategySpec("spo_plus", "spo_plus"), t, data, cfg, Portfolio.uniform(4))
+            monkeypatch.setattr(bt, name, wrapper)
 
-        z = standardize(data.features, train_start, val_start).features
-        dates = data.features.dates
-        # The target of the feature row dated d is the return into the next frame date: panel row index_of(d).
-        train_rows = [k for k, d in enumerate(dates) if train_start <= d < val_start]
-        val_rows = [k for k, d in enumerate(dates) if val_start <= d < t and frame.dates[frame.index_of(d) + 1] < t]
-        assert train_rows and 0 < len(val_rows) < sum(val_start <= d < t for d in dates)
+        # (name, its array arguments): the samples, a model's validation inputs, the decision slice
+        for name, arrays in (("train", slice(0, 2)), ("train_dfl", slice(0, 2)), ("validation_score", slice(1, 3)),
+                             ("allocate_batch", slice(1, 2)), ("predict", slice(1, 2)), ("allocate", slice(1, 2))):
+            spy(name, arrays)
+        for frame in (full, thinned):
+            cfg = fast_config(frame)
+            data = prepare_data(frame)
+            t = rebalance_dates(frame, cfg)[2]
+            train_start, val_start = months_back(t, 12), months_back(t, 3)
+            z = standardize(data.features, train_start, val_start).features
+            dates = data.features.dates
+            # The target of the feature row dated d is the return into the next frame date: panel row index_of(d).
+            target_day = {data.panel.simple_returns[i].tobytes(): day for i, day in enumerate(data.panel.dates)}
+            train_rows = [k for k, d in enumerate(dates) if train_start <= d < val_start]
+            val_rows = [k for k, d in enumerate(dates) if val_start <= d < t and frame.dates[frame.index_of(d) + 1] < t]
+            assert train_rows and 0 < len(val_rows) < sum(val_start <= d < t for d in dates)
 
-        def samples(rows):
-            return z[rows].tobytes(), data.panel.simple_returns[[frame.index_of(dates[k]) for k in rows]].tobytes()
+            def samples(rows):
+                return z[rows].tobytes(), data.panel.simple_returns[[frame.index_of(dates[k]) for k in rows]].tobytes()
 
-        assert [(x.tobytes(), y.tobytes()) for x, y in fitted] == [samples(train_rows)]
-        assert [(x.tobytes(), y.tobytes()) for x, y in scored] == [samples(val_rows)] * cfg.search.n_trials
+            decision = z[dates.index(frame.dates[frame.index_of(t) - 1])].tobytes()
+            for kind, params in TRAINED_KINDS:
+                seen.clear()
+                run_window(StrategySpec(kind, kind, **params), t, data, cfg, Portfolio.uniform(4))
+                softmax = kind.startswith("softmax")
+                (x, y), = seen["train_dfl" if softmax else "train"]
+                assert (x, y) == samples(train_rows)
+                ys = [y] + [y_val for _, y_val in seen.get("validation_score", [])]
+                assert all(target_day[row.tobytes()] < t for b in ys for row in np.frombuffer(b).reshape(-1, 4))
+                if softmax:
+                    assert seen["allocate_batch"] == [samples(val_rows)[:1]] * cfg.search.n_trials
+                else:
+                    assert seen["validation_score"] == [samples(val_rows)] * cfg.search.n_trials
+                assert seen["allocate" if softmax else "predict"] == [(decision,)]
 
-    @pytest.mark.parametrize("kind,params", [
-        ("spo_plus", {}),
-        ("spo_plus_fee", {"gamma": 0.005}),
-        ("spo_plus_fee_l2", {"gamma": 0.005, "lam": 0.42}),
-        ("robust_spo", {"rho": 0.1}),
-        ("softmax_max_return", {}),
-        ("pto_markowitz", {}),
-    ])
+    @pytest.mark.parametrize("months,drop,error", [
+        ({"validation_months": 1}, None, "no validation day in [val_start, t) with a return before t"),
+        ({"train_months": 1}, 4, "no training day in [train_start, val_start)"),
+    ], ids=["validation", "training"])
+    def test_empty_sample_set_raises(self, months, drop, error):
+        # On month-start bars the one row of a 1-month validation span is the
+        # decision row: every trial was scored on no day, as nan, and trial 0
+        # silently won. A 1-month train span, [t - 4m, t - 3m), holds no bar
+        # once the bar 4 months back is dropped.
+        t = date(2020, 1, 1)
+        cfg = BacktestConfig(start=t, end=t, batch_size=1, **months, **FAST)
+        data = prepare_data(monthly_frame(drop={months_back(t, drop)} if drop else ()))
+        with pytest.raises(ValueError) as exc:
+            run_window(StrategySpec("spo_plus", "spo_plus"), t, data, cfg, Portfolio.uniform(4))
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("kind,params", TRAINED_KINDS)
     def test_decision_ignores_future_data(self, kind, params):
         frame = synthetic_frame()
         cfg = fast_config(frame)
@@ -401,6 +454,18 @@ class TestRunBacktest:
             assert ledgers[name].error == "rebalance 2016-02-01 (decide): ValueError: 182 samples < batch size 400"
         assert ledgers["max_sharpe"].error is None
         assert len(ledgers["max_sharpe"].nav) > 1
+
+    def test_empty_validation_span_is_located(self):
+        frame = monthly_frame()
+        cfg = BacktestConfig(start=date(2022, 1, 1), end=frame.dates[-1], validation_months=1, batch_size=1, **FAST)
+        ledgers = run_backtest(frame, default_roster(), cfg)
+        for name, led in ledgers.items():
+            if name == "max_sharpe":
+                assert led.error is None and len(led.rebalances) == 36
+            else:
+                assert led.error == (
+                    "rebalance 2022-01-01 (decide): ValueError: no validation day in [val_start, t) with a return before t"
+                )
 
     def test_universe_wider_than_lookback_is_located(self):
         frame = synthetic_frame(n_assets=50, n_days=400, seed=3)

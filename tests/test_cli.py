@@ -19,6 +19,7 @@ from dfolio.backtest import BacktestConfig, BacktestLedger, default_roster
 from dfolio.metrics import MetricsRow
 from dfolio.reports import read_metrics_json, run_drift
 from dfolio.training import SearchSpace
+from dfolio.util import ConfigError
 
 from oracles import (
     read_hparams_csv,
@@ -255,6 +256,25 @@ class TestBacktestCommand:
         cfg = write_config(tmp_path, synth_dir, tmp_path / "o", backtest={"start": "2016-02-01", "end": "2016-10-31", key: value})
         assert run_cli(["backtest", "--config", str(cfg)]) == 2
         assert f"config error: backtest.{key}: expected a finite number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,fault", [
+        ("seed", 3.0, None),
+        ("seed", -1, "seed: must be >= 0, got -1"),
+        ("seed", True, "seed: expected a number, got True"),
+        ("seed", 1.5, "seed: expected an integer, got 1.5"),
+        ("--seed", -1, "--seed: must be >= 0, got -1"),
+    ], ids=["3.0", "-1", "true", "1.5", "--seed=-1"])
+    def test_seed_reads_like_every_integer_field(self, tmp_path, key, value, fault):
+        # "seed": 3.0 was rejected while "search": {"n_trials": 3.0} was accepted.
+        cfg = write_config(tmp_path, tmp_path / "data", tmp_path / "o", **({"seed": value} if key == "seed" else {}))
+        override = value if key == "--seed" else None
+        if fault is None:
+            seed = cli.load_run_config(cfg, seed_override=override).backtest.seed
+            assert seed == 3 and type(seed) is int
+        else:
+            with pytest.raises(ConfigError) as exc:
+                cli.load_run_config(cfg, seed_override=override)
+            assert exc.value.args == (fault,)
 
     def test_errors_reported_exhaustively(self, synth_dir, tmp_path, capsys):
         cfg = write_config(

@@ -89,6 +89,9 @@ def run_main(argv):
 
 def check_outcome(code, out, err):
     assert code in (0, 1, 2), code
+    # pytest's error::RuntimeWarning filter raises a leaked numpy warning, and
+    # a strategy's failure isolation would turn it into an accepted FAILED line.
+    assert "Warning:" not in out + err, (out, err)
     if code == 2:
         assert err.startswith(("config error: ", "error: ", "usage: ")), err
     elif code == 1:
