@@ -52,7 +52,7 @@ def run_seed(seed, n_assets=6, n_train=378, n_test=600):
     y = compute_returns(frame).simple_returns
     xtr, ytr, xte, yte = x[:n_train], y[:n_train], x[n_train:], y[n_train:]
     prob = DecisionProblem(kind=MAX_RETURN_FEE, gamma=0.005, w_prev=Portfolio.uniform(n_assets))
-    base = dict(epochs=40, learning_rate=0.01, batch_size=63, seed=seed, fit_intercept=False)
+    base = dict(batch_size=63, seed=seed, fit_intercept=False)
 
     w_star = argmax_batch(yte, prob)
     fee = lambda W: prob.gamma * np.abs(W - prob.w_prev.weights).sum(axis=1)
@@ -64,7 +64,7 @@ def run_seed(seed, n_assets=6, n_train=378, n_test=600):
         ("spo", SPO_PLUS, {}),
         ("robust", ROBUST_SPO, {"robust": RobustConfig(rho=0.1)}),
     ):
-        model, _ = train(xtr, ytr, TrainConfig(loss_kind=kind, problem=prob, **extra, **base))
+        model = train(xtr, ytr, TrainConfig(loss_kind=kind, problem=prob, **extra, **base), [0.01], [40])[0]
         W = argmax_batch(predict(model, xte), prob)
         out[key] = best_val - ((yte * W).sum(axis=1) - fee(W))
     return out

@@ -282,7 +282,7 @@ def run_window(
             return validation_score(model, x_val, y_val, base)
 
     def fit(lrs, epochs):
-        # A stacked pass ignores config.epochs; it records the pass length
+        # Training does not read config.epochs; it records the pass length
         # (the longest trial's epochs), which perfbench's trace counts.
         cfg = replace(base, epochs=int(epochs.max()))
         if problem_kind is None:

@@ -67,7 +67,9 @@ class FeatureTensor:
                 f"feature shape {feats.shape} != "
                 f"({len(self.dates)}, {len(self.tickers)}, {len(self.feature_names)})"
             )
-        if not np.isfinite(feats).all():  # e.g. rolling sums of prices or volumes near the float limit
+        # e.g. rolling sums of prices or volumes near the float limit. NaN
+        # reaches min and max too, so no full-size mask is made unless one fails.
+        if feats.size and not (np.isfinite(feats.min()) and np.isfinite(feats.max())):
             t, i, k = np.argwhere(~np.isfinite(feats))[0]
             name, ticker, day = self.feature_names[k], self.tickers[i], self.dates[t]
             raise UniverseError(f"feature {name} of {ticker} is not finite on {day}")

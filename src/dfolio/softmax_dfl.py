@@ -168,16 +168,15 @@ def train_dfl(
     returns: np.ndarray,
     kind: str,
     config: TrainConfig,
+    learning_rates,
+    epochs,
     hidden: int = 32,
-    learning_rates=None,
-    epochs=None,
 ):
-    """Adam training of the allocator on realized-performance losses.
+    """Adam training of the allocator on realized-performance losses, one trial per (learning rate, epochs) pair.
 
     For the Sharpe loss, Sigma is estimated once from the training-window
-    returns and held fixed. Returns (SoftmaxAllocator, per-epoch mean loss
-    trace), or given learning_rates and epochs, one stacked pass's allocators
-    and traces from the same seeded init (fit_adam).
+    returns and held fixed. Returns one stacked pass's SoftmaxAllocators in
+    trial order, all from the same seeded init (fit_adam).
     """
     if kind not in DFL_LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")

@@ -34,7 +34,7 @@ LOSS_KINDS = (MSE, SPO_PLUS, ROBUST_SPO)
 
 # A search score within SCORE_TIE_TOL * max(1, |best|) of the best ties with it.
 SCORE_TIE_TOL = 1e-12
-# The most epochs a training run may take; SearchSpace checks it too.
+# The most epochs a trial may train; fit_adam and SearchSpace check it.
 MAX_EPOCHS = 1000
 
 
@@ -89,8 +89,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
 @dataclass(frozen=True)
 class TrainConfig:
     loss_kind: str = MSE
-    epochs: int = 30
-    learning_rate: float = 0.01
+    epochs: int = 30  # unread by training; the backtest puts a pass length here for perfbench's tracer
     batch_size: int = 63
     seed: int = 0
     fit_intercept: bool = True
@@ -100,10 +99,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
-        if not 1 <= self.epochs <= MAX_EPOCHS:
-            raise ValueError(f"epochs must be in [1, {MAX_EPOCHS}]")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.loss_kind == ROBUST_SPO and self.robust is None:
@@ -121,20 +116,18 @@ def check_samples(features, targets, batch_size: int) -> tuple[np.ndarray, np.nd
     return x, y
 
 
-def fit_adam(
-    init: dict, batch_grads, build, t_total: int, config: TrainConfig, label: str, learning_rates=None, epochs=None
-):
+def fit_adam(init: dict, batch_grads, build, t_total: int, config: TrainConfig, label: str, learning_rates, epochs):
     """Mini-batch Adam over chronological batches for a stack of trials, shared by both model families.
 
-    Every trial starts from the one-trial parameters init and differs only in
-    its learning rate and epoch count. batch_grads(params, rows, epoch, batch)
+    Trains one trial per (learning rate, epochs) pair and returns the models
+    in trial order; config's own epochs are not used. Every trial starts from
+    the one-trial parameters init. batch_grads(params, rows, epoch, batch)
     returns the (trials, rows) losses of the rows slice and a dict of
     (trials, ...) gradients; a parameter without a gradient stays fixed.
     build(parameters) makes a trial's model after its last epoch, and a
-    non-finite batch loss raises TrainingError. Without learning_rates and
-    epochs, trains config's one trial and returns (model, per-epoch mean loss
-    trace); with them, trains one trial per pair (config's own learning rate
-    and epochs are not used) and returns the models and traces in trial order.
+    non-finite batch loss raises TrainingError. Epochs outside [1,
+    MAX_EPOCHS] and learning rates that are not finite and >= 0 raise
+    ValueError before any epoch runs.
 
     Parameters carry a leading trial axis, and the trials sit in descending
     order of epochs, so those still training are always a prefix of the stack.
@@ -144,20 +137,23 @@ def fit_adam(
     losses turn non-finite in the same batch, the lowest trial index's loss is
     reported. The error is that trial's own one-trial error.
     """
-    stacked = learning_rates is not None
-    lrs = np.asarray(learning_rates if stacked else [config.learning_rate], dtype=float).reshape(-1)
-    ends = np.asarray(epochs if stacked else [config.epochs], dtype=int).reshape(-1)
-    if lrs.size == 0 or lrs.size != ends.size or ends.min() < 1:
-        raise ValueError(f"need matching learning rates and epochs >= 1, got {lrs.size} and {ends.tolist()}")
+    lrs = np.asarray(learning_rates, dtype=float).reshape(-1)
+    ends = np.asarray(epochs, dtype=int).reshape(-1)
+    if lrs.size == 0 or lrs.size != ends.size:
+        raise ValueError(f"need matching learning rates and epochs, got {lrs.size} and {ends.size}")
+    bad_ends = ends[(ends < 1) | (ends > MAX_EPOCHS)]
+    if bad_ends.size:
+        raise ValueError(f"epochs must be in [1, {MAX_EPOCHS}], got {bad_ends.tolist()}")
+    bad_lrs = lrs[~(np.isfinite(lrs) & (lrs >= 0))]
+    if bad_lrs.size:
+        raise ValueError(f"learning rates must be finite and >= 0, got {bad_lrs.tolist()}")
     order = np.argsort(-ends, kind="stable")
     lrs, ends = lrs[order], ends[order]
     params = {k: np.repeat(np.asarray(v, dtype=float)[None], order.size, axis=0) for k, v in init.items()}
     states = {k: AdamState.like(v) for k, v in params.items()}
     models: list = [None] * order.size
-    traces: list[list[float]] = [[] for _ in order]
     live, epoch = order.size, 0
     while live:
-        total = np.zeros(live)
         for bi, start in enumerate(range(0, t_total, config.batch_size)):
             rows = slice(start, start + config.batch_size)
             # The first batch's one-trial losses and gradients broadcast over the stack.
@@ -168,11 +164,8 @@ def fit_adam(
             if bad.size:
                 loss = float(batch_loss[bad[np.argmin(order[bad])]])
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {bi} ({label})")
-            total += losses.sum(axis=1)
             for k, g in grads.items():
                 params[k] = adam_step(params[k], g, states[k], lrs[:live].reshape(-1, *[1] * (g.ndim - 1)))
-        for s in range(live):
-            traces[order[s]].append(float(total[s] / t_total))
         epoch += 1
         for s in np.flatnonzero(ends[:live] == epoch):
             models[order[s]] = build({k: v[s].copy() for k, v in params.items()})
@@ -180,15 +173,15 @@ def fit_adam(
         params = {k: v[:live] for k, v in params.items()}
         for st in states.values():
             st.m, st.v = st.m[:live], st.v[:live]
-    return (models, traces) if stacked else (models[0], traces[0])
+    return models
 
 
-def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig, learning_rates=None, epochs=None):
-    """Mini-batch Adam on the configured per-sample loss.
+def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig, learning_rates, epochs):
+    """Mini-batch Adam on the configured per-sample loss, one trial per (learning rate, epochs) pair.
 
     features: (T, n_assets, n_features); targets: (T, n_assets) next-day simple
-    returns. Returns (LinearPredictor, per-epoch mean loss trace), or given
-    learning_rates and epochs, one stacked pass's models and traces (fit_adam).
+    returns. Returns one stacked pass's LinearPredictors in trial order
+    (fit_adam); one model is a stack of one: train(x, y, config, [lr], [ep])[0].
     """
     x, y = check_samples(features, targets, config.batch_size)
     t_total, n, d = x.shape
@@ -264,10 +257,11 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's winning trial and its model, and every trial's settings and score in draw order."""
+
     best: TrialResult
     model: object  # the winning trial's trained model
     trials: tuple[TrialResult, ...]
-    traces: tuple[tuple[float, ...], ...]  # per-trial epoch loss traces
 
 
 def decision_value(y_rows: np.ndarray, w_rows: np.ndarray, prob: DecisionProblem) -> np.ndarray:
@@ -292,18 +286,18 @@ def hyperparameter_search(space: SearchSpace, seed: int, fit, score) -> SearchRe
     """Random search over (learning rate, epochs), drawn from seed, that keeps the winning model.
 
     fit(learning_rates, epochs) trains every drawn trial, in one stacked pass
-    for both model families, and returns their models and per-epoch loss
-    traces in trial order; score(model) rates one on the validation span,
-    higher is better. The earliest trial whose score is within
-    SCORE_TIE_TOL * max(1, |best|) of the best score wins, so scores that tie
-    in exact arithmetic but differ by round-off go to the earliest trial.
+    for both model families, and returns their models in trial order;
+    score(model) rates one on the validation span, higher is better. The
+    earliest trial whose score is within SCORE_TIE_TOL * max(1, |best|) of the
+    best score wins, so scores that tie in exact arithmetic but differ by
+    round-off go to the earliest trial.
     Callers are responsible for the validation span lying strictly after the
     training span; the backtest enforces that ordering by construction.
     """
     rng = derived_rng(seed, "hparam-search")
     lrs = np.exp(rng.uniform(np.log(space.lr_min), np.log(space.lr_max), space.n_trials))
     epoch_draws = rng.integers(space.epochs_min, space.epochs_max + 1, space.n_trials)
-    models, traces = fit(lrs, epoch_draws)
+    models = fit(lrs, epoch_draws)
     trials = tuple(
         TrialResult(learning_rate=float(lr), epochs=int(ep), score=score(model))
         for lr, ep, model in zip(lrs, epoch_draws, models)
@@ -311,4 +305,4 @@ def hyperparameter_search(space: SearchSpace, seed: int, fit, score) -> SearchRe
     scores = np.array([t.score for t in trials])
     top = scores.max()
     best = int(np.argmax(scores >= top - SCORE_TIE_TOL * max(1.0, abs(top))))
-    return SearchResult(best=trials[best], model=models[best], trials=trials, traces=tuple(map(tuple, traces)))
+    return SearchResult(best=trials[best], model=models[best], trials=trials)

@@ -186,9 +186,9 @@ class TestBlockedIndicators:
         assert peak <= 2 * tensor.features.nbytes
 
     def test_temporaries_stay_under_a_quarter_of_the_result(self):
-        # The recursions write into the result's own rows and the windowed
-        # pass reuses one BLOCK_CELLS scratch allocation, so the largest
-        # temporary is FeatureTensor's finiteness mask, an eighth of the result.
+        # The recursions write into the result's own rows, the windowed pass
+        # reuses one BLOCK_CELLS scratch allocation, and FeatureTensor checks
+        # finiteness through min and max, with no full-size mask.
         frame = random_frame(2552, 100, seed=5)
         tracemalloc.start()
         try:
@@ -261,6 +261,18 @@ class TestFeatureTensorAdoption:
         assert not np.shares_memory(tensor.features, base)
         base[1, 0, 0] = 7.0
         assert tensor.features[0, 0, 0] == 1.0
+
+    def test_finiteness_check_allocates_no_mask(self):
+        dates, tickers, names = self._labels(t=2000, n=50, d=8)
+        feats = np.random.default_rng(0).normal(size=(2000, 50, 8))
+        feats.setflags(write=False)
+        tracemalloc.start()
+        try:
+            FeatureTensor(dates, tickers, feats, names)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * feats.nbytes
 
     def test_read_only_owner_is_adopted(self):
         dates, tickers, names = self._labels()

@@ -96,7 +96,7 @@ class TestDflLoss:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(70, 3, 2))
         y = rng.normal(0, 0.01, size=(70, 3))
-        cfg = TrainConfig(epochs=2, learning_rate=0.01, batch_size=63, seed=4)
+        cfg = TrainConfig(batch_size=63, seed=4)
         seen = []
 
         def spy(returns):
@@ -104,9 +104,9 @@ class TestDflLoss:
             return estimate_covariance(returns)
 
         monkeypatch.setattr(softmax_dfl, "estimate_covariance", spy)
-        train_dfl(x, y, MAX_SHARPE_LOSS, cfg)
+        train_dfl(x, y, MAX_SHARPE_LOSS, cfg, [0.01], [2])
         assert len(seen) == 1 and seen[0].tobytes() == y.tobytes()
-        train_dfl(x, y, MAX_RETURN_LOSS, cfg)
+        train_dfl(x, y, MAX_RETURN_LOSS, cfg, [0.01], [2])
         assert len(seen) == 1
 
 
@@ -192,18 +192,19 @@ class TestTrainDfl:
         x[:, 0, 0] = 1.0
         x[:, 1:, 0] = -1.0
         y[:, 0] = np.abs(y[:, 0]) + 0.02
-        cfg = TrainConfig(epochs=40, learning_rate=0.02, batch_size=63, seed=0)
-        model, trace = train_dfl(x, y, MAX_RETURN_LOSS, cfg)
+        cfg = TrainConfig(batch_size=63, seed=0)
+        model = train_dfl(x, y, MAX_RETURN_LOSS, cfg, [0.02], [40])[0]
         w = allocate_batch(model, x)
         assert w[:, 0].mean() >= 0.9
-        assert trace[-1] <= trace[0]
+        w0 = allocate_batch(init_allocator(n, d, seed=0), x)
+        assert (y * w).sum(axis=1).mean() > (y * w0).sum(axis=1).mean()
 
     def test_zero_learning_rate_keeps_parameters(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(70, 3, 2))
         y = rng.normal(0, 0.01, size=(70, 3))
-        cfg = TrainConfig(epochs=2, learning_rate=0.0, batch_size=63, seed=5)
-        model, _ = train_dfl(x, y, MAX_RETURN_LOSS, cfg)
+        cfg = TrainConfig(batch_size=63, seed=5)
+        model = train_dfl(x, y, MAX_RETURN_LOSS, cfg, [0.0], [2])[0]
         init = init_allocator(3, 2, hidden=32, seed=5)
         np.testing.assert_array_equal(model.w1, init.w1)
         np.testing.assert_array_equal(model.w2, init.w2)
@@ -213,33 +214,32 @@ class TestTrainDfl:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(70, 3, 2))
         y = rng.normal(0, 0.01, size=(70, 3))
-        cfg = TrainConfig(epochs=2, learning_rate=0.01, batch_size=63, seed=0)
-        model, trace = train_dfl(x, y, MAX_SHARPE_LOSS, cfg)
+        cfg = TrainConfig(batch_size=63, seed=0)
+        model = train_dfl(x, y, MAX_SHARPE_LOSS, cfg, [0.01], [2])[0]
         assert np.all(np.isfinite(model.w1))
-        assert len(trace) == 2
+        assert np.any(model.w1 != init_allocator(3, 2, hidden=32, seed=0).w1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(70, 3, 2))
         y = rng.normal(0, 0.01, size=(70, 3))
-        cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=63, seed=9)
-        m1, t1 = train_dfl(x, y, MAX_RETURN_LOSS, cfg)
-        m2, t2 = train_dfl(x, y, MAX_RETURN_LOSS, cfg)
-        assert m1.w1.tobytes() == m2.w1.tobytes()
-        assert t1 == t2
+        cfg = TrainConfig(batch_size=63, seed=9)
+        m1 = flatten_params(train_dfl(x, y, MAX_RETURN_LOSS, cfg, [0.01], [3])[0])
+        m2 = flatten_params(train_dfl(x, y, MAX_RETURN_LOSS, cfg, [0.01], [3])[0])
+        assert {k: v.tobytes() for k, v in m1.items()} == {k: v.tobytes() for k, v in m2.items()}
 
     def test_non_finite_loss_names_epoch_and_batch(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(130, 3, 2))
         y = rng.normal(0, 0.01, size=(130, 3))
         x[70, 0, 0] = np.nan  # rows 63..125 form batch 1
-        cfg = TrainConfig(epochs=2, learning_rate=0.01, batch_size=63, seed=0)
+        cfg = TrainConfig(batch_size=63, seed=0)
         with pytest.raises(TrainingError, match=r"^non-finite loss nan at epoch 0, batch 1 \(max_return\)$"):
-            train_dfl(x, y, MAX_RETURN_LOSS, cfg)
+            train_dfl(x, y, MAX_RETURN_LOSS, cfg, [0.01], [2])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            train_dfl(np.zeros((70, 2, 2)), np.zeros((70, 2)), "nope", TrainConfig(batch_size=63))
+            train_dfl(np.zeros((70, 2, 2)), np.zeros((70, 2)), "nope", TrainConfig(batch_size=63), [0.01], [2])
 
     @pytest.mark.parametrize("kind", [MAX_RETURN_LOSS, MAX_SHARPE_LOSS])
     def test_search_keeps_model_equal_to_retrained_winner(self, kind):
@@ -249,8 +249,7 @@ class TestTrainDfl:
         x = rng.normal(size=(130, 4, 3))
         y = rng.normal(0.0005, 0.01, size=(130, 4))
         xtr, ytr, xv, yv = x[:90], y[:90], x[90:], y[90:]
-        def config(lr, epochs):
-            return TrainConfig(learning_rate=lr, epochs=epochs, batch_size=63, seed=11)
+        config = TrainConfig(batch_size=63, seed=11)
 
         def score(model):
             return float((yv * allocate_batch(model, xv)).sum(axis=1).mean())
@@ -259,10 +258,9 @@ class TestTrainDfl:
         res = hyperparameter_search(
             space,
             8,
-            lambda lrs, epochs: train_dfl(xtr, ytr, kind, config(0.0, 1), hidden=8, learning_rates=lrs, epochs=epochs),
+            lambda lrs, epochs: train_dfl(xtr, ytr, kind, config, lrs, epochs, hidden=8),
             score,
         )
-        model, trace = train_dfl(xtr, ytr, kind, config(res.best.learning_rate, res.best.epochs), hidden=8)
+        model = train_dfl(xtr, ytr, kind, config, [res.best.learning_rate], [res.best.epochs], hidden=8)[0]
         kept, again = flatten_params(res.model), flatten_params(model)
         assert {k: v.tobytes() for k, v in kept.items()} == {k: v.tobytes() for k, v in again.items()}
-        assert res.traces[res.trials.index(res.best)] == tuple(trace)

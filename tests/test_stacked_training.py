@@ -1,14 +1,14 @@
-"""A stacked pass trains every search trial at once; each trial must equal its one-trial call.
+"""A stacked pass trains every search trial at once; each trial must equal its one-trial stack.
 
-train and train_dfl with learning_rates/epochs run all trials through one
-mini-batch loop with a leading trial axis. The search keeps the winning
-trial's model, so the stacked result has to be the one-trial result bit for
-bit: parameters, intercept and loss trace. A failing pass raises the first
-fault it meets by epoch, then batch, then a trial's end-of-training check,
-and that error is the one-trial error of a failing trial.
+train and train_dfl run all trials through one mini-batch loop with a
+leading trial axis. The search keeps the winning trial's model, so the
+stacked result has to be the one-trial result bit for bit: parameters and
+intercept. A failing pass raises the first fault it meets by epoch, then
+batch, then a trial's end-of-training check, and that error is the
+one-trial error of a failing trial.
 """
 
-from dataclasses import replace
+import re
 from functools import partial
 
 import numpy as np
@@ -17,12 +17,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dfolio.backtest as bt
+import dfolio.training as training
 from dfolio.backtest import BacktestConfig, StrategySpec, run_backtest
 from dfolio.market_data import SyntheticSpec, generate_synthetic
 from dfolio.solvers import MAX_RETURN, MAX_RETURN_FEE, MAX_RETURN_FEE_L2, DecisionProblem, Portfolio
 from dfolio.softmax_dfl import MAX_RETURN_LOSS, MAX_SHARPE_LOSS, train_dfl
 from dfolio.spo import RobustConfig
-from dfolio.training import MSE, ROBUST_SPO, SPO_PLUS, LinearPredictor, SearchSpace, TrainConfig, TrainingError, fit_adam, train
+from dfolio.training import (
+    MAX_EPOCHS,
+    MSE,
+    ROBUST_SPO,
+    SPO_PLUS,
+    LinearPredictor,
+    SearchSpace,
+    TrainConfig,
+    TrainingError,
+    fit_adam,
+    train,
+)
 
 KINDS = (
     "mse",
@@ -57,20 +69,12 @@ def problem(kind: str, n: int, rng) -> DecisionProblem:
 
 
 def trainer(kind: str, x, y, batch_size: int, seed: int, rho: float = 0.1, fit_intercept: bool = True):
-    """fit(learning_rates, epochs) for a stacked call and one(lr, epochs) for a one-trial call."""
+    """fit(learning_rates, epochs): one stacked call of the kind's training."""
     rng = np.random.default_rng(seed)
     n = y.shape[1]
     if kind.startswith("softmax"):
         loss = MAX_RETURN_LOSS if kind == "softmax_max_return" else MAX_SHARPE_LOSS
-        cfg = TrainConfig(batch_size=batch_size, seed=seed)
-
-        def fit(lrs, epochs):
-            return train_dfl(x, y, loss, cfg, hidden=5, learning_rates=lrs, epochs=epochs)
-
-        def one(lr, epochs):
-            return train_dfl(x, y, loss, replace(cfg, learning_rate=lr, epochs=epochs), hidden=5)
-
-        return fit, one
+        return partial(train_dfl, x, y, loss, TrainConfig(batch_size=batch_size, seed=seed), hidden=5)
     loss_kind = MSE if kind == "mse" else ROBUST_SPO if kind.startswith("robust") else SPO_PLUS
     robust = RobustConfig(rho=rho, n_samples=int(rng.integers(1, 9)), seed=seed) if loss_kind == ROBUST_SPO else None
     cfg = TrainConfig(
@@ -81,14 +85,12 @@ def trainer(kind: str, x, y, batch_size: int, seed: int, rho: float = 0.1, fit_i
         robust=robust,
         problem=problem(kind, n, rng),
     )
+    return partial(train, x, y, cfg)
 
-    def fit(lrs, epochs):
-        return train(x, y, cfg, learning_rates=lrs, epochs=epochs)
 
-    def one(lr, epochs):
-        return train(x, y, replace(cfg, learning_rate=lr, epochs=epochs))
-
-    return fit, one
+def one(fit, lr, epochs):
+    """The model of a one-trial stack."""
+    return fit([lr], [epochs])[0]
 
 
 def bits(model) -> dict:
@@ -111,25 +113,33 @@ def error_of(call, *args):
     return None
 
 
-def assert_trials_match(fit, one, lrs, epochs):
-    """The stacked call gives each trial's one-trial result, or one failing trial's one-trial error."""
-    errors = [error_of(one, lr, ep) for lr, ep in zip(lrs, epochs)]
+def assert_trials_match(fit, lrs, epochs):
+    """The stacked call gives each trial's one-trial stack, or one failing trial's one-trial error."""
+    errors = [error_of(one, fit, lr, ep) for lr, ep in zip(lrs, epochs)]
     errors = {(type(e), str(e)) for e in errors if e is not None}
     if errors:
         with pytest.raises(Exception) as info:
             fit(np.array(lrs), np.array(epochs))
         assert (type(info.value), str(info.value)) in errors
         return
-    models, traces = fit(np.array(lrs), np.array(epochs))
-    assert len(models) == len(traces) == len(lrs)
+    models = fit(np.array(lrs), np.array(epochs))
+    assert len(models) == len(lrs)
     for i, (lr, ep) in enumerate(zip(lrs, epochs)):
-        model, trace = one(lr, ep)
-        assert bits(models[i]) == bits(model), f"trial {i} (lr {lr}, {ep} epochs)"
-        assert traces[i] == trace, f"trial {i} (lr {lr}, {ep} epochs)"
-        assert len(trace) == ep
+        assert bits(models[i]) == bits(one(fit, lr, ep)), f"trial {i} (lr {lr}, {ep} epochs)"
 
 
 LEARNING_RATES = st.one_of(st.sampled_from([0.0, 1e-4, 0.05, 0.3]), st.floats(1e-4, 0.1))
+# The largest float. As a learning rate, Adam's first step takes every moved
+# parameter to about +-HUGE, so the next batch's predictions overflow.
+HUGE = np.finfo(float).max
+
+
+def overflow_first_step(x, y):
+    """Day 0 with feature 0 at HUGE and returns 1e4x: theta starts at 0, so
+    every first-batch loss stays finite, but the first theta gradient
+    overflows and the first Adam step leaves NaN parameters in every trial."""
+    x[0, :, 0] = HUGE
+    y[0] *= 1e4
 
 
 TRIAL = st.tuples(LEARNING_RATES, st.integers(1, 4))
@@ -158,7 +168,7 @@ def test_every_trial_equals_its_one_trial_call(
 ):
     # short > 0 leaves a short last batch; rho >= 1 makes a robust factor
     # 1 - rho sign(r_hat) zero or negative, and the all-zero days take zeta = 0.
-    # Trials listed in diverging get an infinite learning rate, and poison puts
+    # Trials listed in diverging get a learning rate of HUGE, and poison puts
     # a NaN feature on one training day, so some calls fail.
     t = batch_size * full_batches + short % batch_size
     if kind == "softmax_max_sharpe":
@@ -166,16 +176,15 @@ def test_every_trial_equals_its_one_trial_call(
     x, y = make_data(seed, t, n, d)
     if poison is not None:
         x[poison % t, poison % n, poison % d] = np.nan
-    lrs = [np.inf if i in diverging else lr for i, (lr, _) in enumerate(trials)]
-    fit, one = trainer(kind, x, y, batch_size, seed, rho=rho, fit_intercept=fit_intercept)
-    assert_trials_match(fit, one, lrs, [ep for _, ep in trials])
+    lrs = [HUGE if i in diverging else lr for i, (lr, _) in enumerate(trials)]
+    fit = trainer(kind, x, y, batch_size, seed, rho=rho, fit_intercept=fit_intercept)
+    assert_trials_match(fit, lrs, [ep for _, ep in trials])
 
 
 @pytest.mark.parametrize("kind", ["spo_plus_fee_l2", "robust_spo", "softmax_max_sharpe"])
 def test_two_hundred_assets(kind):
     x, y = make_data(5, 210, 200, 7)
-    fit, one = trainer(kind, x, y, 63, 5)
-    assert_trials_match(fit, one, [0.02, 0.001, 0.04], [2, 3, 1])
+    assert_trials_match(trainer(kind, x, y, 63, 5), [0.02, 0.001, 0.04], [2, 3, 1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,14 +198,14 @@ def test_two_hundred_assets(kind):
 )
 def test_trial_does_not_depend_on_its_companions(kind, probe, first, second, at, seed):
     x, y = make_data(seed, 45, 4, 3)
-    fit, _ = trainer(kind, x, y, 16, seed)
+    fit = trainer(kind, x, y, 16, seed)
     results = []
     for others in (first, second):
         trials = list(others)
         k = min(at, len(trials))
         trials.insert(k, probe)
-        models, traces = fit(np.array([lr for lr, _ in trials]), np.array([ep for _, ep in trials]))
-        results.append((bits(models[k]), traces[k]))
+        models = fit(np.array([lr for lr, _ in trials]), np.array([ep for _, ep in trials]))
+        results.append(bits(models[k]))
     assert results[0] == results[1]
 
 
@@ -208,9 +217,9 @@ def test_earliest_failing_trial_decides_the_error(kind):
     # 1, earlier in the pass, so the stacked pass raises trial 1's error.
     x, y = make_data(3, 60, 4, 3)
     x[40, 0, 0] = np.nan
-    fit, one = trainer(kind, x, y, 16, 3)
-    lrs, epochs = [0.01, np.inf, np.inf], [2, 3, 1]
-    errors = [error_of(one, lr, ep) for lr, ep in zip(lrs, epochs)]
+    fit = trainer(kind, x, y, 16, 3)
+    lrs, epochs = [0.01, HUGE, HUGE], [2, 3, 1]
+    errors = [error_of(one, fit, lr, ep) for lr, ep in zip(lrs, epochs)]
     label = MAX_RETURN_LOSS if kind.startswith("softmax") else kind
     assert str(errors[0]) == f"non-finite loss nan at epoch 0, batch 2 ({label})"
     with pytest.raises(type(errors[1])) as info:
@@ -223,10 +232,11 @@ def test_failure_after_training_ranks_by_trial():
     # Trial 1 ends with non-finite parameters after its only batch, at the end
     # of epoch 0; trial 0 fails later in the pass, at its second epoch's loss.
     x, y = make_data(4, 16, 3, 2)
-    fit, one = trainer("spo_plus", x, y, 16, 4)
-    lrs, epochs = [np.inf, np.inf], [2, 1]
-    assert str(error_of(one, lrs[0], epochs[0])) == "non-finite loss nan at epoch 1, batch 0 (spo_plus)"
-    assert str(error_of(one, lrs[1], epochs[1])) == "non-finite parameters after training"
+    overflow_first_step(x, y)
+    fit = trainer("spo_plus", x, y, 16, 4)
+    lrs, epochs = [0.01, 0.01], [2, 1]
+    assert str(error_of(one, fit, lrs[0], epochs[0])) == "non-finite loss nan at epoch 1, batch 0 (spo_plus)"
+    assert str(error_of(one, fit, lrs[1], epochs[1])) == "non-finite parameters after training"
     with pytest.raises(TrainingError, match="^non-finite parameters after training$"):
         fit(np.array(lrs), np.array(epochs))
 
@@ -261,7 +271,7 @@ def test_diverging_search_fails_the_strategy_like_a_trial_loop(monkeypatch, kind
         x = args[0].copy()
         x[140, 0, 0] = np.nan  # batch 2 of 63-day batches
         lrs = np.array(learning_rates)
-        lrs[1] = np.inf
+        lrs[1] = HUGE
         return real(x, *args[1:], **kwargs, learning_rates=lrs)
 
     monkeypatch.setattr(bt, name, poisoned)
@@ -274,10 +284,33 @@ def test_diverging_search_fails_the_strategy_like_a_trial_loop(monkeypatch, kind
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("family", ["train", "train_dfl"])
 def test_parameters_that_diverge_at_the_last_step_fail_alike(family):
-    # One batch of 16 days and one epoch: the infinite step leaves non-finite
+    # One batch of 16 days and one epoch: the overflowing step leaves non-finite
     # parameters that no later batch's loss sees, so only the build reports them.
     x, y = make_data(6, 16, 3, 2)
+    overflow_first_step(x, y)
     config = TrainConfig(batch_size=16)
     fit = partial(train_dfl, kind=MAX_RETURN_LOSS) if family == "train_dfl" else train
     with pytest.raises(TrainingError, match="^non-finite parameters after training$"):
-        fit(x, y, config=config, learning_rates=[np.inf], epochs=[1])
+        fit(x, y, config=config, learning_rates=[0.01], epochs=[1])
+
+
+@pytest.mark.parametrize("kind", ["spo_plus", "softmax_max_return"])
+@pytest.mark.parametrize(
+    "lrs,epochs,message",
+    [
+        ([0.01], [MAX_EPOCHS + 1], "epochs must be in [1, 1000], got [1001]"),
+        ([0.01], [0], "epochs must be in [1, 1000], got [0]"),
+        ([-0.01], [2], "learning rates must be finite and >= 0, got [-0.01]"),
+        ([np.nan], [2], "learning rates must be finite and >= 0, got [nan]"),
+        ([0.01, -0.01, np.inf, 0.02], [2, 3, 1, 2], "learning rates must be finite and >= 0, got [-0.01, inf]"),
+    ],
+    ids=["too_many_epochs", "zero_epochs", "negative_rate", "nan_rate", "two_bad_rates"],
+)
+def test_trial_settings_are_checked_before_any_epoch(monkeypatch, kind, lrs, epochs, message):
+    def no_step(*args):
+        raise AssertionError("an Adam step ran")
+
+    monkeypatch.setattr(training, "adam_step", no_step)
+    x, y = make_data(7, 32, 3, 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trainer(kind, x, y, 16, 7)(lrs, epochs)

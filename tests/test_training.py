@@ -39,7 +39,7 @@ def linear_search(xtr, ytr, xv, yv, space, seed, base):
     return hyperparameter_search(
         space,
         seed,
-        lambda lrs, epochs: train(xtr, ytr, base, learning_rates=lrs, epochs=epochs),
+        lambda lrs, epochs: train(xtr, ytr, base, lrs, epochs),
         lambda model: validation_score(model, xv, yv, base),
     )
 
@@ -96,10 +96,10 @@ class TestAdam:
 class TestTrain:
     def test_mse_recovers_planted_beta(self):
         x, y = planted_data()
-        cfg = TrainConfig(loss_kind=MSE, epochs=40, learning_rate=0.01, batch_size=63, seed=0)
-        model, trace = train(x, y, cfg)
+        cfg = TrainConfig(loss_kind=MSE, batch_size=63, seed=0)
+        model = train(x, y, cfg, [0.01], [40])[0]
         np.testing.assert_allclose(model.theta, [0.02, -0.01, 0.005], atol=1e-3)
-        assert trace[-1] < trace[0]
+        assert validation_score(model, x, y, cfg) > validation_score(LinearPredictor(np.zeros(3)), x, y, cfg)
 
     def test_spo_ranks_dominant_asset_first(self):
         rng = np.random.default_rng(0)
@@ -109,62 +109,59 @@ class TestTrain:
         x[:, 0, 0] = 1.0
         x[:, 1:, 0] = -1.0
         y[:, 0] = np.abs(y[:, 0]) + 0.02
-        cfg = TrainConfig(loss_kind=SPO_PLUS, epochs=40, learning_rate=0.01, batch_size=63, seed=0)
-        model, _ = train(x, y, cfg)
+        cfg = TrainConfig(loss_kind=SPO_PLUS, batch_size=63, seed=0)
+        model = train(x, y, cfg, [0.01], [40])[0]
         picks = np.argmax(predict(model, x), axis=1)
         assert (picks == 0).mean() >= 0.95
 
     def test_zero_learning_rate_keeps_parameters(self):
         x, y = planted_data(n_days=100)
-        cfg = TrainConfig(loss_kind=MSE, epochs=3, learning_rate=0.0, batch_size=63, seed=0)
-        model, _ = train(x, y, cfg)
+        cfg = TrainConfig(loss_kind=MSE, batch_size=63, seed=0)
+        model = train(x, y, cfg, [0.0], [3])[0]
         assert np.all(model.theta == 0.0)
         assert model.intercept == 0.0
 
     def test_deterministic(self):
         x, y = planted_data(n_days=150, noise=0.01)
-        cfg = TrainConfig(loss_kind=SPO_PLUS, epochs=5, learning_rate=0.01, batch_size=63, seed=1)
-        m1, t1 = train(x, y, cfg)
-        m2, t2 = train(x, y, cfg)
+        cfg = TrainConfig(loss_kind=SPO_PLUS, batch_size=63, seed=1)
+        m1 = train(x, y, cfg, [0.01], [5])[0]
+        m2 = train(x, y, cfg, [0.01], [5])[0]
         assert m1.theta.tobytes() == m2.theta.tobytes()
-        assert t1 == t2
+        assert m1.intercept == m2.intercept
 
     def test_mse_trace_non_increasing_full_batch(self):
+        # Trial k of one stack takes k + 1 full-batch steps, so the full-batch
+        # MSE of the models, in trial order, is the loss after each step.
         x, y = planted_data(n_days=101, noise=0.01)
-        cfg = TrainConfig(loss_kind=MSE, epochs=10, learning_rate=1e-4, batch_size=len(x), seed=0)
-        _, trace = train(x, y, cfg)
-        assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
+        cfg = TrainConfig(loss_kind=MSE, batch_size=len(x), seed=0)
+        models = train(x, y, cfg, [1e-4] * 10, range(1, 11))
+        mse = [-validation_score(m, x, y, cfg) for m in models]
+        assert all(a >= b - 1e-12 for a, b in zip(mse, mse[1:]))
+        assert mse[-1] < mse[0]
 
     def test_robust_loss_trains(self):
         x, y = planted_data(n_days=150, noise=0.01)
-        cfg = TrainConfig(
-            loss_kind=ROBUST_SPO,
-            epochs=3,
-            learning_rate=0.01,
-            batch_size=63,
-            seed=2,
-            robust=RobustConfig(rho=0.1, n_samples=4, seed=2),
-        )
-        model, trace = train(x, y, cfg)
-        assert np.all(np.isfinite(model.theta))
-        assert len(trace) == 3
+        robust = RobustConfig(rho=0.1, n_samples=4, seed=2)
+        cfg = TrainConfig(loss_kind=ROBUST_SPO, batch_size=63, seed=2, robust=robust)
+        model = train(x, y, cfg, [0.01], [3])[0]
+        assert np.all(np.isfinite(model.theta)) and np.any(model.theta != 0.0)
 
     @pytest.mark.parametrize("rho", [0.01, 0.1])
     def test_robust_first_step_equals_spo_plus(self, rho):
         # At theta = 0 every prediction is 0 and takes zeta = 0, so the first
         # Adam step is plain SPO+'s; the second step tells them apart.
         x, y = planted_data(n_assets=8, n_days=260, noise=0.01)
-        robust = TrainConfig(loss_kind=ROBUST_SPO, epochs=1, learning_rate=0.02, batch_size=len(y), robust=RobustConfig(rho=rho))
+        robust = TrainConfig(loss_kind=ROBUST_SPO, batch_size=len(y), robust=RobustConfig(rho=rho))
         plain = replace(robust, loss_kind=SPO_PLUS, robust=None)
-        (model, trace), (spo, spo_trace) = train(x, y, robust), train(x, y, plain)
+        model, model2 = train(x, y, robust, [0.02, 0.02], [1, 2])
+        spo, spo2 = train(x, y, plain, [0.02, 0.02], [1, 2])
         assert model.theta.tobytes() == spo.theta.tobytes() and model.intercept == spo.intercept
-        assert trace == spo_trace
-        assert train(x, y, replace(robust, epochs=2))[1][1] != train(x, y, replace(plain, epochs=2))[1][1]
+        assert model2.theta.tobytes() != spo2.theta.tobytes()
 
     def test_fixed_intercept_stays_zero(self):
         x, y = planted_data(n_days=150, noise=0.01)
-        cfg = TrainConfig(loss_kind=SPO_PLUS, epochs=3, learning_rate=0.05, batch_size=63, seed=0, fit_intercept=False)
-        model, _ = train(x, y, cfg)
+        cfg = TrainConfig(loss_kind=SPO_PLUS, batch_size=63, seed=0, fit_intercept=False)
+        model = train(x, y, cfg, [0.05], [3])[0]
         assert model.intercept == 0.0
         assert np.any(model.theta != 0.0)
 
@@ -172,9 +169,9 @@ class TestTrain:
         x, y = planted_data(n_days=100)
         x = x.copy()
         x[10, 0, 0] = np.nan
-        cfg = TrainConfig(loss_kind=MSE, epochs=2, learning_rate=0.01, batch_size=63, seed=0)
+        cfg = TrainConfig(loss_kind=MSE, batch_size=63, seed=0)
         with pytest.raises(TrainingError, match=r"^non-finite loss nan at epoch 0, batch 0 \(mse\)$"):
-            train(x, y, cfg)
+            train(x, y, cfg, [0.01], [2])
 
     def test_spo_gradient_through_linear_map(self):
         # finite differences on theta at margin-safe samples
@@ -214,13 +211,11 @@ class TestTrain:
     def test_requires_enough_samples(self):
         x, y = planted_data(n_days=40)
         with pytest.raises(ValueError, match="batch size"):
-            train(x, y, TrainConfig(loss_kind=MSE, batch_size=63))
+            train(x, y, TrainConfig(loss_kind=MSE, batch_size=63), [0.01], [2])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(loss_kind="nope")
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(loss_kind=ROBUST_SPO)  # missing robust config
         with pytest.raises(ValueError, match="^epochs_max: must be <= 1000, got 1001$"):
@@ -288,13 +283,6 @@ class TestSearch:
         # moves fully to asset 0: value r[0] - gamma * 2 each day
         assert score == pytest.approx(np.mean([0.05 - 0.02, 0.03 - 0.02]), abs=1e-12)
 
-    def test_trace_dump_round_trips(self):
-        xtr, ytr, xv, yv = self._data()
-        space = SearchSpace(n_trials=3, epochs_min=2, epochs_max=4)
-        res = linear_search(xtr, ytr, xv, yv, space, 2, TrainConfig(loss_kind=MSE, batch_size=63))
-        assert len(res.traces) == 3
-        assert all(len(tr) == t.epochs for tr, t in zip(res.traces, res.trials))
-
     def test_earliest_trial_wins_ties(self):
         # Scores within SCORE_TIE_TOL of the best tie with it; beyond it, the best wins.
         for scores, winner in [([0.25] * 5, 0), ([0.25, 0.25 + 1e-15], 0), ([0.25, 0.25 + 1e-9], 1)]:
@@ -304,7 +292,7 @@ class TestSearch:
             def fit(lrs, epochs):
                 models = [object() for _ in lrs]
                 fitted.extend(models)
-                return models, [[0.0] * ep for ep in epochs]
+                return models
 
             res = hyperparameter_search(space, 4, fit, lambda model: scores[fitted.index(model)])
             assert len(fitted) == len(scores)
@@ -335,11 +323,9 @@ class TestSearch:
         }[loss]
         space = SearchSpace(n_trials=3, epochs_min=2, epochs_max=4)
         res = linear_search(xtr, ytr, xv, yv, space, 6, base)
-        winner = replace(base, learning_rate=res.best.learning_rate, epochs=res.best.epochs)
-        model, trace = train(xtr, ytr, winner)
+        model = train(xtr, ytr, base, [res.best.learning_rate], [res.best.epochs])[0]
         assert res.model.theta.tobytes() == model.theta.tobytes()
         assert res.model.intercept == model.intercept
-        assert res.traces[res.trials.index(res.best)] == tuple(trace)
 
     def test_validation_unaffected_by_training_poison(self):
         # the trained model is a pure function of the train split
