@@ -11,14 +11,18 @@ next to compute_returns). A stage that runs inside another is indented under
 it. Memory a stage freed but the allocator kept shows as VmRSS above what
 the later stages hold, and a later stage's temporaries can reuse it without
 raising VmHWM. Both are read from /proc/self/status, so this runs on Linux
-only. The command's own output comes first, then the table; the exit code is
-the command's.
+only. The end row adds the children's peak: the largest resident high-water
+mark of any child process waited for (getrusage RUSAGE_CHILDREN), such as the
+worker processes that format panel.csv and features.csv. Their pages shared
+with this process count in both peaks. The command's own output comes first,
+then the table; the exit code is the command's.
 
 Usage: python scripts/peak_by_stage.py -- ingest --data DIR --out DIR
        python scripts/peak_by_stage.py -- backtest --config cfg.json
 """
 
 import argparse
+import resource
 from pathlib import Path
 
 import dfolio.backtest
@@ -100,11 +104,13 @@ def main(argv=None) -> int:
         parser.error("give the dfolio command after --")
     rc, rows = run(command)
     width = max([len("stage"), *(2 * depth + len(name) for depth, name, *_ in rows)])
-    print(f"{'stage':<{width}}  {'hwm before MB':>13}  {'hwm after MB':>12}  {'rise MB':>7}  {'rss after MB':>12}")
+    print(f"{'stage':<{width}}  {'hwm before MB':>13}  {'hwm after MB':>12}  {'rise MB':>7}  {'rss after MB':>12}"
+          f"  {'children hwm MB':>15}")
     for depth, name, before, after, rss in rows:
         print(f"{'  ' * depth + name:<{width}}  {before:>13.1f}  {after:>12.1f}  {after - before:>7.1f}  {rss:>12.1f}")
     hwm, rss = vm_mb()
-    print(f"{'end':<{width}}  {'':>13}  {hwm:>12.1f}  {'':>7}  {rss:>12.1f}")
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0  # KB on Linux
+    print(f"{'end':<{width}}  {'':>13}  {hwm:>12.1f}  {'':>7}  {rss:>12.1f}  {children:>15.1f}")
     return rc
 
 

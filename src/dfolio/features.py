@@ -3,8 +3,8 @@
 All indicators are causal: the value at date t uses prices/volumes at dates <= t
 only. Price-denominated indicators are divided by price so a single linear
 predictor shared across assets sees comparable scales. The features.csv audit
-dump goes through util.write_long_csv, the panel's block writer: csv quotes
-each ticker, and each date block's floats are formatted by one `%r` format.
+dump goes through util.write_long_csv, the panel's writer: csv quotes each
+ticker, and each chunk of dates is formatted by one `%r` format.
 """
 
 from __future__ import annotations
@@ -259,6 +259,6 @@ def standardize(
 
 
 def write_features_csv(tensor: FeatureTensor, path) -> Path:
-    """Audit dump: one row per (date, ticker), written one date block at a time."""
+    """Audit dump: one row per (date, ticker), one column per feature."""
     header = ["date", "ticker", *tensor.feature_names]
-    return write_long_csv(path, header, tensor.dates, tensor.tickers, tensor.features)
+    return write_long_csv(path, header, tensor.dates, tensor.tickers, np.moveaxis(tensor.features, 2, 0))

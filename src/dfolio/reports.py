@@ -3,7 +3,8 @@
 Every float is written as its shortest round-trip repr, so identical runs
 produce identical bytes. The backtest writers hand csv Python floats;
 panel.csv goes through util.write_long_csv, which quotes each ticker by
-csv's rule and formats a whole date block with one `%r` format.
+csv's rule and formats each chunk of dates with one `%r` format, in worker
+processes when there is more than one chunk and more than one usable CPU.
 """
 
 from __future__ import annotations
@@ -233,6 +234,6 @@ def write_plotdata(
 
 
 def write_panel_csv(frame: MarketFrame, path) -> Path:
-    """Aligned long-format cache of the ingested universe, one date block at a time."""
-    blocks = map(np.column_stack, zip(frame.adj_close, frame.volume))
-    return write_long_csv(path, ["date", "ticker", "adj_close", "volume"], frame.dates, frame.tickers, blocks)
+    """Aligned long-format cache of the ingested universe."""
+    columns = (frame.adj_close, frame.volume)
+    return write_long_csv(path, ["date", "ticker", "adj_close", "volume"], frame.dates, frame.tickers, columns)

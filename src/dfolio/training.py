@@ -125,8 +125,8 @@ def fit_adam(init: dict, batch_grads, build, t_total: int, config: TrainConfig, 
     returns the (trials, rows) losses of the rows slice and a dict of
     (trials, ...) gradients; a parameter without a gradient stays fixed.
     build(parameters) makes a trial's model after its last epoch, and a
-    non-finite batch loss raises TrainingError. Epochs outside [1,
-    MAX_EPOCHS] and learning rates that are not finite and >= 0 raise
+    non-finite batch loss raises TrainingError. Epochs that are not whole
+    numbers in [1, MAX_EPOCHS] and learning rates that are not finite and >= 0 raise
     ValueError before any epoch runs.
 
     Parameters carry a leading trial axis, and the trials sit in descending
@@ -138,12 +138,14 @@ def fit_adam(init: dict, batch_grads, build, t_total: int, config: TrainConfig, 
     reported. The error is that trial's own one-trial error.
     """
     lrs = np.asarray(learning_rates, dtype=float).reshape(-1)
-    ends = np.asarray(epochs, dtype=int).reshape(-1)
-    if lrs.size == 0 or lrs.size != ends.size:
-        raise ValueError(f"need matching learning rates and epochs, got {lrs.size} and {ends.size}")
-    bad_ends = ends[(ends < 1) | (ends > MAX_EPOCHS)]
+    counts = np.asarray(epochs, dtype=float).reshape(-1)
+    if lrs.size == 0 or lrs.size != counts.size:
+        raise ValueError(f"need matching learning rates and epochs, got {lrs.size} and {counts.size}")
+    whole = (counts >= 1) & (counts <= MAX_EPOCHS) & (np.floor(counts) == counts)
+    bad_ends = np.asarray(epochs, dtype=object).reshape(-1)[~whole]  # the counts as given
     if bad_ends.size:
-        raise ValueError(f"epochs must be in [1, {MAX_EPOCHS}], got {bad_ends.tolist()}")
+        raise ValueError(f"epochs must be whole numbers in [1, {MAX_EPOCHS}], got {bad_ends.tolist()}")
+    ends = counts.astype(int)
     bad_lrs = lrs[~(np.isfinite(lrs) & (lrs >= 0))]
     if bad_lrs.size:
         raise ValueError(f"learning rates must be finite and >= 0, got {bad_lrs.tolist()}")

@@ -5,10 +5,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import locale
+import os
 from bisect import bisect_left
+from collections import deque
+from contextlib import contextmanager
 from datetime import date
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,27 +80,87 @@ def derived_rng(seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(stable_seed(seed, *tags)))
 
 
-def write_long_csv(path, header: Sequence[str], dates: Sequence[date], labels: Sequence[str],
-                   blocks: Iterable[np.ndarray]) -> Path:
-    """Write one (date, label, *cells) row per label per date, one date block per write.
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    `blocks` yields a (len(labels), len(header) - 2) float array per date. The
-    bytes equal a csv.writer row per (date, label) of Python floats: csv
-    quotes the header and each label (QUOTE_MINIMAL), and each cell is
-    repr(float), which `%r` prints for the block's `.tolist()` floats.
+
+# Dates formatted per task. Small, so that the chunks in flight add little to
+# the writer's memory.
+CHUNK_DATES = 16
+
+
+def _format_dates(isos: Sequence[bytes], pieces: Sequence[bytes], chunk: Sequence[np.ndarray]) -> bytes:
+    """The rows of one chunk of dates: `chunk` holds one (dates, labels) slice per cell column."""
+    cells = np.stack(chunk, axis=-1).ravel().tolist()
+    return b"".join([iso + piece for iso in isos for piece in pieces]) % tuple(cells)
+
+
+@contextmanager
+def _chunk_map(path: Path, workers: int):
+    """Yield a map over chunks: the builtin one for one worker, else an ordered map over `workers` processes.
+
+    The process map keeps at most two tasks per worker in flight. A worker
+    that dies becomes a DfolioError located at `path`, and the pool is shut
+    down before this returns or raises.
+    """
+    if workers < 2:
+        yield map
+        return
+    # Imported here, so that commands that never write a long table do not load them.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers)
+
+    def pooled(fn, *iterables):
+        pending = deque()
+        for args in zip(*iterables):
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, *args))
+        while pending:
+            yield pending.popleft().result()
+
+    try:
+        yield pooled
+    except BrokenProcessPool as exc:
+        raise DfolioError(f"cannot write {path}: a formatting worker exited") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def write_long_csv(path, header: Sequence[str], dates: Sequence[date], labels: Sequence[str],
+                   columns: Sequence[np.ndarray]) -> Path:
+    """Write one (date, label, *cells) row per label per date, formatted in chunks of CHUNK_DATES dates.
+
+    `columns` holds one (len(dates), len(labels)) float array per cell
+    column. The bytes equal a csv.writer row per (date, label) of Python
+    floats: csv quotes the header and each label (QUOTE_MINIMAL), and each
+    cell is repr(float), which `%r` prints for `.tolist()` floats. With more
+    than one chunk and more than one usable CPU, the chunks are formatted in
+    min(usable CPUs, chunks) worker processes, each sent its slices of the
+    columns, and written in date order; the bytes are the same either way.
     """
     path = Path(path)
-    row = ",%r" * (len(header) - 2) + "\r\n"
+    encoding = locale.getpreferredencoding(False)  # what a text-mode open writes
+    row = b",%r" * len(columns) + b"\r\n"
     pieces = []
     for label in labels:
         # Quoted as a cell among others (csv quotes a lone empty cell, not an
         # empty cell in a row), in the file's dialect: drop the ",\r\n" after it.
         buf = io.StringIO()
         csv.writer(buf).writerow([label, ""])
-        pieces.append("," + buf.getvalue()[:-3].replace("%", "%%") + row)
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for d, block in zip(dates, blocks):
-            iso = d.isoformat()
-            fh.write("".join([iso + piece for piece in pieces]) % tuple(block.ravel().tolist()))
+        pieces.append(b"," + buf.getvalue()[:-3].encode(encoding).replace(b"%", b"%%") + row)
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    starts = range(0, len(dates), CHUNK_DATES)
+    isos = ([d.isoformat().encode() for d in dates[s : s + CHUNK_DATES]] for s in starts)
+    chunks = ([column[s : s + CHUNK_DATES] for column in columns] for s in starts)
+    with path.open("wb") as fh, _chunk_map(path, min(usable_cpus(), len(starts))) as chunk_map:
+        fh.write(head.getvalue().encode(encoding))
+        for text in chunk_map(_format_dates, isos, repeat(pieces), chunks):
+            fh.write(text)
     return path

@@ -298,13 +298,21 @@ def test_parameters_that_diverge_at_the_last_step_fail_alike(family):
 @pytest.mark.parametrize(
     "lrs,epochs,message",
     [
-        ([0.01], [MAX_EPOCHS + 1], "epochs must be in [1, 1000], got [1001]"),
-        ([0.01], [0], "epochs must be in [1, 1000], got [0]"),
+        ([0.01], [MAX_EPOCHS + 1], "epochs must be whole numbers in [1, 1000], got [1001]"),
+        ([0.01], [0], "epochs must be whole numbers in [1, 1000], got [0]"),
+        ([0.01], [2.7], "epochs must be whole numbers in [1, 1000], got [2.7]"),
+        ([0.01], [0.5], "epochs must be whole numbers in [1, 1000], got [0.5]"),
+        ([0.01], [np.nan], "epochs must be whole numbers in [1, 1000], got [nan]"),
+        ([0.01], [np.inf], "epochs must be whole numbers in [1, 1000], got [inf]"),
+        ([0.01] * 4, [3, 2.5, 2.0, 0], "epochs must be whole numbers in [1, 1000], got [2.5, 0]"),
         ([-0.01], [2], "learning rates must be finite and >= 0, got [-0.01]"),
         ([np.nan], [2], "learning rates must be finite and >= 0, got [nan]"),
         ([0.01, -0.01, np.inf, 0.02], [2, 3, 1, 2], "learning rates must be finite and >= 0, got [-0.01, inf]"),
     ],
-    ids=["too_many_epochs", "zero_epochs", "negative_rate", "nan_rate", "two_bad_rates"],
+    ids=[
+        "too_many_epochs", "zero_epochs", "fractional_epochs", "half_epoch", "nan_epochs", "inf_epochs",
+        "two_bad_counts", "negative_rate", "nan_rate", "two_bad_rates",
+    ],
 )
 def test_trial_settings_are_checked_before_any_epoch(monkeypatch, kind, lrs, epochs, message):
     def no_step(*args):

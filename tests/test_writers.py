@@ -7,16 +7,21 @@ long repr; a ticker containing a comma must come out quoted. The backtest
 writers get numpy scalars and arrays as well as Python floats, as the
 backtest hands them over. The panel and features writers share one block
 writer, util.write_long_csv; it is also checked on drawn floats and labels,
-and through `dfolio ingest` on tickers that carry csv and `%` syntax.
+through `dfolio ingest` on tickers that carry csv and `%` syntax, and on
+tables split into several chunks, formatted by worker processes.
 """
 
 import csv
+import errno
 import io
+import multiprocessing
+import os
 import struct
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +48,7 @@ from dfolio.reports import (
     write_weights_csv,
 )
 from dfolio.training import TrialResult
+from dfolio import util
 from dfolio.util import write_long_csv
 
 TICKERS = ("A,B", "C")
@@ -278,6 +284,75 @@ def test_block_writer_matches_per_cell_reference(tmp_path_factory, data, n_label
     blocks = np.array(cells, dtype=float).reshape(n_dates, n_labels, n_cells)
     dates = [date(2020, 1, 1 + i) for i in range(n_dates)]
     header = ["date", "ticker", *(f"c%{k}" for k in range(n_cells))]
-    path = write_long_csv(tmp_path_factory.mktemp("long") / "x.csv", header, dates, labels, blocks)
+    path = write_long_csv(tmp_path_factory.mktemp("long") / "x.csv", header, dates, labels, np.moveaxis(blocks, 2, 0))
     rows = [[d.isoformat(), t, *blocks[i, j]] for i, d in enumerate(dates) for j, t in enumerate(labels)]
     assert path.read_bytes() == reference_csv(header, rows)
+
+
+CHUNK = 3  # dates per chunk in the pooled-writer tests
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Small chunks and two usable CPUs, so that any table of more than CHUNK dates is written through the pool."""
+    monkeypatch.setattr(util, "CHUNK_DATES", CHUNK)
+    monkeypatch.setattr(util, "usable_cpus", lambda: 2)
+
+
+def long_table(n_dates: int):
+    rng = np.random.default_rng(n_dates)
+    cells = rng.standard_normal((n_dates, len(HOSTILE_LABELS), 3)) * 10.0 ** rng.integers(-8, 20, (n_dates, 1, 3))
+    cells[0::2, 0, 0] = EDGE[0]
+    dates = [date(2020, 1, 1) + timedelta(days=i) for i in range(n_dates)]
+    return ["date", "ticker", "a%r", "b,c", "d"], dates, cells
+
+
+HOSTILE_LABELS = (*HOSTILE_TICKERS, "new\nline", "%")
+
+
+# 6 chunks fill the two workers' queue of four chunks in flight.
+@pytest.mark.parametrize("n_dates", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 5 * CHUNK + 1])
+def test_pooled_writer_matches_per_cell_reference(tmp_path, pooled, n_dates):
+    header, dates, cells = long_table(n_dates)
+    path = write_long_csv(tmp_path / "x.csv", header, dates, HOSTILE_LABELS, np.moveaxis(cells, 2, 0))
+    rows = [[d.isoformat(), t, *cells[i, j]] for i, d in enumerate(dates) for j, t in enumerate(HOSTILE_LABELS)]
+    assert path.read_bytes() == reference_csv(header, rows)
+    assert multiprocessing.active_children() == []
+
+
+class FullDisk(io.BytesIO):
+    """A file whose third write (the header, one chunk, then this) fails."""
+
+    error = OSError(errno.ENOSPC, "No space left on device")
+
+    def write(self, data):
+        self.writes = getattr(self, "writes", 0) + 1
+        if self.writes == 3:
+            raise self.error
+        return super().write(data)
+
+
+def test_pooled_writer_passes_a_write_error_through_and_stops_its_workers(tmp_path, pooled, monkeypatch):
+    header, dates, cells = long_table(4 * CHUNK)
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kwargs: FullDisk())
+    with pytest.raises(OSError) as caught:
+        write_long_csv(tmp_path / "x.csv", header, dates, HOSTILE_LABELS, np.moveaxis(cells, 2, 0))
+    assert caught.value is FullDisk.error
+    assert multiprocessing.active_children() == []
+
+
+def exit_at_once(*args):
+    os._exit(1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched worker needs fork")
+def test_a_formatting_worker_that_dies_is_a_located_error(tmp_path, pooled, monkeypatch, capfd):
+    synth, _, _ = generate_synthetic(SyntheticSpec(n_assets=3, n_days=60, seed=3))
+    write_csv_dir(synth, tmp_path / "data")
+    monkeypatch.setattr(util, "_format_dates", exit_at_once)
+    capfd.readouterr()
+    assert cli.main(["ingest", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {tmp_path / 'out' / 'panel.csv'}: a formatting worker exited\n"
+    assert multiprocessing.active_children() == []
