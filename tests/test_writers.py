@@ -290,6 +290,7 @@ def test_block_writer_matches_per_cell_reference(tmp_path_factory, data, n_label
 
 
 CHUNK = 3  # dates per chunk in the pooled-writer tests
+HOSTILE_LABELS = (*HOSTILE_TICKERS, "new\nline", "%")
 
 
 @pytest.fixture
@@ -307,9 +308,6 @@ def long_table(n_dates: int):
     return ["date", "ticker", "a%r", "b,c", "d"], dates, cells
 
 
-HOSTILE_LABELS = (*HOSTILE_TICKERS, "new\nline", "%")
-
-
 # 6 chunks fill the two workers' queue of four chunks in flight.
 @pytest.mark.parametrize("n_dates", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 5 * CHUNK + 1])
 def test_pooled_writer_matches_per_cell_reference(tmp_path, pooled, n_dates):
@@ -324,9 +322,10 @@ class FullDisk(io.BytesIO):
     """A file whose third write (the header, one chunk, then this) fails."""
 
     error = OSError(errno.ENOSPC, "No space left on device")
+    writes = 0
 
     def write(self, data):
-        self.writes = getattr(self, "writes", 0) + 1
+        self.writes += 1
         if self.writes == 3:
             raise self.error
         return super().write(data)
