@@ -8,10 +8,9 @@ import io
 import locale
 import os
 from bisect import bisect_left
-from collections import deque
 from contextlib import contextmanager
 from datetime import date
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -98,38 +97,65 @@ def _format_dates(isos: Sequence[bytes], pieces: Sequence[bytes], chunk: Sequenc
     return b"".join([iso + piece for iso in isos for piece in pieces]) % tuple(cells)
 
 
-@contextmanager
-def _chunk_map(path: Path, workers: int):
-    """Yield a map over chunks: the builtin one for one worker, else an ordered map over `workers` processes.
+def _serve(tasks, texts, pieces: Sequence[bytes]) -> None:
+    """A formatting worker: answers each (isos, chunk) task it receives with the chunk's bytes."""
+    while True:
+        isos, chunk = tasks.recv()
+        texts.send_bytes(_format_dates(isos, pieces, chunk))
 
-    The process map keeps at most two tasks per worker in flight. A worker
-    that dies becomes a DfolioError located at `path`, and the pool is shut
-    down before this returns or raises.
+
+@contextmanager
+def _chunk_texts(path: Path, pieces: Sequence[bytes], tasks, workers: int):
+    """Yield the chunks' bytes in date order: formatted here for one worker, else by `workers` processes.
+
+    Each worker has its own two pipes and one task in flight: task i goes to
+    worker i % workers, which is sent task i + workers as soon as its answer
+    to task i is read. This thread does all the pickling and reading, in task
+    order, and starts no other thread, so the memory the pool adds to this
+    process is the same from run to run. A worker that dies becomes a
+    DfolioError located at `path`. The workers hold no state, so they are
+    killed, not asked to stop, and joined before this returns or raises.
     """
     if workers < 2:
-        yield map
+        yield (_format_dates(isos, pieces, chunk) for isos, chunk in tasks)
         return
-    # Imported here, so that commands that never write a long table do not load them.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    # Imported here, so that commands that never write a long table do not load it.
+    import multiprocessing
 
-    pool = ProcessPoolExecutor(workers)
+    ctx = multiprocessing.get_context()
+    links, procs = [], []
 
-    def pooled(fn, *iterables):
-        pending = deque()
-        for args in zip(*iterables):
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, *args))
-        while pending:
-            yield pending.popleft().result()
+    def ordered():
+        for i, task in enumerate(chain(tasks, repeat(None, workers))):
+            task_w, text_r = links[i % workers]
+            try:
+                text = text_r.recv_bytes() if i >= workers else None
+                if task is not None:
+                    task_w.send(task)
+            except (EOFError, OSError) as exc:
+                raise DfolioError(f"cannot write {path}: a formatting worker exited") from exc
+            if text is not None:
+                yield text
 
     try:
-        yield pooled
-    except BrokenProcessPool as exc:
-        raise DfolioError(f"cannot write {path}: a formatting worker exited") from exc
+        for _ in range(workers):
+            task_r, task_w = ctx.Pipe(duplex=False)
+            text_r, text_w = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_serve, args=(task_r, text_w, pieces), daemon=True)
+            proc.start()
+            procs.append(proc)
+            links.append((task_w, text_r))
+            # Only the worker keeps its ends, so its death reads here as the end of its pipe.
+            task_r.close()
+            text_w.close()
+        yield ordered()
     finally:
-        pool.shutdown(cancel_futures=True)
+        for proc in procs:
+            proc.kill()
+            proc.join()
+        for task_w, text_r in links:
+            task_w.close()
+            text_r.close()
 
 
 def write_long_csv(path, header: Sequence[str], dates: Sequence[date], labels: Sequence[str],
@@ -157,10 +183,12 @@ def write_long_csv(path, header: Sequence[str], dates: Sequence[date], labels: S
     head = io.StringIO()
     csv.writer(head).writerow(header)
     starts = range(0, len(dates), CHUNK_DATES)
-    isos = ([d.isoformat().encode() for d in dates[s : s + CHUNK_DATES]] for s in starts)
-    chunks = ([column[s : s + CHUNK_DATES] for column in columns] for s in starts)
-    with path.open("wb") as fh, _chunk_map(path, min(usable_cpus(), len(starts))) as chunk_map:
+    tasks = (
+        ([d.isoformat().encode() for d in dates[s : s + CHUNK_DATES]], [column[s : s + CHUNK_DATES] for column in columns])
+        for s in starts
+    )
+    with path.open("wb") as fh, _chunk_texts(path, pieces, tasks, min(usable_cpus(), len(starts))) as texts:
         fh.write(head.getvalue().encode(encoding))
-        for text in chunk_map(_format_dates, isos, repeat(pieces), chunks):
+        for text in texts:
             fh.write(text)
     return path

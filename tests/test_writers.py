@@ -17,6 +17,7 @@ import io
 import multiprocessing
 import os
 import struct
+import threading
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -308,13 +309,32 @@ def long_table(n_dates: int):
     return ["date", "ticker", "a%r", "b,c", "d"], dates, cells
 
 
-# 6 chunks fill the two workers' queue of four chunks in flight.
+# 6 chunks give each of the two workers three tasks in turn.
 @pytest.mark.parametrize("n_dates", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 5 * CHUNK + 1])
 def test_pooled_writer_matches_per_cell_reference(tmp_path, pooled, n_dates):
     header, dates, cells = long_table(n_dates)
     path = write_long_csv(tmp_path / "x.csv", header, dates, HOSTILE_LABELS, np.moveaxis(cells, 2, 0))
     rows = [[d.isoformat(), t, *cells[i, j]] for i, d in enumerate(dates) for j, t in enumerate(HOSTILE_LABELS)]
     assert path.read_bytes() == reference_csv(header, rows)
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_writer_starts_no_thread(tmp_path, pooled, monkeypatch):
+    # The pool's pickling, reading and allocating all happen on the calling
+    # thread, in task order, so the memory it adds does not depend on timing.
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    header, dates, cells = long_table(5 * CHUNK + 1)
+    path = write_long_csv(tmp_path / "x.csv", header, dates, HOSTILE_LABELS, np.moveaxis(cells, 2, 0))
+    rows = [[d.isoformat(), t, *cells[i, j]] for i, d in enumerate(dates) for j, t in enumerate(HOSTILE_LABELS)]
+    assert path.read_bytes() == reference_csv(header, rows)
+    assert started == []
     assert multiprocessing.active_children() == []
 
 
