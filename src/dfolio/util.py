@@ -150,6 +150,7 @@ def _chunk_texts(path: Path, pieces: Sequence[bytes], tasks, workers: int):
             text_w.close()
         yield ordered()
     finally:
+        # Killed before their pipes close, so that none reads the end of its pipe and prints a traceback.
         for proc in procs:
             proc.kill()
             proc.join()
@@ -184,7 +185,7 @@ def write_long_csv(path, header: Sequence[str], dates: Sequence[date], labels: S
     csv.writer(head).writerow(header)
     starts = range(0, len(dates), CHUNK_DATES)
     tasks = (
-        ([d.isoformat().encode() for d in dates[s : s + CHUNK_DATES]], [column[s : s + CHUNK_DATES] for column in columns])
+        ([d.isoformat().encode() for d in dates[s : s + CHUNK_DATES]], [col[s : s + CHUNK_DATES] for col in columns])
         for s in starts
     )
     with path.open("wb") as fh, _chunk_texts(path, pieces, tasks, min(usable_cpus(), len(starts))) as texts:
