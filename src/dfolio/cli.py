@@ -314,9 +314,7 @@ def cmd_ingest(args) -> int:
 def cmd_backtest(args) -> int:
     run = load_run_config(args.config, seed_override=args.seed, out_override=args.out, strategy_filter=args.strategies)
     out = _output_dir(run.output_dir, "output_dir")
-    frame = align_series(load_series(run.data_dir))
-    if run.universe:
-        frame = frame.select(run.universe)
+    frame = align_series(load_series(run.data_dir, tickers=run.universe))
     frame.check_usable()
     # Config faults that only the data reveal, reported before any training.
     rebs = rebalance_dates(frame, run.backtest)

@@ -8,7 +8,8 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
-from itertools import filterfalse
+from functools import partial
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -129,20 +130,6 @@ class MarketFrame:
             raise KeyError(f"{day} not a trading day of this frame")
         return i
 
-    def select(self, tickers: Sequence[str]) -> "MarketFrame":
-        """Restrict to a subset of tickers (kept in this frame's sorted order)."""
-        wanted, known = set(tickers), set(self.tickers)
-        missing = [t for t in tickers if t not in known]
-        if missing:
-            raise UniverseError(f"unknown tickers: {', '.join(missing)}")
-        keep = [i for i, t in enumerate(self.tickers) if t in wanted]
-        return MarketFrame(
-            dates=self.dates,
-            tickers=tuple(self.tickers[i] for i in keep),
-            adj_close=self.adj_close[:, keep],
-            volume=self.volume[:, keep],
-        )
-
     def check_usable(self) -> None:
         if self.n_assets < MIN_USABLE_ASSETS or self.n_dates < MIN_USABLE_DATES:
             raise UniverseError(
@@ -203,25 +190,21 @@ def _check_row(path, line_no: int, row: list[str], prev_day: date | None) -> dat
     return day
 
 
-def _parse_columns(rows: list[list[str]], calendar: dict[str, date]) -> TickerBars:
-    """All rows at once: one numeric conversion of the six columns, then the bar
-    checks as masks; the bars keep adj_close and volume.
+def _checked_bars(day_cells: Sequence[str], columns, calendar: dict[str, date]) -> TickerBars:
+    """The bars of one file from its date strings and its six numeric columns, in
+    `CSV_HEADER` order: the bar checks run as masks, and the bars keep adj_close and volume.
 
     `calendar` maps each date string seen so far to its date; the strings it
     lacks are parsed and added, so tickers that share a calendar share its
     date objects. Raises ValueError, without a location, when any row fails
     any check.
     """
-    if set(map(len, rows)) != {len(CSV_HEADER)}:
-        raise ValueError("field count")
-    cells = list(zip(*rows))
-    misses = list(filterfalse(calendar.__contains__, cells[0]))
+    misses = list(filterfalse(calendar.__contains__, day_cells))
     calendar.update(zip(misses, map(date.fromisoformat, misses)))
-    days = tuple(map(calendar.__getitem__, cells[0]))
-    values = np.array(cells[1:], dtype=float)
-    open_, high, low, close, adj_close, volume = values
+    days = tuple(map(calendar.__getitem__, day_cells))
+    open_, high, low, close, adj_close, volume = columns
     ok = (
-        np.isfinite(values).all()
+        all(np.isfinite(column).all() for column in columns)
         and (adj_close > 0).all()
         and (low <= np.minimum(open_, close)).all()
         and (np.maximum(open_, close) <= high).all()
@@ -235,19 +218,73 @@ def _parse_columns(rows: list[list[str]], calendar: dict[str, date]) -> TickerBa
     return TickerBars(days, kept)
 
 
+_PLAIN_HEADERS = (",".join(CSV_HEADER) + "\n", ",".join(CSV_HEADER) + "\r\n")
+# Wider than any date string that date.fromisoformat accepts (10 characters),
+# so a longer cell, cut to 11, still fails to parse.
+_PLAIN_ROW = np.dtype([("date", "U11"), *((name, "f8") for name in CSV_HEADER[1:])])
+_BATCH_CHARS = 1 << 16
+# loadtxt drops these where float() or fromisoformat keeps them: \x1c-\x1f
+# around a number (whitespace to str.isspace, not to float()) and NULs at
+# the end of a date (a numpy string drops its trailing NULs).
+_UNPLAIN_CHARS = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _plain_batch(lines: list[str]) -> list[str]:
+    """`lines`, as they are, if loadtxt reads them as the csv path would; else ValueError.
+
+    csv rejects a field over `csv.field_size_limit()` and loadtxt has no such
+    limit, so a line longer than the limit is declined too.
+    """
+    text = "".join(lines)
+    if max(map(len, lines)) > csv.field_size_limit() or any(map(text.__contains__, _UNPLAIN_CHARS)):
+        raise ValueError("not a plain batch")
+    return lines
+
+
+def _read_plain(fh, calendar: dict[str, date]) -> TickerBars:
+    """The bars of a plain file, parsed by numpy's C reader in one call.
+
+    Plain means: the exact header line, a data row right after it, and cells
+    that loadtxt converts exactly as `float()` and `date.fromisoformat` do.
+    The lines are streamed to loadtxt in batches, each checked on the way.
+    Raises ValueError on anything else (quotes, `1_000`, non-ASCII digits,
+    empty cells, a CR inside a row, a wrong field count, bytes that are not
+    UTF-8) and on any failing bar check, so that the csv path reads the file
+    again.
+    """
+    if fh.readline() not in _PLAIN_HEADERS:
+        raise ValueError("not the plain header")
+    first = fh.readline()
+    if not first.rstrip("\r\n"):  # no data row, which loadtxt warns about, or a blank line
+        raise ValueError("no data row after the header")
+    batches = chain([[first]], iter(partial(fh.readlines, _BATCH_CHARS), []))
+    rows = np.loadtxt(
+        chain.from_iterable(map(_plain_batch, batches)),
+        delimiter=",", comments=None, quotechar=None, ndmin=1, dtype=_PLAIN_ROW,
+    )
+    return _checked_bars(rows["date"].tolist(), [rows[name] for name in CSV_HEADER[1:]], calendar)
+
+
 def read_ticker_csv(path, calendar: dict[str, date] | None = None) -> TickerBars:
     """Parse one per-ticker OHLCV file, validating header and every bar.
 
-    The rows are converted and checked column by column; when that fails,
+    A plain file is parsed by numpy's C reader (`_read_plain`). Any other
+    file, and any file with a bad bar, is read again by the csv module: the
+    rows are converted and checked column by column, and when that fails,
     `_check_row` scans them in file order to name the first bad line. Date
-    strings are looked up in, and added to, `calendar` (`_parse_columns`).
+    strings are looked up in, and added to, `calendar` (`_checked_bars`).
     """
     path = Path(path)
+    calendar = {} if calendar is None else calendar
     try:
         fh = path.open(newline="")
     except OSError as exc:  # e.g. a directory named X.csv
         raise UniverseError(f"cannot open {path} ({exc.strerror})") from None
     with fh:
+        try:
+            return _read_plain(fh, calendar)
+        except ValueError:  # also a UnicodeDecodeError
+            fh.seek(0)
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -265,7 +302,10 @@ def read_ticker_csv(path, calendar: dict[str, date] | None = None) -> TickerBars
     if not data:
         raise IngestionError(path, 2, "no data rows")
     try:
-        return _parse_columns(data, {} if calendar is None else calendar)
+        if set(map(len, data)) != {len(CSV_HEADER)}:
+            raise ValueError("field count")
+        cells = list(zip(*data))
+        return _checked_bars(cells[0], np.array(cells[1:], dtype=float), calendar)
     except ValueError:
         prev_day = None
         for line_no, row in enumerate(rows, start=2):
@@ -274,11 +314,13 @@ def read_ticker_csv(path, calendar: dict[str, date] | None = None) -> TickerBars
         raise  # not reached: the scan raises on every row the columns reject
 
 
-def load_series(path) -> dict[str, TickerBars]:
-    """Read every per-ticker CSV in a directory, keyed by filename stem.
+def load_series(path, tickers: Sequence[str] | None = None) -> dict[str, TickerBars]:
+    """Read the per-ticker CSVs in a directory, keyed by filename stem.
 
-    The files share one calendar, so each distinct date string is parsed
-    once and every ticker's `days` holds the same date objects.
+    With `tickers`, only their files are read, and a ticker without a file
+    is a UniverseError; without, every CSV is. The files share one calendar,
+    so each distinct date string is parsed once and every ticker's `days`
+    holds the same date objects.
     """
     path = Path(path)
     try:
@@ -288,6 +330,13 @@ def load_series(path) -> dict[str, TickerBars]:
     files = sorted(p for p in entries if p.suffix.lower() == ".csv")
     if not files:
         raise UniverseError(f"no input files in {path}")
+    if tickers is not None:
+        wanted = set(tickers)
+        files = [p for p in files if p.stem in wanted]
+        found = {p.stem for p in files}
+        missing = [t for t in tickers if t not in found]
+        if missing:
+            raise UniverseError(f"unknown tickers: {', '.join(missing)}")
     calendar: dict[str, date] = {}
     return {f.stem: read_ticker_csv(f, calendar) for f in files}
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dfolio.backtest import (
+    KINDS,
     AccountingError,
     BacktestConfig,
     BacktestLedger,
@@ -21,7 +22,16 @@ from dfolio.backtest import (
 from dfolio.features import standardize
 from dfolio.market_data import MarketFrame, SyntheticSpec, business_days, generate_synthetic
 from dfolio.reports import write_hparams_csv
-from dfolio.solvers import Portfolio
+from dfolio.solvers import (
+    MAX_RETURN,
+    MAX_RETURN_FEE,
+    MAX_RETURN_FEE_L2,
+    DecisionProblem,
+    Portfolio,
+    solve_fee,
+    solve_fee_l2,
+    solve_max_return,
+)
 from dfolio.training import SearchSpace
 from dfolio.util import ConfigError
 
@@ -374,6 +384,45 @@ class TestRunBacktest:
         assert [(day, name, float(lr), int(ep), float(score)) for day, name, lr, ep, score in rows] == [
             (day, name, trial.learning_rate, trial.epochs, trial.score) for day, name, trial in trained
         ]
+
+    def test_decisions_replay_from_predictions_and_drifted_priors(self, monkeypatch):
+        # Each linear decision is its kind's oracle applied to the decision
+        # row's prediction, with the strategy's gamma and lam and with the
+        # record's own drifted weights as the prior.
+        import dfolio.backtest as bt
+
+        frame = synthetic_frame()
+        cfg = fast_config(frame, seed=5)
+        roster = tuple(StrategySpec(k, k, **fields) for k, fields in TRAINED_KINDS if KINDS[k][2] is not None)
+        current, predictions = {}, {}  # the (strategy, rebalance) in progress; each one's decision-row prediction
+
+        def spy_window(strategy, t, *args, **kwargs):
+            current["window"] = strategy.name, t
+            return real_window(strategy, t, *args, **kwargs)
+
+        def spy_predict(*args):
+            result = predictions[current["window"]] = real_predict(*args)
+            return result
+
+        real_window, real_predict = bt.run_window, bt.predict
+        monkeypatch.setattr(bt, "run_window", spy_window)
+        monkeypatch.setattr(bt, "predict", spy_predict)
+        ledgers = bt.run_backtest(frame, roster, cfg)
+
+        oracles = {MAX_RETURN: lambda r_hat, _: solve_max_return(r_hat), MAX_RETURN_FEE: solve_fee,
+                   MAX_RETURN_FEE_L2: solve_fee_l2}
+        uniform = Portfolio.uniform(frame.n_assets).weights
+        drifted_fee_priors = 0
+        for spec in roster:
+            led, problem_kind = ledgers[spec.name], KINDS[spec.kind][2]
+            assert led.error is None and led.rebalances
+            for rec in led.rebalances:
+                problem = DecisionProblem(problem_kind, gamma=spec.gamma, lam=spec.lam, w_prev=Portfolio(rec.drifted))
+                expected = oracles[problem_kind](predictions[spec.name, rec.day], problem)
+                assert rec.target.tobytes() == expected.weights.tobytes(), (spec.name, rec.day)
+                drifted_fee_priors += problem_kind != MAX_RETURN and not np.array_equal(rec.drifted, uniform)
+        assert len(predictions) == sum(len(led.rebalances) for led in ledgers.values())
+        assert drifted_fee_priors > 10  # fee decisions ran on drifted priors, not only on the uniform start
 
     def test_fee_identity_and_uniform_regime(self):
         frame = synthetic_frame()

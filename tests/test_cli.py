@@ -125,6 +125,33 @@ class TestSynthAndIngest:
         assert f"SYN01.csv:10: {column} must be finite" in err
         assert not (tmp_path / "o").exists()
 
+    def backtest_nav(self, tmp_path, data, name):
+        universe = ["SYN00", "SYN01", "SYN02", "SYN03"]
+        cfg = write_config(tmp_path, data, tmp_path / name, universe=universe, strategies=["max_sharpe"])
+        assert run_cli(["backtest", "--config", str(cfg)]) == 0
+        return read_nav_csv(tmp_path / name / "nav.csv")
+
+    def test_ticker_outside_universe_leaves_the_calendar(self, synth_dir, tmp_path):
+        # LATE lists from 2015-09-01, after the first rebalance's lookback
+        # starts; aligned with the universe, it moved the first NAV date.
+        alone = self.backtest_nav(tmp_path, synth_dir, "alone")
+        header, *lines = (synth_dir / "SYN00.csv").read_text().splitlines(keepends=True)
+        (synth_dir / "LATE.csv").write_text(header + "".join(line for line in lines if line >= "2015-09-01"))
+        with_late = self.backtest_nav(tmp_path, synth_dir, "late")
+        assert with_late == alone
+        assert with_late["max_sharpe"][0][0] == date(2016, 1, 29)
+
+    def test_malformed_file_outside_universe_is_not_read(self, synth_dir, tmp_path):
+        alone = self.backtest_nav(tmp_path, synth_dir, "alone")
+        (synth_dir / "BAD.csv").write_text("date,open,high,low,close,adj_close,volume\n2016-01-04,1,1,1,1,oops,5\n")
+        assert self.backtest_nav(tmp_path, synth_dir, "bad") == alone
+
+    def test_universe_ticker_without_file(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path, synth_dir, tmp_path / "o", universe=["SYN00", "ZZZ", "SYN01"])
+        assert run_cli(["backtest", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown tickers: ZZZ\n"
+        assert not (tmp_path / "o").exists()
+
     def test_single_asset_universe(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path, synth_dir, tmp_path / "o", universe=["SYN01"])
         assert run_cli(["backtest", "--config", str(cfg)]) == 1

@@ -1,13 +1,17 @@
+import contextlib
 import csv
 import math
 import tracemalloc
+import warnings
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dfolio import market_data
 from dfolio.market_data import (
     AssetBar,
     IngestionError,
@@ -58,6 +62,21 @@ class TestIngest:
         write_ticker_csv(tmp_csv_dir / "B.csv", flat_bars(days[2:12]))
         frame = align_series(load_series(tmp_csv_dir))
         assert frame.dates == tuple(days[2:10])
+
+    def test_tickers_select_files_before_parsing(self, tmp_csv_dir):
+        # Only the named files are parsed: BAD is never read, and C's later
+        # start does not narrow the calendar.
+        days = weekdays(date(2020, 1, 6), 10)
+        for name, cal in (("A", days), ("B", days[1:]), ("C", days[5:])):
+            write_ticker_csv(tmp_csv_dir / f"{name}.csv", flat_bars(cal))
+        (tmp_csv_dir / "BAD.csv").write_text("not,a,ticker,file\n")
+        series = load_series(tmp_csv_dir, tickers=["B", "A"])
+        assert sorted(series) == ["A", "B"]
+        assert align_series(series).dates == tuple(days[1:])
+        with pytest.raises(UniverseError, match=r"^unknown tickers: ZZ, YY$"):
+            load_series(tmp_csv_dir, tickers=["A", "ZZ", "YY"])
+        with pytest.raises(IngestionError, match=r"BAD\.csv:1: bad header"):
+            load_series(tmp_csv_dir)
 
     def test_zero_adj_close_names_file_and_line(self, tmp_csv_dir):
         days = weekdays(date(2020, 1, 6), 3)
@@ -190,6 +209,9 @@ PARSE_ERRORS = [
     line_3(row(l="100.6"), OHLC, id="low-above-open"),
     line_3(row(v="-1.0"), "volume must be >= 0", id="negative-volume"),
     line_3(row(o="1" * 200_000), "field larger than field limit (131072)", id="field-over-csv-limit"),
+    # numpy's reader has no field limit and reads these as a valid volume and adj_close.
+    line_3(row(v="1000" + " " * 200_000), "field larger than field limit (131072)", id="padded-over-csv-limit"),
+    line_3(row(a="1." + "0" * 200_000), "field larger than field limit (131072)", id="zeros-over-csv-limit"),
     line_3(row(day="2020-01-06"), "dates not strictly increasing at 2020-01-06", id="repeated-date"),
     pytest.param(
         [HEADER, GOOD, row(), row(day="2020-01-06")],
@@ -344,6 +366,97 @@ class TestColumnarMatchesScalar:
             assert (str(err.value), err.value.line) == (str(exc), exc.line)
         else:
             assert list(read_ticker_csv(path)) == expected
+
+
+# Cells where numpy's reader and the csv path could part: padding, quotes,
+# underscores, full-width digits, non-finite and signed zeros, overflow, long
+# digit strings, the characters loadtxt strips and float() does not, and NULs.
+HOSTILE_NUMBERS = [
+    "100.5", " 100.5 ", "\t100.5", "\xa0100.5", "100.5\u2028", '"100.5"', "1_000", "１００", "nan", "-nan", "inf",
+    "Infinity", "-0.0", "1e400", "1e-400", "", "oops", "0x10", "1" * 330, "0." + "0" * 320 + "17",
+    "9" * 17 + "." + "5" * 40, "\x1c100.5", "100.5\x1f", "100.5\x00", "+100.5", "100.", ".5e3",
+]
+HOSTILE_DATES = [
+    "{}", '"{}"', " {}", "{} ", "{}\x00", "{}X", "{}XY", "{}\x1c", "2020-02-30", "20200106", "2020-W02-1",
+]
+HOSTILE_HEADERS = [HEADER, HEADER.replace(",", ", "), '"date",open,high,low,close,adj_close,volume', "\ufeff" + HEADER]
+
+
+@st.composite
+def hostile_files(draw):
+    """Bytes of a ticker file: mostly plain rows, each maybe with one hostile cell, joined
+    by LF, CRLF or a lone CR, with blank lines and now and then bytes that are not UTF-8."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [draw(st.sampled_from(HOSTILE_HEADERS)) if not draw(st.integers(0, 9)) else HEADER]
+    day = date(2020, 1, 6)
+    for _ in range(draw(st.integers(0, 6))):
+        day += timedelta(days=draw(st.sampled_from([1] * 10 + [0, -1])))
+        cells = [day.isoformat(), "100.0", "101.0", "99.0", "100.5", "100.5", "1000"]
+        if draw(st.booleans()):
+            column = draw(st.integers(0, 6))
+            if column:
+                cells[column] = draw(st.sampled_from(HOSTILE_NUMBERS))
+            else:
+                cells[0] = draw(st.sampled_from(HOSTILE_DATES)).format(cells[0])
+        if not draw(st.integers(0, 19)):
+            cells = (cells + ["7"])[: draw(st.integers(1, 8))]
+        lines.append(",".join(cells) if draw(st.integers(0, 9)) else "")
+    ends = [draw(st.sampled_from([newline] * 8 + ["\r", ""])) for _ in lines]
+    data = "".join(map(str.__add__, lines, ends)).encode()
+    return data + b"\xff\n" if not draw(st.integers(0, 29)) else data
+
+
+def read_outcome(path, calendar, by_csv=False):
+    """`read_ticker_csv`'s bars, or its error's (text, line); `by_csv` declines the plain path."""
+    decline = mock.patch.object(market_data, "_read_plain", side_effect=ValueError("declined"))
+    try:
+        with decline if by_csv else contextlib.nullcontext():
+            return read_ticker_csv(path, calendar)
+    except IngestionError as exc:
+        return str(exc), exc.line
+
+
+class TestPlainPathMatchesCsvPath:
+    @given(hostile_files())
+    @settings(deadline=None, max_examples=600)
+    def test_same_bars_or_same_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "X.csv"
+        path.write_bytes(data)
+        by_csv, by_plain = read_outcome(path, csv_calendar := {}, by_csv=True), read_outcome(path, calendar := {})
+        if isinstance(by_csv, tuple):
+            assert by_plain == by_csv
+        else:
+            assert by_plain.days == by_csv.days and by_plain.values.tobytes() == by_csv.values.tobytes()
+            assert calendar == csv_calendar
+            assert {id(d) for d in by_plain.days} <= {id(d) for d in calendar.values()}
+
+    def test_plain_files_skip_the_csv_module(self, tmp_csv_dir, monkeypatch):
+        path = tmp_csv_dir / "X.csv"
+        path.write_text(f"{HEADER}\n{GOOD}\n\n{row(v='-0.0')}\n")
+        write_ticker_csv(tmp_csv_dir / "Y.csv", flat_bars(weekdays(date(2020, 1, 6), 3)))  # CRLF lines
+
+        def no_csv(*args):
+            raise AssertionError("the csv path read a plain file")
+
+        monkeypatch.setattr(market_data.csv, "reader", no_csv)
+        assert list(read_ticker_csv(path)) == [
+            AssetBar(date(2020, 1, 6), 100.5, 1000.0), AssetBar(date(2020, 1, 7), 101.0, -0.0)
+        ]
+        assert len(read_ticker_csv(tmp_csv_dir / "Y.csv")) == 3
+
+    @pytest.mark.parametrize(
+        "text", [f"{HEADER}\n", HEADER, f"{HEADER}\r\n\r\n", f"{HEADER}\n\n\n"],
+        ids=["lf", "no-newline", "crlf-blank", "blank-lines"],
+    )
+    def test_header_only_file_warns_nothing(self, tmp_csv_dir, text):
+        # numpy's loadtxt warns "input contained no data" on an empty input.
+        path = tmp_csv_dir / "X.csv"
+        path.write_text(text, newline="")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(IngestionError, match=r"X\.csv:2: no data rows$"):
+                read_ticker_csv(path)
+        assert seen == []
 
 
 class TestSharedCalendar:
@@ -548,13 +661,6 @@ class TestMarketFrame:
     def test_rejects_nonpositive_prices(self):
         with pytest.raises(ValueError):
             make_frame(np.array([[1.0], [-2.0]]))
-
-    def test_select_subset(self):
-        frame = make_frame(np.full((5, 3), 10.0), tickers=("A", "B", "C"))
-        sub = frame.select(["A", "C"])
-        assert sub.tickers == ("A", "C")
-        with pytest.raises(UniverseError):
-            frame.select(["ZZ"])
 
     def test_usability_gate(self):
         small = make_frame(np.full((10, 2), 10.0))
