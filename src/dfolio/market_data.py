@@ -269,10 +269,10 @@ def read_ticker_csv(path, calendar: dict[str, date] | None = None) -> TickerBars
     """Parse one per-ticker OHLCV file, validating header and every bar.
 
     A plain file is parsed by numpy's C reader (`_read_plain`). Any other
-    file, and any file with a bad bar, is read again by the csv module: the
-    rows are converted and checked column by column, and when that fails,
-    `_check_row` scans them in file order to name the first bad line. Date
-    strings are looked up in, and added to, `calendar` (`_checked_bars`).
+    file, and any file with a bad bar, is read again by the csv module:
+    `_check_row` scans its rows in file order and names the first bad line,
+    then `_checked_bars` builds the bars. Date strings are looked up in, and
+    added to, `calendar`.
     """
     path = Path(path)
     calendar = {} if calendar is None else calendar
@@ -298,29 +298,25 @@ def read_ticker_csv(path, calendar: dict[str, date] | None = None) -> TickerBars
         except UnicodeDecodeError as exc:  # decoded a buffer ahead of the reader, so no exact line
             message = f"not UTF-8 text at or after this line ({exc.reason})"
             raise IngestionError(path, reader.line_num + 1, message) from None
-    data = rows if all(rows) else [row for row in rows if row]
+    data, prev_day = [], None
+    for line_no, row in enumerate(rows, start=2):
+        if row:
+            prev_day = _check_row(path, line_no, row, prev_day)
+            data.append(row)
     if not data:
         raise IngestionError(path, 2, "no data rows")
-    try:
-        if set(map(len, data)) != {len(CSV_HEADER)}:
-            raise ValueError("field count")
-        cells = list(zip(*data))
-        return _checked_bars(cells[0], np.array(cells[1:], dtype=float), calendar)
-    except ValueError:
-        prev_day = None
-        for line_no, row in enumerate(rows, start=2):
-            if row:
-                prev_day = _check_row(path, line_no, row, prev_day)
-        raise  # not reached: the scan raises on every row the columns reject
+    cells = list(zip(*data))
+    return _checked_bars(cells[0], np.array(cells[1:], dtype=float), calendar)
 
 
 def load_series(path, tickers: Sequence[str] | None = None) -> dict[str, TickerBars]:
     """Read the per-ticker CSVs in a directory, keyed by filename stem.
 
     With `tickers`, only their files are read, and a ticker without a file
-    is a UniverseError; without, every CSV is. The files share one calendar,
-    so each distinct date string is parsed once and every ticker's `days`
-    holds the same date objects.
+    is a UniverseError; without, every CSV is. Two files to be read with one
+    stem (`X.csv` and `X.CSV`) are a UniverseError. The files share one
+    calendar, so each distinct date string is parsed once and every ticker's
+    `days` holds the same date objects.
     """
     path = Path(path)
     try:
@@ -337,8 +333,12 @@ def load_series(path, tickers: Sequence[str] | None = None) -> dict[str, TickerB
         missing = [t for t in tickers if t not in found]
         if missing:
             raise UniverseError(f"unknown tickers: {', '.join(missing)}")
+    by_stem: dict[str, Path] = {}
+    for f in files:
+        if by_stem.setdefault(f.stem, f) is not f:
+            raise UniverseError(f"ticker {f.stem} has two files in {path}: {by_stem[f.stem].name} and {f.name}")
     calendar: dict[str, date] = {}
-    return {f.stem: read_ticker_csv(f, calendar) for f in files}
+    return {stem: read_ticker_csv(f, calendar) for stem, f in by_stem.items()}
 
 
 def align_series(series: dict[str, TickerBars]) -> MarketFrame:

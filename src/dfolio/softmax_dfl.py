@@ -141,26 +141,17 @@ def batch_gradients(params: dict, xb: np.ndarray, yb: np.ndarray, kind: str, sig
     # softmax Jacobian: diag(z) - z z^T applied to dz
     dlogits = z * (dz - (z * dz).sum(axis=-1, keepdims=True))
     grads = {
-        "w2": _per_trial("bi,bh->ih", dlogits, h) / b,
+        "w2": dlogits.transpose(0, 2, 1) @ h / b,
         "b2": dlogits.mean(axis=1),
     }
     dh = dlogits @ params["w2"]
     dpre1 = dh * (pre1 > 0)
-    grads["w1"] = _per_trial("bh,bi->hi", dpre1, r_hat) / b
+    grads["w1"] = dpre1.transpose(0, 2, 1) @ r_hat / b
     grads["b1"] = dpre1.mean(axis=1)
     dr_hat = dpre1 @ params["w1"]
     grads["theta"] = np.einsum("tbi,bid->td", dr_hat, xb) / b
     grads["intercept"] = dr_hat.sum(axis=2).mean(axis=1)[:, None]
     return losses, grads
-
-
-def _per_trial(expr: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.einsum(expr) of each trial's operands, stacked.
-
-    For these contractions einsum over a leading trial axis is 1.5-3x slower
-    than one call per trial (4-20 trials of 63 x 10 rows, hidden 32).
-    """
-    return np.stack([np.einsum(expr, x, y) for x, y in zip(a, b)])
 
 
 def train_dfl(

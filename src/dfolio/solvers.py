@@ -54,12 +54,6 @@ class Portfolio:
     def uniform(n: int) -> "Portfolio":
         return Portfolio(np.full(n, 1.0 / n))
 
-    @staticmethod
-    def vertex(n: int, i: int) -> "Portfolio":
-        w = np.zeros(n)
-        w[i] = 1.0
-        return Portfolio(w)
-
 
 @dataclass(frozen=True)
 class DecisionProblem:
@@ -135,7 +129,7 @@ def solve_max_return(coeff: np.ndarray) -> Portfolio:
     coeff = np.asarray(coeff, dtype=float).reshape(-1)
     if not np.all(np.isfinite(coeff)):
         raise ValueError("objective coefficients must be finite")
-    return Portfolio.vertex(coeff.size, int(np.argmax(coeff)))
+    return Portfolio(argmax_batch(coeff[None], DecisionProblem())[0])
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,22 @@ class TestIngest:
         with pytest.raises(IngestionError, match=r"BAD\.csv:1: bad header"):
             load_series(tmp_csv_dir)
 
+    def test_two_files_of_one_ticker_are_an_error(self, tmp_csv_dir):
+        # The suffix matches in any case, so X.csv and X.CSV both hold ticker X;
+        # neither may silently replace the other.
+        days = weekdays(date(2020, 1, 6), 3)
+        write_ticker_csv(tmp_csv_dir / "X.csv", flat_bars(days[:1]))
+        if (tmp_csv_dir / "X.CSV").exists():
+            pytest.skip("case-insensitive filesystem: X.csv and X.CSV are one file")
+        write_ticker_csv(tmp_csv_dir / "X.CSV", flat_bars(days[1:]))
+        write_ticker_csv(tmp_csv_dir / "Y.csv", flat_bars(days))
+        message = r"^ticker X has two files in .*csvs: X\.CSV and X\.csv$"
+        with pytest.raises(UniverseError, match=message):
+            load_series(tmp_csv_dir)
+        with pytest.raises(UniverseError, match=message):
+            load_series(tmp_csv_dir, tickers=["Y", "X"])
+        assert list(load_series(tmp_csv_dir, tickers=["Y"])) == ["Y"]  # only the selected stems are checked
+
     def test_zero_adj_close_names_file_and_line(self, tmp_csv_dir):
         days = weekdays(date(2020, 1, 6), 3)
         rows = flat_bars(days)
